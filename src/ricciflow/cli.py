@@ -44,8 +44,8 @@ def _parse_floats(text: str, name: str) -> list[float]:
         values = [float(part) for part in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"--{name}: expected comma-separated floats, got {text!r}") from exc
-    if not values:
-        raise ConfigError(f"--{name}: empty value")
+    if not all(v > 0.0 for v in values):
+        raise ConfigError(f"--{name}: metric coefficients must be strictly positive, got {text!r}")
     return values
 
 
@@ -58,10 +58,7 @@ def _resolve_xi(args) -> float:
             k1, k2 = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise ConfigError(f"--k: expected integers, got {args.k!r}") from exc
-        try:
-            return XiParam.from_integers(k1, k2).xi
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return XiParam.from_integers(k1, k2).xi
     if getattr(args, "xi", None) is not None:
         if not (0.0 < args.xi <= 1.0):
             raise ConfigError(f"--xi must lie in (0, 1], got {args.xi}")
@@ -69,17 +66,14 @@ def _resolve_xi(args) -> float:
     return 1.0
 
 
-def _config_from(args, horizon=None) -> flow.IntegratorConfig:
-    try:
-        return flow.IntegratorConfig(
-            rel_tol=args.rel_tol,
-            abs_tol=args.abs_tol,
-            max_step=args.max_step if args.max_step else float("inf"),
-            max_time=horizon if horizon is not None else args.horizon,
-            direction=getattr(args, "direction", "forward"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _config_from(args) -> flow.IntegratorConfig:
+    return flow.IntegratorConfig(
+        rel_tol=args.rel_tol,
+        abs_tol=args.abs_tol,
+        max_step=args.max_step if args.max_step else float("inf"),
+        max_time=args.horizon,
+        direction=getattr(args, "direction", "forward"),
+    )
 
 
 def _out_dir(args) -> Path:
@@ -88,28 +82,13 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _flow_events(system: str, xi: float) -> list[flow.EventSpec]:
-    if system == "aw2":
-        return [flow.boundary_event("aw2")]
-    if system == "aw3":
-        return [flow.boundary_event("aw3"), flow.window_event(3)]
-    if system == "aw4":
-        return [flow.boundary_event("aw4", xi), flow.window_event(4)]
-    if system == "berger":
-        return [flow.boundary_event("berger")]
-    raise ConfigError(f"--event cone is not defined for system {system!r}")
-
-
 def cmd_flow(args) -> int:
     xi = _resolve_xi(args)
     init = _parse_floats(args.init, "init")
-    try:
-        system = flow.make_system(args.system, xi if args.system in ("aw3", "aw4", "aw2") else None)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    system = flow.make_system(args.system, xi)
     if len(init) != system.dim:
         raise ConfigError(f"system {args.system!r} needs {system.dim} init components, got {len(init)}")
-    events = _flow_events(args.system, xi) if args.event == "cone" else []
+    events = flow.cone_events(args.system, xi) if args.event == "cone" else []
     cfg = _config_from(args)
     traj = flow.integrate(system, init, cfg, events)
     out = _out_dir(args)
@@ -238,8 +217,7 @@ def cmd_cone_exit(args) -> int:
     init = _parse_floats(args.init, "init")
     cfg = _config_from(args)
     exit_time, exit_state = flow.cone_exit(args.family, init, cfg, xi=xi)
-    after_family = "aw4" if (args.family == "aw3" and xi != 1.0) else args.family
-    verdict = flow.post_exit_verdict(after_family, exit_state, xi)
+    verdict = flow.post_exit_verdict(args.family, exit_state, xi)
     _emit({
         "status": "ok",
         "command": "cone-exit",
@@ -269,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_flow = sub.add_parser("flow", help="integrate one flow system")
     p_flow.add_argument("--system", required=True,
-                        choices=["aw2", "aw3", "aw4", "berger", "normalized"])
+                        choices=flow.SYSTEM_KINDS)
     p_flow.add_argument("--init", required=True, help="comma-separated initial state")
     p_flow.add_argument("--xi", type=float, default=None)
     p_flow.add_argument("--k", default=None, help="k1,k2 as an alternative to --xi")
@@ -295,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_roots.set_defaults(func=cmd_roots)
 
     p_exit = sub.add_parser("cone-exit", help="first positivity-cone boundary crossing")
-    p_exit.add_argument("--family", required=True, choices=["aw2", "aw3", "berger"])
+    p_exit.add_argument("--family", required=True, choices=list(flow.FAMILIES))
     p_exit.add_argument("--init", required=True)
     p_exit.add_argument("--xi", type=float, default=None)
     p_exit.add_argument("--k", default=None)
@@ -310,7 +288,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and the library's input errors
         _emit({"status": "error", "code": EXIT_CONFIG, "error": str(exc)})
         return EXIT_CONFIG
     except RicciFlowError as exc:

@@ -9,9 +9,10 @@ interpolant well below the 1e-10 time-accuracy requirement.
 Termination modes of `integrate`:
   * "horizon"  - reached config.max_time,
   * "event"    - a terminal event fired (the event is recorded),
-  * "singular" - a state component fell below config.abs_tol (the flow is
+  * "singular" - a state component fell below COLLAPSE_FLOOR (the flow is
                  collapsing); the trajectory is truncated there and a
                  "singular" event is recorded.
+The cone-exit families (aw2, aw3, aw4, berger) are described once, in FAMILIES.
 """
 
 from __future__ import annotations
@@ -41,12 +42,42 @@ __all__ = [
     "normalized_rhs",
     "integrate",
     "cone_exit",
+    "cone_events",
     "boundary_event",
     "window_event",
     "post_exit_verdict",
+    "Family",
+    "FAMILIES",
 ]
 
-SYSTEM_KINDS = ("aw2", "aw3", "aw4", "berger", "normalized")
+# A state component below this value ends an integration as "singular".
+COLLAPSE_FLOOR = 1e-12
+
+
+@dataclass(frozen=True)
+class Family:
+    """How one cone-exit family is set up, integrated and classified.
+
+    Functions are named, not held, and looked up at each use, so that a
+    rebinding of `cone.classify_*` or of this module's functions is seen.
+    `coords` maps (t, s0, s1, s2) onto the reduced state; coefficients with
+    equal indices must be equal.  aw4 integrates the expanded (t, x, s, s).
+    """
+
+    takes_xi: bool                   # varies with xi; all others accept only xi = 1
+    coords: tuple[int, ...] | None   # None: the state is taken as given
+    classifier: str                  # name of the `cone` classifier
+    unpack: bool                     # the classifier takes the components as arguments
+    window: bool                     # leaving the certified slice window x < s is monitored
+
+
+FAMILIES = {
+    "aw2": Family(False, (0, 0, 1, 1), "classify_2param", True, False),
+    "aw3": Family(False, (0, 1, 2, 2), "classify_3param", True, True),
+    "aw4": Family(True, (0, 1, 2, 2), "classify_aw_slice", False, True),
+    "berger": Family(False, None, "classify_berger", False, False),
+}
+SYSTEM_KINDS = (*FAMILIES, "normalized")
 _SYSTEM_DIMS = {"aw2": 2, "aw3": 3, "aw4": 4, "berger": 2, "normalized": 2}
 
 
@@ -103,20 +134,19 @@ class FlowSystem:
 
 
 def make_system(kind: str, xi: float | None = None) -> FlowSystem:
-    """Build a FlowSystem.  The aw2/aw3 slices are only flow-invariant at
-    xi = 1, so any other xi is rejected for them; aw4 accepts any xi in
-    (0, 1] (default 1)."""
+    """Build a FlowSystem.  Only aw4 varies with xi (any xi in (0, 1],
+    default 1).  The aw2/aw3 slices are flow-invariant only at xi = 1 and
+    the Berger and normalized systems have no xi, so for them any xi other
+    than 1 is rejected."""
     if kind not in SYSTEM_KINDS:
         raise ValueError(f"unknown system kind {kind!r}, expected one of {SYSTEM_KINDS}")
+    x = 1.0 if xi is None else xi_value(xi)
+    if x != 1.0 and not (kind in FAMILIES and FAMILIES[kind].takes_xi):
+        raise ValueError(f"system {kind!r} takes only xi = 1, got xi = {xi}")
     if kind in ("aw2", "aw3"):
-        if xi is not None and xi_value(xi) != 1.0:
-            raise ValueError(f"{kind} is a flow-invariant subfamily only at xi = 1, got xi = {xi}")
         return FlowSystem(kind, _SYSTEM_DIMS[kind], 1.0, aw2_rhs if kind == "aw2" else aw3_rhs)
     if kind == "aw4":
-        x = 1.0 if xi is None else xi_value(xi)
         return FlowSystem(kind, 4, x, lambda state: aw_rhs(state, x))
-    if xi is not None:
-        raise ValueError(f"system {kind!r} takes no xi parameter")
     return FlowSystem(kind, 2, None, berger_rhs if kind == "berger" else normalized_rhs)
 
 
@@ -189,7 +219,7 @@ def integrate(system: FlowSystem, init, config: IntegratorConfig | None = None,
     """Integrate `system` from `init` with adaptive RK 4(5).
 
     Stops at config.max_time, at the first terminal event, or when a state
-    component falls below config.abs_tol (collapsing flow; the run is
+    component falls below COLLAPSE_FLOOR (collapsing flow; the run is
     truncated with status "singular").  Raises StepSizeUnderflow when the
     solver stalls and NonPositiveState for nonpositive initial or sampled
     states.
@@ -205,7 +235,7 @@ def integrate(system: FlowSystem, init, config: IntegratorConfig | None = None,
     scipy_events = []
 
     def floor_fn(_l, y):
-        return float(np.min(y) - cfg.abs_tol)
+        return float(np.min(y) - COLLAPSE_FLOOR)
 
     floor_fn.terminal = True
     scipy_events.append(floor_fn)
@@ -272,26 +302,47 @@ def window_event(dim: int) -> EventSpec:
     return EventSpec("window_exit", fn, terminal=False, direction=-1.0)
 
 
-def _as_aw2_state(init) -> np.ndarray:
-    arr = np.asarray(init, dtype=float)
-    if arr.shape == (4,):
-        if arr[0] != arr[1] or arr[2] != arr[3]:
-            raise ValueError(f"a two-parameter metric needs t = s0 and s1 = s2, got {arr}")
-        return arr[[0, 2]]
-    if arr.shape == (2,):
-        return arr
-    raise ValueError(f"aw2 initial state must have 2 or 4 components, got {arr.shape}")
+def _resolve(family: str, xi) -> tuple[str, Family, float]:
+    """Registry entry of `family` at `xi`.  Off xi = 1 the aw3 slice is not
+    flow-invariant, so aw3 resolves to the full four-parameter system."""
+    x = xi_value(xi)
+    kind = "aw4" if family == "aw3" and x != 1.0 else family
+    if kind not in FAMILIES:
+        raise ValueError(f"unknown cone-exit family {family!r}, expected one of {tuple(FAMILIES)}")
+    return kind, FAMILIES[kind], x
 
 
-def _as_slice_state(init) -> np.ndarray:
+def _initial_state(kind: str, fam: Family, init) -> np.ndarray:
+    """The family's state from `init`, given as that state, as the reduced
+    slice state (aw4), or as the four coefficients (t, s0, s1, s2)."""
     arr = np.asarray(init, dtype=float)
-    if arr.shape == (4,):
-        if arr[2] != arr[3]:
-            raise ValueError(f"a slice metric needs s1 = s2, got {arr}")
-        return arr[:3]
-    if arr.shape == (3,):
+    if fam.coords is None:
         return arr
-    raise ValueError(f"aw3 initial state must have 3 or 4 components, got {arr.shape}")
+    first = [fam.coords.index(k) for k in range(fam.coords[-1] + 1)]
+    if arr.shape == (4,):
+        if not np.array_equal(arr[first][list(fam.coords)], arr):
+            form = ", ".join("abc"[k] for k in fam.coords)
+            raise ValueError(f"{kind} needs (t, s0, s1, s2) of the form ({form}), got {arr}")
+        arr = arr[first]
+    elif arr.shape != (len(first),):
+        raise ValueError(f"{kind} initial state must have {len(first)} or 4 components, got {arr.shape}")
+    return arr[list(fam.coords)] if _SYSTEM_DIMS[kind] == 4 else arr
+
+
+def _classify(fam: Family, state, xi: float) -> cone.ConeVerdict:
+    classify = getattr(cone, fam.classifier)
+    if fam.takes_xi:
+        return classify(state, xi)
+    return classify(*state) if fam.unpack else classify(state)
+
+
+def cone_events(kind: str, xi: float = 1.0) -> list[EventSpec]:
+    """The cone-boundary event of system `kind`, followed by the
+    certified-window monitor where the family has one."""
+    events = [boundary_event(kind, xi)]
+    if FAMILIES[kind].window:
+        events.append(window_event(_SYSTEM_DIMS[kind]))
+    return events
 
 
 def cone_exit(family: str, init, config: IntegratorConfig | None = None,
@@ -300,43 +351,22 @@ def cone_exit(family: str, init, config: IntegratorConfig | None = None,
 
     The initial metric must classify PositivelyCurved for its family.  For
     family "aw3" with xi != 1 the slice is not flow-invariant, so the full
-    four-parameter system is integrated with the general boundary event.
-    Raises NoExitWithinHorizon if the boundary is not reached (including
-    collapse or leaving the certified window first).
+    four-parameter system is integrated with the general boundary event;
+    aw2 and berger take only xi = 1.  Raises NoExitWithinHorizon if the
+    boundary is not reached (including collapse or leaving the certified
+    window first).
     """
     cfg = config or IntegratorConfig()
-    xi = xi_value(xi)
-    if family == "aw2":
-        state = _as_aw2_state(init)
-        verdict = cone.classify_2param(state[0], state[1])
-        system = make_system("aw2")
-        events = [boundary_event("aw2")]
-    elif family == "aw3":
-        slice_state = _as_slice_state(init)
-        if xi == 1.0:
-            verdict = cone.classify_3param(*slice_state)
-            system = make_system("aw3")
-            state = slice_state
-            events = [boundary_event("aw3"), window_event(3)]
-        else:
-            state = np.array([slice_state[0], slice_state[1], slice_state[2], slice_state[2]])
-            verdict = cone.classify_aw_slice(state, xi)
-            system = make_system("aw4", xi)
-            events = [boundary_event("aw4", xi), window_event(4)]
-    elif family == "berger":
-        state = np.asarray(init, dtype=float)
-        verdict = cone.classify_berger(tuple(state))
-        system = make_system("berger")
-        events = [boundary_event("berger")]
-    else:
-        raise ValueError(f"unknown cone-exit family {family!r}")
-
+    kind, fam, xi = _resolve(family, xi)
+    system = make_system(kind, xi)
+    state = _initial_state(kind, fam, init)
+    verdict = _classify(fam, state, xi)
     if verdict.classification is not cone.ConeClass.POSITIVELY_CURVED:
         raise ValueError(f"initial metric is not positively curved ({verdict.classification.value})")
     if cfg.direction != "forward":
         raise ValueError("cone_exit integrates forward")
 
-    traj = integrate(system, state, cfg, events)
+    traj = integrate(system, state, cfg, cone_events(kind, xi))
     hit = traj.first_event("cone_exit")
     if hit is None:
         raise NoExitWithinHorizon(
@@ -353,19 +383,9 @@ def post_exit_verdict(family: str, state, xi: float = 1.0,
     """Classify the metric a small flow time `dt` past `state`.
 
     Used to confirm that a detected boundary crossing really lands outside
-    the cone; `family` is one of aw2, aw3, aw4, berger.
+    the cone; `family` and `xi` resolve as in `cone_exit`, and `state` is
+    the state that `cone_exit` returned.
     """
-    cfg = IntegratorConfig(max_time=dt)
-    if family == "aw2":
-        after = integrate(make_system("aw2"), state, cfg).final_state
-        return cone.classify_2param(after[0], after[1])
-    if family == "aw3":
-        after = integrate(make_system("aw3"), state, cfg).final_state
-        return cone.classify_3param(*after)
-    if family == "aw4":
-        after = integrate(make_system("aw4", xi), state, cfg).final_state
-        return cone.classify_aw_slice(after, xi)
-    if family == "berger":
-        after = integrate(make_system("berger"), state, cfg).final_state
-        return cone.classify_berger(tuple(after))
-    raise ValueError(f"unknown family {family!r}")
+    kind, fam, xi = _resolve(family, xi)
+    after = integrate(make_system(kind, xi), state, IntegratorConfig(max_time=dt)).final_state
+    return _classify(fam, after, xi)

@@ -23,6 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import cone, derivatives, flow
+from .errors import RicciFlowError
 from .spaces import AWMetric, BergerMetric, ricci_eigenvalues_berger, ricci_from_structure, aw_eigenvalue_tuple
 
 __all__ = ["CheckResult", "CHECK_NAMES", "run_all", "run_check"]
@@ -212,10 +213,9 @@ def _exit_check(name, family, init, xi=1.0):
     cfg = flow.IntegratorConfig(max_time=1.0)
     try:
         exit_time, exit_state = flow.cone_exit(family, init, cfg, xi=xi)
-    except Exception as exc:  # any failure to exit fails the criterion
+    except (RicciFlowError, ValueError) as exc:  # a documented failure to exit fails the criterion
         return CheckResult(name, False, float("nan"), 1.0, f"no exit: {exc}")
-    post_family = "aw4" if (family == "aw3" and xi != 1.0) else family
-    verdict = flow.post_exit_verdict(post_family, exit_state, xi)
+    verdict = flow.post_exit_verdict(family, exit_state, xi)
     ok = exit_time > 0.0 and verdict.classification is cone.ConeClass.HAS_NONPOSITIVE_PLANE
     return CheckResult(name, ok, exit_time, 1.0,
                        f"exit at l = {exit_time:.6f}, post-exit {verdict.classification.value}")

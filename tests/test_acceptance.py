@@ -9,7 +9,7 @@ by the exact-pair and residual checks); see the verification report notes.
 
 import pytest
 
-from ricciflow import verify
+from ricciflow import NoExitWithinHorizon, flow, verify
 
 
 @pytest.fixture(scope="module")
@@ -32,3 +32,17 @@ def test_criterion(results, name):
         line += f" ({result.detail})"
     print(line)
     assert result.passed, line
+
+
+def test_exit_check_fails_on_documented_errors_only(monkeypatch):
+    def no_exit(*_args, **_kwargs):
+        raise NoExitWithinHorizon("stub")
+
+    def broken(*_args, **_kwargs):
+        raise TypeError("stub")
+
+    monkeypatch.setattr(flow, "cone_exit", no_exit)
+    assert not verify._exit_check("cone_exit_aw2", "aw2", (0.99, 1.0)).passed
+    monkeypatch.setattr(flow, "cone_exit", broken)
+    with pytest.raises(TypeError):
+        verify._exit_check("cone_exit_aw2", "aw2", (0.99, 1.0))

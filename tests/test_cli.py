@@ -75,6 +75,20 @@ class TestFlowCommand:
         assert code == 2
         assert out["status"] == "error"
 
+    def test_nonpositive_init_is_config_error(self, tmp_path, capsys):
+        code, out = run_cli(capsys, "flow", "--system", "aw2", "--init=-1,1",
+                            "--out", str(tmp_path))
+        assert code == 2
+        assert out["status"] == "error"
+
+    def test_abs_tol_leaves_collapse_floor(self, tmp_path, capsys):
+        # a loose --abs-tol must not stop the run "singular" far from collapse
+        code, out = run_cli(capsys, "flow", "--system", "aw3", "--init", "0.8,0.9,1.0",
+                            "--horizon", "0.2", "--abs-tol", "0.05", "--out", str(tmp_path))
+        assert code == 0
+        assert out["trajectory_status"] == "singular"
+        assert min(out["final_state"]) <= 1e-9
+
     def test_cone_event_rejected_for_normalized(self, tmp_path, capsys):
         code, out = run_cli(capsys, "flow", "--system", "normalized", "--init", "1,1",
                             "--event", "cone", "--out", str(tmp_path))
@@ -116,6 +130,15 @@ class TestPortraitCommand:
         assert (tmp_path / "p" / "seed_000.csv").exists()
         assert not (tmp_path / "p" / "seed_001.csv").exists()
 
+    def test_nonpositive_seed_is_config_error(self, tmp_path, capsys):
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text("0.87,1.1\n-0.5,1.1\n")
+        code, out = run_cli(capsys, "portrait", "--grid", "0.5:1.5:3,0.5:1.5:3",
+                            "--horizon", "0.2", "--seeds", str(seeds),
+                            "--out", str(tmp_path / "p"))
+        assert code == 2
+        assert out["status"] == "error"
+
     def test_bad_grid_is_config_error(self, tmp_path, capsys):
         code, out = run_cli(capsys, "portrait", "--grid", "1:2:1,1:2:4",
                             "--out", str(tmp_path))
@@ -128,6 +151,19 @@ class TestPortraitCommand:
         for name in ("regions.csv", "seed_000.csv", "einstein.json"):
             assert ((tmp_path / "p1" / name).read_bytes()
                     == (tmp_path / "p2" / name).read_bytes())
+
+
+@pytest.mark.parametrize("argv", [
+    ("flow", "--system", "berger", "--init", "1.99,1", "--xi", "0.5"),
+    ("flow", "--system", "normalized", "--init", "1,1", "--k", "1,2"),
+    ("cone-exit", "--family", "aw2", "--init", "0.99,1", "--xi", "0.5"),
+    ("cone-exit", "--family", "berger", "--init", "1.99,1", "--k", "1,2"),
+])
+def test_unused_xi_is_config_error(tmp_path, capsys, argv):
+    out_flag = ("--out", str(tmp_path)) if argv[0] == "flow" else ()
+    code, out = run_cli(capsys, *argv, *out_flag)
+    assert code == 2
+    assert "xi = 1" in out["error"]
 
 
 class TestRootsCommand:

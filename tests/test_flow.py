@@ -20,9 +20,10 @@ from ricciflow import (
     integrate,
     make_system,
     normalized_rhs,
+    t_a,
     t_a_closed,
 )
-from ricciflow.flow import post_exit_verdict, window_event
+from ricciflow.flow import FAMILIES, post_exit_verdict, window_event
 
 TIGHT = IntegratorConfig(max_time=1.0)
 
@@ -266,6 +267,11 @@ class TestConeExit:
         with pytest.raises(ValueError):
             cone_exit("aw2", (0.9, 0.8, 1.0, 1.0), TIGHT)
 
+    @pytest.mark.parametrize("family, init", [("aw2", (0.99, 1.0)), ("berger", (1.99, 1.0))])
+    def test_rejects_unused_xi(self, family, init):
+        with pytest.raises(ValueError, match="xi = 1"):
+            cone_exit(family, init, TIGHT, xi=0.5)
+
     def test_no_exit_within_horizon(self):
         with pytest.raises(NoExitWithinHorizon):
             cone_exit("aw2", (0.5, 1.0), IntegratorConfig(max_time=1e-4))
@@ -274,6 +280,25 @@ class TestConeExit:
         # from (0.2, 0.99, 1) the ratio x/s crosses 1 before the boundary
         with pytest.raises(NoExitWithinHorizon, match="certified window"):
             cone_exit("aw3", (0.2, 0.99, 1.0), IntegratorConfig(max_time=2.0))
+
+
+# A start just inside the boundary for each registry entry, under the name
+# callers use: the aw4 entry is reached as aw3 off xi = 1.
+_INSIDE = {
+    "aw2": ("aw2", 1.0, (0.99, 1.0)),
+    "aw3": ("aw3", 1.0, (t_a_closed(0.9, 1.0) - 1e-3, 0.9, 1.0)),
+    "aw4": ("aw3", 0.9, (t_a((0.9, 1.0, 1.0), 0.9) - 1e-3, 0.9, 1.0)),
+    "berger": ("berger", 1.0, (1.99, 1.0)),
+}
+
+
+@pytest.mark.parametrize("kind", list(FAMILIES))
+def test_every_family_exits_into_nonpositive_planes(kind):
+    family, xi, init = _INSIDE[kind]
+    exit_time, state = cone_exit(family, init, TIGHT, xi=xi)
+    assert cone_exit(kind, init, TIGHT, xi=xi)[0] == exit_time
+    verdict = post_exit_verdict(family, state, xi)
+    assert verdict.classification is ConeClass.HAS_NONPOSITIVE_PLANE
 
 
 class TestBackwardPersistence:
