@@ -41,7 +41,6 @@ from .errors import (
     NonPositiveState,
     NoExitWithinHorizon,
     RicciFlowError,
-    SingularMatrixError,
     StepSizeUnderflow,
 )
 from .flow import (

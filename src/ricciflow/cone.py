@@ -12,9 +12,21 @@ is t_A = (2/9) <v, A~^-1 v>^-1, built from the symmetric matrix A~(s) with
 
     v(s, xi) = (-(1+xi), xi, 1) / (s_j * sqrt(2(xi^2+xi+1))) componentwise.
 
-A~ is invertible away from the round diagonal inside {sigma > 0}; on the
-s1 = s2 slice everything collapses to the closed form t_A(x, s, s)
-= x(4s - x)/(3s).  The Berger cone is simply x1 < 2 x2.
+`t_a` evaluates t_A in closed form.  With S = diag(s), 1 = (1, 1, 1) and
+E_jk = (s_j - s_k)^2 / s_l (l the third index, E_jj = 0),
+M = S A~ S = 6 S - s 1^T - 1 s^T + E and det M = 3 sigma mu, mu = 1^T M 1.
+M is singular along 1 at the round point and S v is orthogonal to 1, so
+<v, A~^-1 v> reduces to the Schur complement of mu:
+
+    t_A = 12 Gamma sigma / (p^T M p - (p^T M 1)^2 / mu),
+    Gamma = xi^2 + xi + 1,   p = (xi - 1, xi + 2, -(2 xi + 1)) (p orthogonal to 1 and S v).
+
+As p is orthogonal to 1, mu, p^T M p and p^T M 1 need only E and the
+differences s_j - s_k, so nothing cancels near the round diagonal.  There
+the limit of t_A depends on the direction of approach (1 along the s1 = s2
+slice, about 1.3288 along (0, 1, -0.7)); on the round diagonal itself `t_a`
+returns 0 by convention.  On the s1 = s2 slice t_A(x, s, s) = x(4s - x)/(3s).
+The Berger cone is simply x1 < 2 x2.
 """
 
 from __future__ import annotations
@@ -22,10 +34,11 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, SingularMatrixError
+from .errors import DomainError
 from .spaces import BergerMetric, xi_value
 
 __all__ = [
@@ -52,12 +65,6 @@ __all__ = [
 
 # Relative width of the numerical round diagonal {s0 = s1 = s2}.
 ROUND_DIAGONAL_RTOL = 1e-13
-# Condition-number ceiling before the 3x3 solve is declared singular.
-CONDITION_LIMIT = 1e12
-
-# Extended precision for the inner 3x3 solve when the platform provides it;
-# plain double leaves ~5e-12 relative error next to the round diagonal.
-_SOLVE_DTYPE = np.longdouble if np.finfo(np.longdouble).eps < 1e-18 else np.float64
 
 
 @dataclass(frozen=True)
@@ -89,21 +96,34 @@ def _s_array(s) -> np.ndarray:
     arr = s.as_array() if isinstance(s, STriple) else np.asarray(s, dtype=float)
     if arr.shape != (3,):
         raise ValueError(f"expected a triple, got shape {arr.shape}")
-    if not np.all(arr > 0.0):
+    if not all(c > 0.0 for c in arr.tolist()):  # false for NaN too
         raise ValueError(f"scale factors must be strictly positive, got {arr}")
     return arr
 
 
+def _sigma(s0: float, s1: float, s2: float) -> float:
+    value = 2 * s1 * s2 + 2 * s0 * s2 + 2 * s0 * s1 - s0 * s0 - s1 * s1 - s2 * s2
+    # The terms' magnitudes sum to (s0 + s1 + s2)^2; near sigma = 0 they
+    # cancel, so there the value is computed exactly and rounded once.
+    if 16.0 * value < (s0 + s1 + s2) ** 2:
+        f0, f1, f2 = Fraction(s0), Fraction(s1), Fraction(s2)
+        value = float(2 * f1 * f2 + 2 * f0 * f2 + 2 * f0 * f1 - f0 * f0 - f1 * f1 - f2 * f2)
+    return value
+
+
 def sigma(s) -> float:
-    """Quadratic sigma(s) = 2s1s2 + 2s0s2 + 2s0s1 - s0^2 - s1^2 - s2^2."""
-    s0, s1, s2 = _s_array(s)
-    return 2 * s1 * s2 + 2 * s0 * s2 + 2 * s0 * s1 - s0 * s0 - s1 * s1 - s2 * s2
+    """Quadratic sigma(s) = 2s1s2 + 2s0s2 + 2s0s1 - s0^2 - s1^2 - s2^2,
+    correctly rounded where its terms nearly cancel."""
+    return _sigma(*_s_array(s).tolist())
+
+
+def _is_round(s0: float, s1: float, s2: float) -> bool:
+    mean = (s0 + s1 + s2) / 3.0
+    return max(abs(s0 - mean), abs(s1 - mean), abs(s2 - mean)) <= ROUND_DIAGONAL_RTOL * mean
 
 
 def is_round_diagonal(s) -> bool:
-    arr = _s_array(s)
-    mean = arr.mean()
-    return bool(np.max(np.abs(arr - mean)) <= ROUND_DIAGONAL_RTOL * mean)
+    return _is_round(*_s_array(s).tolist())
 
 
 def in_omega_sigma(s) -> bool:
@@ -114,11 +134,15 @@ def in_d_sigma(s) -> bool:
     return in_omega_sigma(s) and not is_round_diagonal(s)
 
 
-def _a_tilde_entries(arr: np.ndarray) -> np.ndarray:
-    sig = (2 * arr[1] * arr[2] + 2 * arr[0] * arr[2] + 2 * arr[0] * arr[1]
-           - arr[0] * arr[0] - arr[1] * arr[1] - arr[2] * arr[2])
+def a_tilde(s) -> np.ndarray:
+    """Symmetric 3x3 matrix A~(s); warns when s is outside D_sigma."""
+    arr = _s_array(s)
+    if not in_d_sigma(arr):
+        warnings.warn("A~ evaluated outside D_sigma; matrix may be singular",
+                      RuntimeWarning, stacklevel=2)
+    sig = sigma(arr)
     prod = arr[0] * arr[1] * arr[2]
-    b = np.empty(3, dtype=arr.dtype)
+    b = np.empty(3)
     for j in range(3):
         sm, sj, sp = arr[(j - 1) % 3], arr[j], arr[(j + 1) % 3]
         b[j] = -sig / prod + (sm - sj + sp) / (sm * sp)
@@ -126,16 +150,7 @@ def _a_tilde_entries(arr: np.ndarray) -> np.ndarray:
         [4 / arr[0], b[2], b[1]],
         [b[2], 4 / arr[1], b[0]],
         [b[1], b[0], 4 / arr[2]],
-    ], dtype=arr.dtype)
-
-
-def a_tilde(s) -> np.ndarray:
-    """Symmetric 3x3 matrix A~(s); warns when s is outside D_sigma."""
-    arr = _s_array(s)
-    if not in_d_sigma(arr):
-        warnings.warn("A~ evaluated outside D_sigma; matrix may be singular",
-                      RuntimeWarning, stacklevel=2)
-    return _a_tilde_entries(arr)
+    ])
 
 
 def a_tilde_partial(s, i: int) -> np.ndarray:
@@ -189,46 +204,28 @@ def v_partial(s, xi, i: int) -> np.ndarray:
     return out
 
 
-def _solve3_pivoted(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Gaussian elimination with partial pivoting; dtype-generic (3x3)."""
-    a = matrix.copy()
-    b = rhs.copy()
-    for k in range(2):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            b[[k, p]] = b[[p, k]]
-        for i in range(k + 1, 3):
-            m = a[i, k] / a[k, k]
-            a[i, k:] -= m * a[k, k:]
-            b[i] -= m * b[k]
-    out = np.empty_like(b)
-    for i in (2, 1, 0):
-        out[i] = (b[i] - a[i, i + 1:] @ out[i + 1:]) / a[i, i]
-    return out
-
-
 def t_a(s, xi) -> float:
-    """Boundary scale t_A(s, xi) = (2/9) <v, A~^-1 v>^-1.
+    """Boundary scale t_A(s, xi) = (2/9) <v, A~^-1 v>^-1 in closed form.
 
-    Returns 0 on the round diagonal (within ROUND_DIAGONAL_RTOL).  Solves
-    A~ w = v by a pivoted 3x3 elimination (no explicit inverse) and raises
-    SingularMatrixError when cond(A~) exceeds 1e12, which can only happen
-    outside D_sigma.
+    Evaluates 12 Gamma sigma / (p^T M p - (p^T M 1)^2 / mu) of the module
+    docstring: no matrix is formed or solved, and the value stays accurate
+    up to the round diagonal.  On the round diagonal itself (within
+    ROUND_DIAGONAL_RTOL), where the limit of t_A depends on the direction
+    of approach, returns 0 by convention.
     """
-    arr = _s_array(s)
+    s0, s1, s2 = _s_array(s).tolist()
     x = xi_value(xi)
-    if is_round_diagonal(arr):
+    if _is_round(s0, s1, s2):
         return 0.0
-    cond = np.linalg.cond(_a_tilde_entries(arr))
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise SingularMatrixError(f"A~({arr}) has condition {cond:.3e} > {CONDITION_LIMIT:.0e}")
-    wide = arr.astype(_SOLVE_DTYPE)
-    matrix = _a_tilde_entries(wide)
-    v = v_vector(arr, x).astype(_SOLVE_DTYPE)
-    w = _solve3_pivoted(matrix, v)
-    qform = v @ w
-    return float(_SOLVE_DTYPE(2.0) / _SOLVE_DTYPE(9.0) / qform)
+    d01, d02, d12 = s1 - s0, s2 - s0, s2 - s1
+    e01, e02, e12 = d01 * d01 / s2, d02 * d02 / s1, d12 * d12 / s0  # E_jk
+    mu = 2.0 * (e01 + e02 + e12)
+    p0, p1, p2 = x - 1.0, x + 2.0, -(2.0 * x + 1.0)
+    pm1 = (3.0 * (p1 * d01 + p2 * d02)  # p^T M 1
+           + p0 * (e01 + e02) + p1 * (e01 + e12) + p2 * (e02 + e12))
+    pmp = (6.0 * (p0 * p0 * s0 + p1 * p1 * s1 + p2 * p2 * s2)  # p^T M p
+           + 2.0 * (p0 * p1 * e01 + p0 * p2 * e02 + p1 * p2 * e12))
+    return 12.0 * (x * x + x + 1.0) * _sigma(s0, s1, s2) / (pmp - pm1 * pm1 / mu)
 
 
 def t_a_closed(x: float, s: float) -> float:

@@ -9,10 +9,6 @@ class DomainError(RicciFlowError, ValueError):
     """An input lies outside the domain where a closed form is defined."""
 
 
-class SingularMatrixError(RicciFlowError):
-    """The 3x3 curvature system is numerically singular (condition > 1e12)."""
-
-
 class StepSizeUnderflow(RicciFlowError):
     """The adaptive integrator could not continue (step size collapsed)."""
 

@@ -275,7 +275,7 @@ def boundary_event(family: str, xi: float = 1.0) -> EventSpec:
     """Cone-boundary event for a flow family.
 
     aw2: s - t;  aw3: t_A(x, s, s) - t (slice closed form);  berger:
-    2 x2 - x1;  aw4: t_A(s, xi) - t through the general linear solve.
+    2 x2 - x1;  aw4: t_A(s, xi) - t through the general closed form.
     All are positive strictly inside the cone and cross zero on exit.
     """
     if family == "aw2":
@@ -317,6 +317,9 @@ def _initial_state(kind: str, fam: Family, init) -> np.ndarray:
     slice state (aw4), or as the four coefficients (t, s0, s1, s2)."""
     arr = np.asarray(init, dtype=float)
     if fam.coords is None:
+        dim = _SYSTEM_DIMS[kind]
+        if arr.shape != (dim,):
+            raise ValueError(f"{kind} initial state must have {dim} components, got {arr.shape}")
         return arr
     first = [fam.coords.index(k) for k in range(fam.coords[-1] + 1)]
     if arr.shape == (4,):

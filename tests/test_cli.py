@@ -89,6 +89,12 @@ class TestFlowCommand:
         assert out["trajectory_status"] == "singular"
         assert min(out["final_state"]) <= 1e-9
 
+    def test_near_round_aw4_cone_event(self, tmp_path, capsys):
+        code, out = run_cli(capsys, "flow", "--system", "aw4", "--init", "1,1,1.0000001,0.9999999",
+                            "--event", "cone", "--horizon", "0.1", "--out", str(tmp_path))
+        assert code == 0
+        assert "cone_exit" in [ev["name"] for ev in out["events"]]
+
     def test_cone_event_rejected_for_normalized(self, tmp_path, capsys):
         code, out = run_cli(capsys, "flow", "--system", "normalized", "--init", "1,1",
                             "--event", "cone", "--out", str(tmp_path))
@@ -191,6 +197,11 @@ class TestConeExitCommand:
         assert code == 0
         assert len(out["exit_state"]) == 4
         assert out["verdict_after"]["classification"] == "HasNonpositivePlane"
+
+    def test_berger_init_length_is_config_error(self, capsys):
+        code, out = run_cli(capsys, "cone-exit", "--family", "berger", "--init", "1.99,1,3")
+        assert code == 2
+        assert "2 components" in out["error"]
 
     def test_no_exit_is_numerical_failure(self, capsys):
         code, out = run_cli(capsys, "cone-exit", "--family", "aw2",

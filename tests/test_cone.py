@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,6 @@ from ricciflow import (
     ConeVerdict,
     DomainError,
     STriple,
-    SingularMatrixError,
     a_tilde,
     a_tilde_inverse_slice,
     classify_2param,
@@ -27,6 +27,8 @@ from ricciflow import (
 from ricciflow.cone import a_tilde_partial, v_partial
 
 triple = st.tuples(*[st.floats(min_value=0.3, max_value=2.0)] * 3)
+# D_sigma points where the terms of sigma cancel to about 1e-4 or closer
+NEAR_SIGMA_ZERO = [(1.0, 1.0, 3.99999), (1.0, 1.3, 4.579), (88.4, 1.03, 70.347)]
 
 
 def cofactor_inverse(m):
@@ -38,6 +40,39 @@ def cofactor_inverse(m):
             minor = np.delete(np.delete(m, i, axis=0), j, axis=1)
             cof[i, j] = (-1) ** (i + j) * (minor[0, 0] * minor[1, 1] - minor[0, 1] * minor[1, 0])
     return cof.T / det
+
+
+def mp_t_a(s, xi):
+    """t_A = (2/9) <v, A~^-1 v>^-1 by a 50-digit LU solve (test oracle)."""
+    with mpmath.workdps(50):
+        s0, s1, s2 = (mpmath.mpf(c) for c in s)
+        x = mpmath.mpf(xi)
+        sig = 2 * s1 * s2 + 2 * s0 * s2 + 2 * s0 * s1 - s0 * s0 - s1 * s1 - s2 * s2
+        ss = (s0, s1, s2)
+        b = [-sig / (s0 * s1 * s2) + (ss[j - 1] - ss[j] + ss[(j + 1) % 3])
+             / (ss[j - 1] * ss[(j + 1) % 3]) for j in range(3)]
+        a = mpmath.matrix([[4 / s0, b[2], b[1]], [b[2], 4 / s1, b[0]], [b[1], b[0], 4 / s2]])
+        den = mpmath.sqrt(2 * (x * x + x + 1))
+        v = mpmath.matrix([-(1 + x) / (s0 * den), x / (s1 * den), 1 / (s2 * den)])
+        w = mpmath.lu_solve(a, v)
+        return mpmath.mpf(2) / 9 / sum(v[i] * w[i] for i in range(3))
+
+
+def oracle_error(s, xi):
+    """Relative error of t_a against the 50-digit oracle."""
+    exact = mp_t_a(s, xi)
+    with mpmath.workdps(50):
+        return float(abs(mpmath.mpf(t_a(s, xi)) - exact) / exact)
+
+
+def random_d_sigma(rng, ratio, count):
+    """`count` points of D_sigma with max/min <= `ratio`, log-uniform."""
+    points = []
+    while len(points) < count:
+        s = tuple(float(c) for c in np.exp(rng.uniform(0.0, math.log(ratio), 3)))
+        if max(s) / min(s) <= ratio and sigma(s) > 0.0:
+            points.append(s)
+    return points
 
 
 class TestSigma:
@@ -65,6 +100,13 @@ class TestSigma:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             sigma((1.0, 0.0, 1.0))
+
+    @pytest.mark.parametrize("s", NEAR_SIGMA_ZERO)
+    def test_correctly_rounded_near_zero(self, s):
+        with mpmath.workdps(50):
+            s0, s1, s2 = (mpmath.mpf(c) for c in s)
+            exact = 2 * s1 * s2 + 2 * s0 * s2 + 2 * s0 * s1 - s0 * s0 - s1 * s1 - s2 * s2
+        assert sigma(s) == float(exact)
 
 
 class TestATilde:
@@ -177,10 +219,46 @@ class TestTA:
         for lam in (0.5, 2.0, 10.0):
             assert t_a(lam * arr, xi) == pytest.approx(lam * base, rel=1e-12)
 
-    def test_singular_raises(self):
-        # just off the numerical round diagonal: condition > 1e12
-        with pytest.raises(SingularMatrixError):
-            t_a((1.0, 1.0, 1.0 + 1e-12), 1.0)
+    @pytest.mark.parametrize("direction", [
+        (0.0, 1.0, -0.7), (1.0, 0.0, 0.0), (0.0, 1.0, 1.0), (1.0, -1.0, 0.0),
+        (0.3, -0.5, 0.9), (-1.0, 0.2, 0.4)])
+    @pytest.mark.parametrize("xi", [1.0, 0.6, 0.2])
+    def test_rays_into_round_point(self, direction, xi):
+        # spreads 1e-1 .. 1e-12, all above ROUND_DIAGONAL_RTOL = 1e-13
+        for k in range(1, 13):
+            s = tuple(2.5 * (1.0 + 10.0**-k * d) for d in direction)
+            assert oracle_error(s, xi) <= 1e-13, (s, xi)
+
+    def test_direction_dependent_limit(self):
+        # the limit at the round point: 1 along the slice, 1.3288 along (0, 1, -0.7)
+        # (the float inputs carry the direction to about 1e-7)
+        h = 1e-9
+        assert t_a((1.0 - h, 1.0, 1.0), 1.0) == pytest.approx(1.0, rel=1e-6)
+        assert t_a((1.0, 1.0 + h, 1.0 - 0.7 * h), 1.0) == pytest.approx(1.3287827076, rel=1e-6)
+
+    def test_near_round_slice_point(self):
+        assert t_a((0.999999, 1.0, 1.0), 1.0) == pytest.approx(t_a_closed(0.999999, 1.0), rel=1e-13)
+        assert t_a((0.999999, 1.0, 1.0), 1.0) == pytest.approx(0.9999993333, rel=1e-10)
+
+    def test_pool_shaped_states(self):
+        rng = np.random.default_rng(11)
+        for _ in range(150):
+            s = (rng.uniform(0.8, 1.0), *(1.0 + rng.uniform(-1e-3, 1e-3, 2)))
+            xi = rng.uniform(0.5, 1.0)
+            assert oracle_error(s, xi) <= 1e-13, (s, xi)
+
+    @pytest.mark.parametrize("ratio, tol", [(4.0, 1e-13), (100.0, 1e-11)])
+    def test_random_d_sigma_points(self, ratio, tol):
+        rng = np.random.default_rng(int(ratio))
+        for s in random_d_sigma(rng, ratio, 400):
+            xi = rng.uniform(0.05, 1.0)
+            assert oracle_error(s, xi) <= tol, (s, xi)
+
+    @pytest.mark.parametrize("s", NEAR_SIGMA_ZERO)
+    def test_near_sigma_zero_edge(self, s):
+        assert 0.0 < sigma(s) < 1e-2 * sum(s) ** 2
+        for xi in (1.0, 0.5, 0.1):
+            assert oracle_error(s, xi) <= 1e-13, (s, xi)
 
 
 class TestTAClosed:

@@ -276,6 +276,16 @@ class TestConeExit:
         with pytest.raises(NoExitWithinHorizon):
             cone_exit("aw2", (0.5, 1.0), IntegratorConfig(max_time=1e-4))
 
+    def test_near_round_start_gets_an_answer(self):
+        # spread 3e-8 off the round point: the aw4 boundary event evaluates
+        # t_A next to the round diagonal at every step
+        s = (1.0 - 1e-7, 1.0)
+        try:
+            exit_time, _state = cone_exit("aw3", (0.9 * t_a((*s, 1.0), 0.7), *s), TIGHT, xi=0.7)
+        except NoExitWithinHorizon:
+            return
+        assert exit_time > 0.0
+
     def test_window_exit_reported_first(self):
         # from (0.2, 0.99, 1) the ratio x/s crosses 1 before the boundary
         with pytest.raises(NoExitWithinHorizon, match="certified window"):
