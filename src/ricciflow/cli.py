@@ -106,6 +106,7 @@ def cmd_flow(args) -> int:
         "final_state": [float(c) for c in traj.final_state],
         "events": [{"name": ev.name, "time": ev.time} for ev in traj.events],
         "exit_time": hit.time if hit else None,
+        "stats": traj.stats,
         "files": {"trajectory": str(csv_path), "events": str(events_path)},
     })
     return EXIT_OK

@@ -2,9 +2,10 @@
 
 Each system evolves by x_i' = -2 r_i x_i with the matching Ricci
 eigenvalues; the normalized planar system is the volume-one reduction of the
-three-parameter family.  Integration wraps an embedded Runge-Kutta 4(5) pair
-with dense output; events are scalar sign changes refined on the dense
-interpolant well below the 1e-10 time-accuracy requirement.
+three-parameter family.  Integration uses the in-house Dormand-Prince 5(4)
+pair with Shampine's dense output (`_rk45`); events are scalar sign changes
+at step ends, refined by Brent's method on the step's interpolant well below
+the 1e-10 time-accuracy requirement.
 
 Termination modes of `integrate`:
   * "horizon"  - reached config.max_time,
@@ -22,9 +23,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from . import cone
+from . import _rk45, cone
 from .errors import NonPositiveState, NoExitWithinHorizon, StepSizeUnderflow
 from .spaces import aw_eigenvalue_tuple, berger_eigenvalue_tuple, xi_value
 
@@ -192,12 +192,17 @@ class FlowEvent:
 
 @dataclass
 class Trajectory:
-    """Sampled solution of one flow run (times monotone, states positive)."""
+    """Sampled solution of one flow run (times monotone, states positive).
+
+    `stats` counts the run's work: accepted steps `n_steps`, rejected step
+    attempts `n_rejected` and right-hand-side evaluations `nfev`.
+    """
 
     times: np.ndarray
     states: np.ndarray
     events: list[FlowEvent] = field(default_factory=list)
     status: str = "horizon"
+    stats: dict[str, int] = field(default_factory=dict)
 
     @property
     def final_time(self) -> float:
@@ -216,7 +221,7 @@ class Trajectory:
 
 def integrate(system: FlowSystem, init, config: IntegratorConfig | None = None,
               events: Sequence[EventSpec] = ()) -> Trajectory:
-    """Integrate `system` from `init` with adaptive RK 4(5).
+    """Integrate `system` from `init` with the adaptive Dormand-Prince 5(4) pair.
 
     Stops at config.max_time, at the first terminal event, or when a state
     component falls below COLLAPSE_FLOOR (collapsing flow; the run is
@@ -232,43 +237,26 @@ def integrate(system: FlowSystem, init, config: IntegratorConfig | None = None,
         raise NonPositiveState(f"initial state must be strictly positive, got {y0}")
 
     sign = 1.0 if cfg.direction == "forward" else -1.0
-    scipy_events = []
+    floor = (lambda _l, y: y.min() - COLLAPSE_FLOOR, True, 0.0)
+    sol = _rk45.solve(system.rhs, y0, sign * cfg.max_time, cfg.rel_tol, cfg.abs_tol, cfg.max_step,
+                      [floor, *((spec.fn, spec.terminal, spec.direction) for spec in events)])
 
-    def floor_fn(_l, y):
-        return float(np.min(y) - COLLAPSE_FLOOR)
-
-    floor_fn.terminal = True
-    scipy_events.append(floor_fn)
-    for spec in events:
-        def wrapped(l, y, _fn=spec.fn):
-            return float(_fn(l, y))
-        wrapped.terminal = spec.terminal
-        wrapped.direction = spec.direction
-        scipy_events.append(wrapped)
-
-    sol = solve_ivp(lambda _l, y: system.rhs(y), (0.0, sign * cfg.max_time), y0,
-                    method="RK45", rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                    max_step=cfg.max_step, dense_output=True, events=scipy_events)
-
-    recorded: list[FlowEvent] = []
-    for idx, spec in enumerate(events):
-        for te, ye in zip(sol.t_events[idx + 1], sol.y_events[idx + 1]):
-            recorded.append(FlowEvent(float(te), spec.name, np.asarray(ye)))
-    for te, ye in zip(sol.t_events[0], sol.y_events[0]):
-        recorded.append(FlowEvent(float(te), "singular", np.asarray(ye)))
+    names = ["singular", *(spec.name for spec in events)]
+    recorded = [FlowEvent(float(te), names[i], ye) for i in [*range(1, len(names)), 0]
+                for te, ye in zip(sol["t_events"][i], sol["y_events"][i])]
     recorded.sort(key=lambda ev: abs(ev.time))
 
-    times = sol.t
-    states = sol.y.T
-    if sol.status == -1:
-        raise StepSizeUnderflow(sol.message, trajectory=Trajectory(times, states, recorded, "singular"))
+    times, states, stats = sol["t"], sol["y"], sol["stats"]
+    if sol["status"] == -1:
+        raise StepSizeUnderflow(_rk45.UNDERFLOW,
+                                trajectory=Trajectory(times, states, recorded, "singular", stats))
     if np.any(states <= 0.0):
         raise NonPositiveState("integrator produced a nonpositive state sample")
-    if sol.status == 1:
-        status = "singular" if len(sol.t_events[0]) else "event"
+    if sol["status"] == 1:
+        status = "singular" if sol["t_events"][0] else "event"
     else:
         status = "horizon"
-    return Trajectory(times, states, recorded, status)
+    return Trajectory(times, states, recorded, status, stats)
 
 
 def boundary_event(family: str, xi: float = 1.0) -> EventSpec:

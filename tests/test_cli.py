@@ -52,6 +52,14 @@ class TestFlowCommand:
         assert positive_ell
         assert all(float(r["comp0"]) > float(r["comp1"]) for r in positive_ell)
 
+    def test_stats_reported(self, tmp_path, capsys):
+        code, out = run_cli(capsys, "flow", "--system", "normalized", "--init", "0.8,1.2",
+                            "--horizon", "10", "--out", str(tmp_path))
+        assert code == 0
+        assert out["trajectory_status"] == "horizon"
+        assert set(out["stats"]) == {"n_steps", "n_rejected", "nfev"}
+        assert out["stats"]["n_steps"] == out["rows"] - 1
+
     def test_header_schema(self, tmp_path, capsys):
         run_cli(capsys, "flow", "--system", "aw4", "--init", "1,1,1,1",
                 "--xi", "0.5", "--horizon", "0.01", "--out", str(tmp_path))

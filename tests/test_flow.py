@@ -1,14 +1,20 @@
 """Flow systems, integration, events, and cone-exit detection."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import ricciflow
 from ricciflow import (
     ConeClass,
     EventSpec,
     IntegratorConfig,
     NoExitWithinHorizon,
     NonPositiveState,
+    StepSizeUnderflow,
     aw2_rhs,
     aw3_rhs,
     aw_rhs,
@@ -23,7 +29,7 @@ from ricciflow import (
     t_a,
     t_a_closed,
 )
-from ricciflow.flow import FAMILIES, post_exit_verdict, window_event
+from ricciflow.flow import FAMILIES, FlowSystem, post_exit_verdict, window_event
 
 TIGHT = IntegratorConfig(max_time=1.0)
 
@@ -129,6 +135,33 @@ class TestIntegrate:
         # t(l) > s(l) for every sampled l > 0
         after = traj.states[traj.times > 0]
         assert np.all(after[:, 0] > after[:, 1])
+
+    def test_step_size_underflow_keeps_the_partial_trajectory(self):
+        # y' = y^2 from y(0) = 1 blows up at l = 1
+        calls = []
+        blowup = FlowSystem("blowup", 1, None, lambda y: calls.append(1) or y * y)
+        with pytest.raises(StepSizeUnderflow,
+                           match="^Required step size is less than spacing between numbers.$") as info:
+            integrate(blowup, [1.0], IntegratorConfig(max_time=2.0))
+        traj = info.value.trajectory
+        assert traj.status == "singular"
+        assert len(traj.times) == 1307
+        assert traj.final_time == 0.9999999999839899
+        assert traj.stats["n_rejected"] > 0
+        assert traj.stats["nfev"] == len(calls)
+
+    @pytest.mark.parametrize("kind,init,max_time", [
+        ("normalized", (0.8, 1.2), 10.0),
+        ("aw4", (1.1, 1.0, 1.2, 0.9), 0.05),
+    ])
+    def test_stats_count_the_work(self, kind, init, max_time):
+        system = make_system(kind, 0.7 if kind == "aw4" else None)
+        calls = []
+        counted = FlowSystem(kind, system.dim, system.xi, lambda y: calls.append(1) or system.rhs(y))
+        traj = integrate(counted, init, IntegratorConfig(max_time=max_time))
+        assert traj.status == "horizon"
+        assert traj.stats["nfev"] == len(calls)
+        assert traj.stats["n_steps"] == len(traj.times) - 1
 
     def test_rejects_bad_init(self):
         with pytest.raises(NonPositiveState):
@@ -331,3 +364,12 @@ class TestBackwardPersistence:
         assert inside
         for state in inside:
             assert classify_3param(*state).classification is ConeClass.POSITIVELY_CURVED
+
+
+def test_package_imports_no_scipy():
+    src = os.path.dirname(os.path.dirname(ricciflow.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, ricciflow, ricciflow.cli, ricciflow.verify; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,0 +1,127 @@
+"""The in-house Dormand-Prince stepper against scipy's RK45 and brentq.
+
+`flow.integrate` is a port of `solve_ivp(method="RK45", dense_output=True,
+events=...)`: run on the same inputs, both give the same steps, states and
+event roots.  Skipped where scipy is not installed.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+pytest.importorskip("scipy")
+from scipy.integrate import solve_ivp  # noqa: E402
+from scipy.optimize import brentq as scipy_brentq  # noqa: E402
+
+from ricciflow import IntegratorConfig, integrate, make_system  # noqa: E402
+from ricciflow._rk45 import brentq  # noqa: E402
+from ricciflow.flow import COLLAPSE_FLOOR, cone_events  # noqa: E402
+
+STARTS = {
+    "aw2": (0.99, 1.0),
+    "aw3": (0.929, 0.9, 1.0),
+    "aw4": (1.1, 1.0, 1.2, 0.9),
+    "berger": (1.99, 1.0),
+    "normalized": (0.8, 1.2),
+}
+XI = {"aw4": 0.7}
+
+
+def scipy_integrate(system, init, cfg, events):
+    """The same run through `solve_ivp`, with the collapse floor as event 0."""
+    def floor_fn(_l, y):
+        return float(np.min(y) - COLLAPSE_FLOOR)
+
+    floor_fn.terminal = True
+    fns = [floor_fn]
+    for spec in events:
+        def g(l, y, _fn=spec.fn):
+            return float(_fn(l, y))
+        g.terminal, g.direction = spec.terminal, spec.direction
+        fns.append(g)
+    sign = 1.0 if cfg.direction == "forward" else -1.0
+    return solve_ivp(lambda _l, y: system.rhs(y), (0.0, sign * cfg.max_time),
+                     np.asarray(init, dtype=float), method="RK45", rtol=cfg.rel_tol,
+                     atol=cfg.abs_tol, max_step=cfg.max_step, dense_output=True, events=fns)
+
+
+def assert_same_run(kind, init, cfg, events, xi=None):
+    system = make_system(kind, xi)
+    traj = integrate(system, init, cfg, events)
+    ref = scipy_integrate(system, init, cfg, events)
+    np.testing.assert_array_equal(traj.times, ref.t)
+    np.testing.assert_array_equal(traj.states, ref.y.T)
+    names = ["singular", *(spec.name for spec in events)]
+    for name, t_ev, y_ev in zip(names, ref.t_events, ref.y_events):
+        mine = [ev for ev in traj.events if ev.name == name]
+        assert [ev.time for ev in mine] == list(t_ev)
+        for ev, y in zip(mine, y_ev):
+            np.testing.assert_array_equal(ev.state, y)
+    assert len(traj.events) == sum(len(t_ev) for t_ev in ref.t_events)
+    assert traj.stats["nfev"] == ref.nfev
+    return traj
+
+
+@pytest.mark.parametrize("max_step", [math.inf, 0.01])
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize("kind", list(STARTS))
+def test_matches_solve_ivp(kind, direction, max_step):
+    events = cone_events(kind, XI.get(kind, 1.0)) if kind != "normalized" else []
+    cfg = IntegratorConfig(max_time=2.0, direction=direction, max_step=max_step)
+    assert_same_run(kind, STARTS[kind], cfg, events, XI.get(kind))
+
+
+@pytest.mark.parametrize("xi", [1.0, 0.9])
+def test_near_round_aw4_matches_solve_ivp(xi):
+    assert_same_run("aw4", (1.0, 1.0, 1.0000001, 0.9999999),
+                    IntegratorConfig(max_time=0.1), cone_events("aw4", xi), xi)
+
+
+def test_singular_collapse_matches_solve_ivp():
+    traj = assert_same_run("aw3", (0.8, 0.9, 1.0), IntegratorConfig(max_time=0.2), [])
+    assert traj.status == "singular"
+
+
+def test_window_exit_recorded_before_terminal_cone_exit():
+    traj = assert_same_run("aw4", (1.1, 1.0, 1.2, 0.9), IntegratorConfig(max_time=2.0),
+                           cone_events("aw4", 0.7), 0.7)
+    assert [(ev.name, ev.time) for ev in traj.events] == [
+        ("window_exit", 0.014085229333834022), ("cone_exit", 0.055023525020492674)]
+    assert traj.status == "event"
+    assert traj.final_time == 0.055023525020492674
+
+
+BRACKETED = [
+    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: x ** 5 - 0.5, -1.0, 2.0),
+    (lambda x: (x - 0.3) * 1e-170, 0.0, 1.0),
+    (lambda x: math.exp(x) - 1e6, 20.0, 0.0),
+    (lambda x: math.atan(50.0 * (x - 0.123456789)), -3.0, 5.0),
+]
+
+
+@pytest.mark.parametrize("f,a,b", BRACKETED)
+def test_brentq_port_matches_scipy(f, a, b):
+    def counted(calls):
+        return lambda x: calls.append(x) or f(x)
+
+    mine, theirs = [], []
+    root = brentq(counted(mine), a, b)
+    expected = scipy_brentq(counted(theirs), a, b, xtol=4 * np.finfo(float).eps,
+                            rtol=4 * np.finfo(float).eps)
+    assert root == expected
+    assert mine == theirs
+
+
+def test_brentq_port_failures_match_scipy():
+    with pytest.raises(ValueError, match="different signs"):
+        scipy_brentq(lambda x: 1e-200, 0.0, 1.0)
+    with pytest.raises(ValueError, match="different signs"):
+        brentq(lambda x: 1e-200, 0.0, 1.0)
+    for maxiter in (3, 100):
+        with pytest.raises(RuntimeError, match=f"Failed to converge after {maxiter} iterations"):
+            scipy_brentq(lambda x: x ** 9, -1.0, 2.0, maxiter=maxiter)
+        with pytest.raises(RuntimeError, match=f"Failed to converge after {maxiter} iterations"):
+            brentq(lambda x: x ** 9, -1.0, 2.0, maxiter=maxiter)

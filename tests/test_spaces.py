@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ricciflow import (
     AWMetric,
@@ -18,6 +18,19 @@ from ricciflow import (
 
 positive = st.floats(min_value=0.1, max_value=5.0, allow_nan=False)
 scale = st.floats(min_value=0.1, max_value=10.0, allow_nan=False)
+power_of_two = st.integers(min_value=-4, max_value=4).map(lambda k: 2.0 ** k)
+
+
+def aw_term_magnitudes(t, s0, s1, s2, xi):
+    """Sum of the magnitudes of the terms that make up each eigenvalue of
+    `aw_eigenvalue_tuple`: the scale of its rounding error, which the value
+    itself underestimates where the terms cancel."""
+    g = xi * xi + xi + 1.0
+    coeffs, s = ((xi + 1.0) ** 2, xi * xi, 1.0), (s0, s1, s2)
+    cross = s0 / (s1 * s2) + s1 / (s0 * s2) + s2 / (s0 * s1)
+    r0 = 3.0 * t / (2.0 * g) * sum(c / (si * si) for c, si in zip(coeffs, s))
+    return np.array([r0, *(6.0 / si + 3.0 * c * t / (2.0 * g * si * si) + cross
+                           for c, si in zip(coeffs, s))])
 
 
 class TestXiParam:
@@ -76,12 +89,25 @@ class TestAWEigenvalues:
         assert via_object == via_float
 
     @given(t=positive, s0=positive, s1=positive, s2=positive,
-           xi=st.floats(min_value=0.05, max_value=1.0), lam=scale)
+           xi=st.floats(min_value=0.05, max_value=1.0), lam=power_of_two)
     def test_degree_minus_one_homogeneity(self, t, s0, s1, s2, xi, lam):
+        # scaling by a power of two commutes with every rounding: bit-exact
         base = np.array(ricci_eigenvalues_aw(AWMetric(t, s0, s1, s2), xi).as_tuple())
         scaled = np.array(ricci_eigenvalues_aw(
             AWMetric(lam * t, lam * s0, lam * s1, lam * s2), xi).as_tuple())
-        np.testing.assert_allclose(scaled, base / lam, rtol=1e-12)
+        np.testing.assert_array_equal(scaled, base / lam)
+
+    @given(t=positive, s0=positive, s1=positive, s2=positive,
+           xi=st.floats(min_value=0.05, max_value=1.0), lam=scale)
+    @example(t=4.53125, s0=4.533203125, s1=0.8, s2=2.017578125, xi=0.87109375, lam=1.5)
+    def test_degree_minus_one_homogeneity_general_scale(self, t, s0, s1, s2, xi, lam):
+        # the rounding of lam * s moves each eigenvalue by O(eps) relative to
+        # its terms' magnitudes, not to a value in which they cancel
+        base = np.array(ricci_eigenvalues_aw(AWMetric(t, s0, s1, s2), xi).as_tuple())
+        scaled = np.array(ricci_eigenvalues_aw(
+            AWMetric(lam * t, lam * s0, lam * s1, lam * s2), xi).as_tuple())
+        bound = 1e-12 * aw_term_magnitudes(t, s0, s1, s2, xi) / lam
+        assert np.all(np.abs(scaled - base / lam) <= bound)
 
     @given(t=positive, s0=positive, s=positive)
     def test_slice_equality_is_exact(self, t, s0, s):
