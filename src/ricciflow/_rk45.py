@@ -54,7 +54,7 @@ def _initial_step(fun, y0, f0, t_bound, direction, rtol, atol, max_step) -> floa
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
     f1 = fun(y0 + h0 * direction * f0)
-    d2 = _norm((f1 - f0) / scale) / h0
+    d2 = _norm((f1 - f0) / scale) / h0 if h0 else math.inf  # h0 = 0: f0 not finite
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:

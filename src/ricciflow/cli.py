@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -44,8 +45,8 @@ def _parse_floats(text: str, name: str) -> list[float]:
         values = [float(part) for part in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"--{name}: expected comma-separated floats, got {text!r}") from exc
-    if not all(v > 0.0 for v in values):
-        raise ConfigError(f"--{name}: metric coefficients must be strictly positive, got {text!r}")
+    if not all(0.0 < v < math.inf for v in values):
+        raise ConfigError(f"--{name}: metric coefficients must be positive and finite, got {text!r}")
     return values
 
 

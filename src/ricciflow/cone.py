@@ -32,6 +32,7 @@ The Berger cone is simply x1 < 2 x2.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,13 +93,14 @@ class STriple:
         return self.in_omega_sigma and not is_round_diagonal(self)
 
 
-def _s_array(s) -> np.ndarray:
+def _s_floats(s) -> list[float]:
     arr = s.as_array() if isinstance(s, STriple) else np.asarray(s, dtype=float)
     if arr.shape != (3,):
         raise ValueError(f"expected a triple, got shape {arr.shape}")
-    if not all(c > 0.0 for c in arr.tolist()):  # false for NaN too
-        raise ValueError(f"scale factors must be strictly positive, got {arr}")
-    return arr
+    s0, s1, s2 = values = arr.tolist()
+    if not (0.0 < s0 < math.inf and 0.0 < s1 < math.inf and 0.0 < s2 < math.inf):  # NaN too
+        raise ValueError(f"scale factors must be strictly positive and finite, got {arr}")
+    return values
 
 
 def _sigma(s0: float, s1: float, s2: float) -> float:
@@ -114,7 +116,7 @@ def _sigma(s0: float, s1: float, s2: float) -> float:
 def sigma(s) -> float:
     """Quadratic sigma(s) = 2s1s2 + 2s0s2 + 2s0s1 - s0^2 - s1^2 - s2^2,
     correctly rounded where its terms nearly cancel."""
-    return _sigma(*_s_array(s).tolist())
+    return _sigma(*_s_floats(s))
 
 
 def _is_round(s0: float, s1: float, s2: float) -> bool:
@@ -123,7 +125,7 @@ def _is_round(s0: float, s1: float, s2: float) -> bool:
 
 
 def is_round_diagonal(s) -> bool:
-    return _is_round(*_s_array(s).tolist())
+    return _is_round(*_s_floats(s))
 
 
 def in_omega_sigma(s) -> bool:
@@ -136,7 +138,7 @@ def in_d_sigma(s) -> bool:
 
 def a_tilde(s) -> np.ndarray:
     """Symmetric 3x3 matrix A~(s); warns when s is outside D_sigma."""
-    arr = _s_array(s)
+    arr = np.array(_s_floats(s))
     if not in_d_sigma(arr):
         warnings.warn("A~ evaluated outside D_sigma; matrix may be singular",
                       RuntimeWarning, stacklevel=2)
@@ -157,7 +159,7 @@ def a_tilde_partial(s, i: int) -> np.ndarray:
     """Analytic partial derivative of A~(s) with respect to s_i."""
     if i not in (0, 1, 2):
         raise ValueError("component index must be 0, 1 or 2")
-    arr = _s_array(s)
+    arr = np.array(_s_floats(s))
     sig = sigma(arr)
     prod = arr[0] * arr[1] * arr[2]
     dsig = 2 * (arr.sum() - arr[i]) - 2 * arr[i]
@@ -185,7 +187,7 @@ def a_tilde_partial(s, i: int) -> np.ndarray:
 
 def v_vector(s, xi) -> np.ndarray:
     """Direction vector v(s, xi) entering the boundary scale t_A."""
-    arr = _s_array(s)
+    arr = np.array(_s_floats(s))
     x = xi_value(xi)
     den = np.sqrt(2.0 * (x * x + x + 1.0))
     return np.array([-(1.0 + x) / (arr[0] * den),
@@ -197,7 +199,7 @@ def v_partial(s, xi, i: int) -> np.ndarray:
     """Partial derivative of v with respect to s_i (one nonzero component)."""
     if i not in (0, 1, 2):
         raise ValueError("component index must be 0, 1 or 2")
-    arr = _s_array(s)
+    arr = np.array(_s_floats(s))
     v = v_vector(arr, xi)
     out = np.zeros(3)
     out[i] = -v[i] / arr[i]
@@ -213,7 +215,7 @@ def t_a(s, xi) -> float:
     ROUND_DIAGONAL_RTOL), where the limit of t_A depends on the direction
     of approach, returns 0 by convention.
     """
-    s0, s1, s2 = _s_array(s).tolist()
+    s0, s1, s2 = _s_floats(s)
     x = xi_value(xi)
     if _is_round(s0, s1, s2):
         return 0.0

@@ -18,6 +18,7 @@ The cone-exit families (aw2, aw3, aw4, berger) are described once, in FAMILIES.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -81,41 +82,56 @@ SYSTEM_KINDS = (*FAMILIES, "normalized")
 _SYSTEM_DIMS = {"aw2": 2, "aw3": 3, "aw4": 4, "berger": 2, "normalized": 2}
 
 
-def aw_rhs(state, xi) -> np.ndarray:
+def _on_floats(kernel):
+    """`kernel(*state, *args)` as `f(state, *args)` on Python floats: the bits of
+    numpy float64 scalars at half the cost.  Where float `**` or `/` raises and
+    numpy gives inf or nan, the kernel runs again on numpy scalars, so a stage
+    that overflows is rejected by the integrator, not raised."""
+    @functools.wraps(kernel)
+    def f(state, *args):
+        arr = np.asarray(state, dtype=float)
+        try:
+            return kernel(*arr.tolist(), *args)
+        except (OverflowError, ZeroDivisionError):
+            return kernel(*arr, *args)
+    return f
+
+
+@_on_floats
+def aw_rhs(t, s0, s1, s2, xi) -> np.ndarray:
     """Four-parameter Aloff-Wallach flow: (t', s0', s1', s2') = -2 r_i * state."""
-    t, s0, s1, s2 = state
     r0, r1, r2, r3 = aw_eigenvalue_tuple(t, s0, s1, s2, xi_value(xi))
     return np.array([-2.0 * r0 * t, -2.0 * r1 * s0, -2.0 * r2 * s1, -2.0 * r3 * s2])
 
 
-def aw3_rhs(state) -> np.ndarray:
+@_on_floats
+def aw3_rhs(t, x, s) -> np.ndarray:
     """Three-parameter slice (t, x, s) at xi = 1, eigenvalues in reduced form."""
-    t, x, s = state
     r0 = t * (2.0 * s * s + x * x) / (x * x * s * s)
     r1 = (4.0 * x * s * s - 2.0 * t * s * s + x**3) / (x * x * s * s)
     r2 = (12.0 * s - t - 2.0 * x) / (2.0 * s * s)
     return np.array([-2.0 * r0 * t, -2.0 * r1 * x, -2.0 * r2 * s])
 
 
-def aw2_rhs(state) -> np.ndarray:
+@_on_floats
+def aw2_rhs(t, s) -> np.ndarray:
     """Two-parameter slice (t, s) at xi = 1: r0 = (2s^2+t^2)/(ts^2),
     r2 = 3(4s-t)/(2s^2)."""
-    t, s = state
     r0 = (2.0 * s * s + t * t) / (t * s * s)
     r2 = 3.0 * (4.0 * s - t) / (2.0 * s * s)
     return np.array([-2.0 * r0 * t, -2.0 * r2 * s])
 
 
-def berger_rhs(state) -> np.ndarray:
+@_on_floats
+def berger_rhs(x1, x2) -> np.ndarray:
     """Berger flow (x1', x2') = (-2 r1 x1, -2 r2 x2)."""
-    x1, x2 = state
     r1, r2 = berger_eigenvalue_tuple(x1, x2)
     return np.array([-2.0 * r1 * x1, -2.0 * r2 * x2])
 
 
-def normalized_rhs(state) -> np.ndarray:
+@_on_floats
+def normalized_rhs(x, s) -> np.ndarray:
     """Volume-one planar flow of the three-parameter family (t = x^-2 s^-4)."""
-    x, s = state
     xp = (-40.0 * x**3 * s**6 + 24.0 * s**2 - 18.0 * x**5 * s**4 - 2.0 * x**2
           + 48.0 * x**4 * s**5) / (7.0 * x**3 * s**6)
     sp = (-36.0 * x**4 * s**5 + 16.0 * x**3 * s**6 + 10.0 * x**5 * s**4 + 5.0 * x**2
@@ -237,7 +253,7 @@ def integrate(system: FlowSystem, init, config: IntegratorConfig | None = None,
         raise NonPositiveState(f"initial state must be strictly positive, got {y0}")
 
     sign = 1.0 if cfg.direction == "forward" else -1.0
-    floor = (lambda _l, y: y.min() - COLLAPSE_FLOOR, True, 0.0)
+    floor = (lambda _l, y: min(y.tolist()) - COLLAPSE_FLOOR, True, 0.0)
     sol = _rk45.solve(system.rhs, y0, sign * cfg.max_time, cfg.rel_tol, cfg.abs_tol, cfg.max_step,
                       [floor, *((spec.fn, spec.terminal, spec.direction) for spec in events)])
 
@@ -267,27 +283,27 @@ def boundary_event(family: str, xi: float = 1.0) -> EventSpec:
     All are positive strictly inside the cone and cross zero on exit.
     """
     if family == "aw2":
-        return EventSpec("cone_exit", lambda _l, y: y[1] - y[0], True, -1.0)
-    if family == "aw3":
-        return EventSpec("cone_exit",
-                         lambda _l, y: y[1] * (4.0 * y[2] - y[1]) / (3.0 * y[2]) - y[0],
-                         True, -1.0)
-    if family == "berger":
-        return EventSpec("cone_exit", lambda _l, y: 2.0 * y[1] - y[0], True, -1.0)
-    if family == "aw4":
+        gap = _on_floats(lambda t, s: s - t)
+    elif family == "aw3":
+        gap = _on_floats(lambda t, x, s: x * (4.0 * s - x) / (3.0 * s) - t)
+    elif family == "berger":
+        gap = _on_floats(lambda x1, x2: 2.0 * x2 - x1)
+    elif family == "aw4":
         x = xi_value(xi)
-        return EventSpec("cone_exit", lambda _l, y: cone.t_a(y[1:], x) - y[0], True, -1.0)
-    raise ValueError(f"no cone boundary event for family {family!r}")
+        return EventSpec("cone_exit", lambda _l, y: cone.t_a(y[1:], x) - float(y[0]), True, -1.0)
+    else:
+        raise ValueError(f"no cone boundary event for family {family!r}")
+    return EventSpec("cone_exit", lambda _l, y: gap(y), True, -1.0)
 
 
 def window_event(dim: int) -> EventSpec:
     """Monitor for leaving the certified slice window x < s (3- or 4-state);
     non-terminal, recorded as "window_exit"."""
     if dim == 3:
-        fn = lambda _l, y: y[2] - y[1]
+        gap = _on_floats(lambda t, x, s: s - x)
     else:
-        fn = lambda _l, y: 0.5 * (y[2] + y[3]) - y[1]
-    return EventSpec("window_exit", fn, terminal=False, direction=-1.0)
+        gap = _on_floats(lambda t, x, s1, s2: 0.5 * (s1 + s2) - x)
+    return EventSpec("window_exit", lambda _l, y: gap(y), terminal=False, direction=-1.0)
 
 
 def _resolve(family: str, xi) -> tuple[str, Family, float]:

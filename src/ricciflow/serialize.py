@@ -34,7 +34,7 @@ def write_trajectory_csv(path, traj: Trajectory) -> Path:
     dim = traj.states.shape[1]
     with _open_lf(path) as fh:
         fh.write("ell," + ",".join(f"comp{i}" for i in range(dim)) + "\n")
-        for time, state in zip(traj.times, traj.states):
+        for time, state in zip(traj.times.tolist(), traj.states.tolist()):
             fh.write(fmt(time) + "," + ",".join(fmt(c) for c in state) + "\n")
     return path
 

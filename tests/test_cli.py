@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import pytest
 
@@ -89,6 +90,23 @@ class TestFlowCommand:
         assert code == 2
         assert out["status"] == "error"
 
+    @pytest.mark.parametrize("init", ["inf,0.9,1", "0.9,nan,1", "0.9,1,-inf"])
+    def test_non_finite_init_is_config_error(self, tmp_path, capsys, init):
+        code, out = run_cli(capsys, "flow", "--system", "aw3", "--init", init,
+                            "--out", str(tmp_path))
+        assert code == 2
+        assert "positive and finite" in out["error"]
+
+    @pytest.mark.parametrize("system,init", [("normalized", "1e-120,1"), ("normalized", "1e70,1"),
+                                             ("berger", "1e200,1e-200")])
+    def test_non_finite_initial_rhs_is_numerical_failure(self, tmp_path, capsys, system, init):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out = run_cli(capsys, "flow", "--system", system, "--init", init,
+                                "--out", str(tmp_path))
+        assert code == 3
+        assert "StepSizeUnderflow" in out["error"]
+
     def test_abs_tol_leaves_collapse_floor(self, tmp_path, capsys):
         # a loose --abs-tol must not stop the run "singular" far from collapse
         code, out = run_cli(capsys, "flow", "--system", "aw3", "--init", "0.8,0.9,1.0",
@@ -152,6 +170,15 @@ class TestPortraitCommand:
                             "--out", str(tmp_path / "p"))
         assert code == 2
         assert out["status"] == "error"
+
+    def test_non_finite_seed_is_config_error(self, tmp_path, capsys):
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text("0.87,1.1\n0.5,inf\n")
+        code, out = run_cli(capsys, "portrait", "--grid", "0.5:1.5:3,0.5:1.5:3",
+                            "--horizon", "0.2", "--seeds", str(seeds),
+                            "--out", str(tmp_path / "p"))
+        assert code == 2
+        assert "line 2" in out["error"]
 
     def test_bad_grid_is_config_error(self, tmp_path, capsys):
         code, out = run_cli(capsys, "portrait", "--grid", "1:2:1,1:2:4",

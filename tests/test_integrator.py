@@ -6,6 +6,7 @@ event roots.  Skipped where scipy is not installed.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ pytest.importorskip("scipy")
 from scipy.integrate import solve_ivp  # noqa: E402
 from scipy.optimize import brentq as scipy_brentq  # noqa: E402
 
-from ricciflow import IntegratorConfig, integrate, make_system  # noqa: E402
+from ricciflow import IntegratorConfig, StepSizeUnderflow, integrate, make_system  # noqa: E402
 from ricciflow._rk45 import brentq  # noqa: E402
 from ricciflow.flow import COLLAPSE_FLOOR, cone_events  # noqa: E402
 
@@ -90,6 +91,25 @@ def test_window_exit_recorded_before_terminal_cone_exit():
         ("window_exit", 0.014085229333834022), ("cone_exit", 0.055023525020492674)]
     assert traj.status == "event"
     assert traj.final_time == 0.055023525020492674
+
+
+@pytest.mark.parametrize("kind,init", [("normalized", (1e-120, 1.0)), ("normalized", (1e70, 1.0)),
+                                       ("berger", (1e200, 1e-200))])
+def test_non_finite_initial_rhs_underflows_like_solve_ivp(kind, init):
+    # f(y0) is not finite: solve_ivp takes a zero first step and gives up
+    system, cfg = make_system(kind), IntegratorConfig(max_time=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert not np.all(np.isfinite(system.rhs(np.array(init))))
+        with pytest.raises(StepSizeUnderflow) as info:
+            integrate(system, init, cfg)
+        ref = scipy_integrate(system, init, cfg, [])
+    assert ref.status == -1
+    traj = info.value.trajectory
+    np.testing.assert_array_equal(traj.times, ref.t)
+    np.testing.assert_array_equal(traj.states, ref.y.T)
+    assert traj.events == [] and all(len(t_ev) == 0 for t_ev in ref.t_events)
+    assert traj.stats["nfev"] == ref.nfev == 8
 
 
 BRACKETED = [

@@ -34,6 +34,19 @@ def test_trajectory_csv(tmp_path):
     assert float(c0) == 0.1 + 0.2
 
 
+def test_trajectory_csv_bytes_match_numpy_scalar_rendering(tmp_path):
+    tiny, huge = np.nextafter(0.0, 1.0), np.finfo(float).max
+    times = np.array([0.0, 2.2250738585072014e-308 / 3.0, 1e-300, 0.1 + 0.2, huge])
+    states = np.array([[tiny, -0.0], [-tiny, 1e308 * 1.5], [huge, -huge],
+                       [1.0 / 3.0, -5e-324], [0.0, 123456789.01234567]])
+    path = write_trajectory_csv(tmp_path / "t.csv", Trajectory(times, states))
+    expected = "ell,comp0,comp1\n" + "".join(
+        f"{t:.17g}," + ",".join(f"{c:.17g}" for c in row) + "\n" for t, row in zip(times, states))
+    assert isinstance(times[0], np.float64)
+    assert path.read_bytes() == expected.encode()
+    assert b",-0\n" in path.read_bytes() and b"4.9406564584124654e-324" in path.read_bytes()
+
+
 def test_events_json(tmp_path):
     path = write_events_json(tmp_path / "e.json", sample_trajectory())
     payload = json.loads(path.read_text())
