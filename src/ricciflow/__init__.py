@@ -7,7 +7,6 @@ machinery certifying that positively curved metrics exit the cone."""
 from .cone import (
     ConeClass,
     ConeVerdict,
-    STriple,
     a_tilde,
     a_tilde_inverse_slice,
     classify_2param,
@@ -21,8 +20,6 @@ from .cone import (
     v_vector,
 )
 from .derivatives import (
-    BoundaryPoint,
-    GradF,
     berger_ratio_derivative,
     d_polynomial,
     d_roots,
@@ -34,7 +31,6 @@ from .derivatives import (
     initial_velocity,
     k_polynomial,
     two_param_ratio_derivative,
-    w_vector,
 )
 from .errors import (
     DomainError,

@@ -43,7 +43,6 @@ from .errors import DomainError
 from .spaces import BergerMetric, xi_value
 
 __all__ = [
-    "STriple",
     "ConeClass",
     "ConeVerdict",
     "sigma",
@@ -51,9 +50,7 @@ __all__ = [
     "in_omega_sigma",
     "in_d_sigma",
     "a_tilde",
-    "a_tilde_partial",
     "v_vector",
-    "v_partial",
     "t_a",
     "t_a_closed",
     "a_tilde_inverse_slice",
@@ -68,33 +65,8 @@ __all__ = [
 ROUND_DIAGONAL_RTOL = 1e-13
 
 
-@dataclass(frozen=True)
-class STriple:
-    """Positive triple (s0, s1, s2) of scale factors."""
-
-    s0: float
-    s1: float
-    s2: float
-
-    def __post_init__(self):
-        for name in ("s0", "s1", "s2"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.s0, self.s1, self.s2])
-
-    @property
-    def in_omega_sigma(self) -> bool:
-        return sigma(self) > 0.0
-
-    @property
-    def in_d_sigma(self) -> bool:
-        return self.in_omega_sigma and not is_round_diagonal(self)
-
-
 def _s_floats(s) -> list[float]:
-    arr = s.as_array() if isinstance(s, STriple) else np.asarray(s, dtype=float)
+    arr = np.asarray(s, dtype=float)
     if arr.shape != (3,):
         raise ValueError(f"expected a triple, got shape {arr.shape}")
     s0, s1, s2 = values = arr.tolist()
@@ -155,36 +127,6 @@ def a_tilde(s) -> np.ndarray:
     ])
 
 
-def a_tilde_partial(s, i: int) -> np.ndarray:
-    """Analytic partial derivative of A~(s) with respect to s_i."""
-    if i not in (0, 1, 2):
-        raise ValueError("component index must be 0, 1 or 2")
-    arr = np.array(_s_floats(s))
-    sig = sigma(arr)
-    prod = arr[0] * arr[1] * arr[2]
-    dsig = 2 * (arr.sum() - arr[i]) - 2 * arr[i]
-    db = np.empty(3)
-    for j in range(3):
-        sm, sj, sp = arr[(j - 1) % 3], arr[j], arr[(j + 1) % 3]
-        num = sm - sj + sp
-        # common part: d/ds_i of -sigma/(s0 s1 s2)
-        d = -dsig / prod + sig / (prod * arr[i])
-        if i == j:
-            d += -1.0 / (sm * sp)
-        if i == (j - 1) % 3:
-            d += 1.0 / (sm * sp) - num / (sm * sm * sp)
-        if i == (j + 1) % 3:
-            d += 1.0 / (sm * sp) - num / (sm * sp * sp)
-        db[j] = d
-    da = np.zeros(3)
-    da[i] = -4.0 / (arr[i] * arr[i])
-    return np.array([
-        [da[0], db[2], db[1]],
-        [db[2], da[1], db[0]],
-        [db[1], db[0], da[2]],
-    ])
-
-
 def v_vector(s, xi) -> np.ndarray:
     """Direction vector v(s, xi) entering the boundary scale t_A."""
     arr = np.array(_s_floats(s))
@@ -195,17 +137,6 @@ def v_vector(s, xi) -> np.ndarray:
                      1.0 / (arr[2] * den)])
 
 
-def v_partial(s, xi, i: int) -> np.ndarray:
-    """Partial derivative of v with respect to s_i (one nonzero component)."""
-    if i not in (0, 1, 2):
-        raise ValueError("component index must be 0, 1 or 2")
-    arr = np.array(_s_floats(s))
-    v = v_vector(arr, xi)
-    out = np.zeros(3)
-    out[i] = -v[i] / arr[i]
-    return out
-
-
 def t_a(s, xi) -> float:
     """Boundary scale t_A(s, xi) = (2/9) <v, A~^-1 v>^-1 in closed form.
 
@@ -213,10 +144,15 @@ def t_a(s, xi) -> float:
     docstring: no matrix is formed or solved, and the value stays accurate
     up to the round diagonal.  On the round diagonal itself (within
     ROUND_DIAGONAL_RTOL), where the limit of t_A depends on the direction
-    of approach, returns 0 by convention.
+    of approach, returns 0 by convention.  t_A has degree 1, so it is
+    evaluated on s scaled by the power of two that brings max(s) into
+    [1, 2), where no intermediate overflows or underflows; the scaling is
+    exact while max(s)/min(s) < 2^1022.
     """
     s0, s1, s2 = _s_floats(s)
     x = xi_value(xi)
+    scale = 2.0 ** (math.frexp(max(s0, s1, s2))[1] - 1)
+    s0, s1, s2 = s0 / scale, s1 / scale, s2 / scale
     if _is_round(s0, s1, s2):
         return 0.0
     d01, d02, d12 = s1 - s0, s2 - s0, s2 - s1
@@ -227,7 +163,7 @@ def t_a(s, xi) -> float:
            + p0 * (e01 + e02) + p1 * (e01 + e12) + p2 * (e02 + e12))
     pmp = (6.0 * (p0 * p0 * s0 + p1 * p1 * s1 + p2 * p2 * s2)  # p^T M p
            + 2.0 * (p0 * p1 * e01 + p0 * p2 * e02 + p1 * p2 * e12))
-    return 12.0 * (x * x + x + 1.0) * _sigma(s0, s1, s2) / (pmp - pm1 * pm1 / mu)
+    return 12.0 * (x * x + x + 1.0) * _sigma(s0, s1, s2) / (pmp - pm1 * pm1 / mu) * scale
 
 
 def t_a_closed(x: float, s: float) -> float:

@@ -8,9 +8,7 @@ anchored at the tuple
 
     (t, s0, s1, s2) = (x(4 - x)/3, x, 1, 1)
 
-for every xi; see `gradient_anchor`.  `BoundaryPoint` carries the
-xi-dependent boundary tuple (t_A(x, 1, 1, xi), x, 1, 1) used to seed
-cone-exit flows.
+for every xi (see `gradient_anchor`), where f'(0) = <grad F, velocity>.
 
 At xi = 1 the derivative reduces to the quintic story: with
 D(x) = (x/3)(32 - 32x - 16x^2 + 6x^3 + x^4), the boundary derivative is
@@ -21,27 +19,16 @@ between the two positive irrational roots of D.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import cone
 from .errors import DomainError
 from .spaces import xi_value
 
 __all__ = [
-    "BoundaryPoint",
-    "GradF",
     "gradient_anchor",
     "d_polynomial",
     "d_roots",
     "f1_prime0",
-    "w_vector",
-    "scalar_l",
-    "p_terms",
-    "q_terms",
-    "u_vectors",
     "grad_f",
     "initial_velocity",
     "k_polynomial",
@@ -100,30 +87,6 @@ def gradient_anchor(x: float) -> np.ndarray:
     return np.array([x * (4.0 - x) / 3.0, x, 1.0, 1.0])
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
-    """Slice metric sitting exactly on the cone boundary of W_xi.
-
-    The tuple is (t_A(x, 1, 1, xi), x, 1, 1); at xi = 1 the first entry
-    equals x(4 - x)/3.
-    """
-
-    x: float
-    xi: float
-
-    def __post_init__(self):
-        if not 0.0 < self.x < 1.0:
-            raise ValueError(f"x must lie in (0, 1), got {self.x}")
-        xi_value(self.xi)
-
-    @property
-    def t(self) -> float:
-        return cone.t_a((self.x, 1.0, 1.0), self.xi)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.t, self.x, 1.0, 1.0])
-
-
 def _gamma(xi: float) -> float:
     return xi * xi + xi + 1.0
 
@@ -134,106 +97,14 @@ def _r_factor(x: float, xi: float) -> float:
     return (xi - 1.0) ** 2 * x * x - 4.0 * (xi - 1.0) ** 2 * x - 12.0 * (xi + 1.0) ** 2
 
 
-def w_vector(x: float, xi) -> np.ndarray:
-    """Closed form of A~(x,1,1)^-1 v(x,1,1,xi); prefactor 1/(x^2-5x+4)."""
-    xi = xi_value(xi)
-    q = x * x - 5.0 * x + 4.0
-    if q == 0.0:
-        raise DomainError(f"w_vector undefined at x = {x} (x^2 - 5x + 4 = 0)")
-    pref = 1.0 / (q * math.sqrt(2.0 * _gamma(xi)))
-    return pref * np.array([
-        (x - 2.0) * (xi + 1.0) / 2.0,
-        ((xi - 1.0) * x * x + (-5.0 * xi + 5.0) * x - 2.0 * xi - 10.0) / 12.0,
-        -((xi - 1.0) * x * x + (-5.0 * xi + 5.0) * x + 10.0 * xi + 2.0) / 12.0,
-    ])
-
-
-def scalar_l(x: float, xi) -> float:
-    """<v, A~^-1 v> on the slice: R(x, xi) / (24 x (x-4) Gamma)."""
-    xi = xi_value(xi)
-    return _r_factor(x, xi) / (24.0 * x * (x - 4.0) * _gamma(xi))
-
-
-def p_terms(x: float, xi) -> np.ndarray:
-    """Closed forms of P_i = <dv/ds_i, W>, i = 0, 1, 2."""
-    xi = xi_value(xi)
-    if x in (0.0, 1.0, 4.0):
-        raise DomainError(f"P_i undefined at x = {x}")
-    g = _gamma(xi)
-    p0 = (xi + 1.0) ** 2 * (x - 2.0) / (4.0 * g * x * x * (x - 1.0) * (x - 4.0))
-    p1 = -((xi - 1.0) * x * x + (-5.0 * xi + 5.0) * x - 2.0 * xi - 10.0) * xi / (24.0 * g * (x - 1.0) * (x - 4.0))
-    p2 = ((xi - 1.0) * x * x + (-5.0 * xi + 5.0) * x + 10.0 * xi + 2.0) / (24.0 * g * (x - 1.0) * (x - 4.0))
-    return np.array([p0, p1, p2])
-
-
-def u_vectors(x: float, xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed forms of U_i = (dA~/ds_i) W, i = 0, 1, 2."""
-    xi = xi_value(xi)
-    q = x * x - 5.0 * x + 4.0
-    if q == 0.0 or x == 0.0:
-        raise DomainError(f"U_i undefined at x = {x}")
-    pref = 1.0 / (q * math.sqrt(2.0 * _gamma(xi)))
-    u0 = pref * np.array([
-        -(x * x + 2.0 * x - 4.0) * (xi + 1.0) / (x * x),
-        (x - 2.0) * (xi + 1.0) / 2.0,
-        (x - 2.0) * (xi + 1.0) / 2.0,
-    ])
-    u1 = pref * np.array([
-        -((xi - 1.0) * x**3 + (-19.0 * xi - 5.0) * x * x + (32.0 * xi + 4.0) * x - 8.0 * xi + 8.0) / (12.0 * x),
-        ((-11.0 * xi - 1.0) * x**3 + (43.0 * xi - 7.0) * x * x + (-8.0 * xi + 32.0) * x - 12.0 * xi - 12.0) / (12.0 * x),
-        ((-5.0 * xi - 7.0) * x**3 + (19.0 * xi + 29.0) * x * x + (-32.0 * xi - 40.0) * x + 12.0 * xi + 12.0) / (12.0 * x),
-    ])
-    u2 = pref * np.array([
-        ((xi - 1.0) * x**3 + (5.0 * xi + 19.0) * x * x + (-4.0 * xi - 32.0) * x - 8.0 * xi + 8.0) / (12.0 * x),
-        ((-7.0 * xi - 5.0) * x**3 + (29.0 * xi + 19.0) * x * x + (-40.0 * xi - 32.0) * x + 12.0 * xi + 12.0) / (12.0 * x),
-        -((xi + 11.0) * x**3 + (7.0 * xi - 43.0) * x * x + (-32.0 * xi + 8.0) * x + 12.0 * xi + 12.0) / (12.0 * x),
-    ])
-    return u0, u1, u2
-
-
-def q_terms(x: float, xi) -> np.ndarray:
-    """Closed forms of Q_i = <W, (dA~/ds_i) W>, i = 0, 1, 2."""
-    xi = xi_value(xi)
-    if x in (0.0, 1.0, 4.0):
-        raise DomainError(f"Q_i undefined at x = {x}")
-    g = _gamma(xi)
-    den = 48.0 * x * (x - 4.0) ** 2 * (x - 1.0) * g
-    q0 = -(x + 2.0) * (xi + 1.0) ** 2 * (x - 2.0) / (2.0 * x * x * (x - 4.0) ** 2 * (x - 1.0) * g)
-    q1 = (-(xi - 1.0) ** 2 * x**4 + (7.0 * xi * xi - 18.0 * xi + 11.0) * x**3
-          + (24.0 * xi * xi + 96.0 * xi - 24.0) * x * x
-          + (-116.0 * xi * xi - 152.0 * xi + 28.0) * x + 32.0 * xi * xi - 32.0) / den
-    q2 = (-(xi - 1.0) ** 2 * x**4 + (11.0 * xi * xi - 18.0 * xi + 7.0) * x**3
-          + (-24.0 * xi * xi + 96.0 * xi + 24.0) * x * x
-          + (28.0 * xi * xi - 152.0 * xi - 116.0) * x - 32.0 * xi * xi + 32.0) / den
-    return np.array([q0, q1, q2])
-
-
-@dataclass(frozen=True)
-class GradF:
-    """Partial derivatives of F at the anchor tuple; d_t is negative there."""
-
-    d_t: float
-    d_s0: float
-    d_s1: float
-    d_s2: float
-
-    def __post_init__(self):
-        if not self.d_t < 0.0:
-            raise ValueError(f"d_t must be negative on the domain, got {self.d_t}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.d_t, self.d_s0, self.d_s1, self.d_s2])
-
-
-def grad_f(x: float, xi) -> GradF:
-    """Gradient of F(t, s, xi) = t_A(s, xi)/t at the anchor tuple."""
+def grad_f(x: float, xi) -> np.ndarray:
+    """Gradient (d_t, d_s0, d_s1, d_s2) of F(t, s, xi) = t_A(s, xi)/t at
+    the anchor tuple; d_t < 0 there."""
     xi = xi_value(xi)
     if not 0.0 < x < 1.0:
         raise DomainError(f"x must lie in (0, 1), got {x}")
     g = _gamma(xi)
     r = _r_factor(x, xi)
-    if r == 0.0:
-        raise DomainError("gradient denominator vanishes")
     d_t = -48.0 * g / (x * (x - 4.0) * r)
     d_s0 = 384.0 * (xi + 1.0) ** 2 * (x - 2.0) * g / (x * (x - 4.0) * r * r)
     n1 = ((3.0 * xi * xi - 2.0 * xi - 1.0) * x**4 + (-29.0 * xi * xi + 18.0 * xi + 11.0) * x**3
@@ -244,7 +115,7 @@ def grad_f(x: float, xi) -> GradF:
           + (24.0 * xi * xi + 24.0 * xi - 96.0) * x * x + (-28.0 * xi * xi - 8.0 * xi + 84.0) * x
           + 32.0 * (xi * xi - 1.0))
     d_s2 = 8.0 * g * n2 / ((x - 4.0) * (x - 1.0) * r * r)
-    return GradF(d_t, d_s0, d_s1, d_s2)
+    return np.array([d_t, d_s0, d_s1, d_s2])
 
 
 def initial_velocity(x: float, xi) -> np.ndarray:

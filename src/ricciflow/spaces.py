@@ -42,14 +42,11 @@ __all__ = [
 class XiParam:
     """Continuous Aloff-Wallach parameter xi = k1/k2 in (0, 1].
 
-    Instances built from an integer pair keep (k1, k2) around; `gamma` is the
-    combination xi^2 + xi + 1 that replaces Gamma/k2^2 in the eigenvalue
-    formulas.
+    `gamma` is the combination xi^2 + xi + 1 that replaces Gamma/k2^2 in the
+    eigenvalue formulas.
     """
 
     xi: float
-    k1: int | None = None
-    k2: int | None = None
 
     def __post_init__(self):
         if not (0.0 < self.xi <= 1.0):
@@ -61,17 +58,11 @@ class XiParam:
             raise ValueError(f"need 0 < k1 <= k2, got ({k1}, {k2})")
         if gcd(k1, k2) != 1:
             raise ValueError(f"(k1, k2) must be coprime, got ({k1}, {k2})")
-        return cls(xi=k1 / k2, k1=k1, k2=k2)
+        return cls(k1 / k2)
 
     @property
     def gamma(self) -> float:
         return self.xi * self.xi + self.xi + 1.0
-
-    def integer_gamma(self) -> int | None:
-        """k1^2 + k2^2 + k1 k2 when built from integers, else None."""
-        if self.k1 is None or self.k2 is None:
-            return None
-        return self.k1 * self.k1 + self.k2 * self.k2 + self.k1 * self.k2
 
 
 def _require_positive(**fields):

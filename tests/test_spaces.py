@@ -46,7 +46,6 @@ class TestXiParam:
     def test_from_integers(self):
         p = XiParam.from_integers(1, 2)
         assert p.xi == 0.5
-        assert p.integer_gamma() == 7
 
     @pytest.mark.parametrize("k1,k2", [(2, 4), (3, 2), (0, 1)])
     def test_from_integers_rejects(self, k1, k2):
