@@ -21,6 +21,7 @@ from ricciflow import (
     two_param_ratio_derivative,
 )
 from ricciflow import classify_2param, ConeClass
+from ricciflow.cone import a_tilde, v_vector
 from ricciflow.flow import aw_rhs
 
 GRID = [(x, xi) for x in (0.85, 0.9, 0.95) for xi in (0.4, 0.7, 1.0)]
@@ -28,6 +29,44 @@ GRID = [(x, xi) for x in (0.85, 0.9, 0.95) for xi in (0.4, 0.7, 1.0)]
 
 def quartic(x):
     return x**4 + 6 * x**3 - 16 * x**2 - 32 * x + 32
+
+
+def a_tilde_partial(s, i):
+    """Partial derivative of A~(s) with respect to s_i, from the entries
+    a~_j = 4/s_j and b~_j = -sigma/(s0 s1 s2) + (s_{j-1} - s_j + s_{j+1})/(s_{j-1} s_{j+1})."""
+    s = np.asarray(s, dtype=float)
+    prod = s.prod()
+    sig = 2 * (s[1] * s[2] + s[0] * s[2] + s[0] * s[1]) - s @ s
+    dsig = 2 * (s.sum() - s[i]) - 2 * s[i]
+    db = np.empty(3)
+    for j in range(3):
+        sm, sp = s[(j - 1) % 3], s[(j + 1) % 3]
+        num = sm - s[j] + sp
+        db[j] = -dsig / prod + sig / (prod * s[i])
+        if i == j:
+            db[j] -= 1.0 / (sm * sp)
+        elif i == (j - 1) % 3:
+            db[j] += 1.0 / (sm * sp) - num / (sm * sm * sp)
+        else:
+            db[j] += 1.0 / (sm * sp) - num / (sm * sp * sp)
+    da = np.zeros(3)
+    da[i] = -4.0 / (s[i] * s[i])
+    return np.array([
+        [da[0], db[2], db[1]],
+        [db[2], da[1], db[0]],
+        [db[1], db[0], da[2]],
+    ])
+
+
+def slice_intermediates(x, xi):
+    """L = <v, W>, P_i = <dv/ds_i, W> and Q_i = <W, (dA~/ds_i) W> with
+    W = A~^-1 v, assembled at s = (x, 1, 1)."""
+    s = np.array([x, 1.0, 1.0])
+    v = v_vector(s, xi)
+    w = np.linalg.solve(a_tilde(s), v)
+    p = -v * w / s  # dv/ds_i = -v_i/s_i e_i
+    q = np.array([w @ a_tilde_partial(s, i) @ w for i in range(3)])
+    return float(v @ w), p, q
 
 
 class TestDPolynomial:
@@ -83,6 +122,15 @@ class TestF1Prime:
             f1_prime0(-0.2)
 
 
+class TestIntermediates:
+    """The boundary scale against L = <v, A~^-1 v> assembled from A~ and v."""
+
+    @pytest.mark.parametrize("x,xi", GRID + [(0.3, 0.2), (0.6, 0.55)])
+    def test_scalar_l(self, x, xi):
+        lval, _, _ = slice_intermediates(x, xi)
+        assert lval == pytest.approx((2.0 / 9.0) / t_a((x, 1.0, 1.0), xi), rel=1e-12)
+
+
 class TestGradF:
     def test_dt_closed_form_example(self):
         # at xi = 1 the t-partial is -1/t_A = -3/(x(4-x))
@@ -105,6 +153,14 @@ class TestGradF:
             sm[i] -= h
             fd[i + 1] = (f_of(t0, sp) - f_of(t0, sm)) / (2 * h)
         np.testing.assert_allclose(grad_f(x, xi), fd, rtol=1e-6)
+
+    @pytest.mark.parametrize("x,xi", GRID)
+    def test_from_intermediates(self, x, xi):
+        # d F/d s_i = (-2 / (3x(4-x))) (2 P_i - Q_i) / L^2 at the anchor
+        lval, p, q = slice_intermediates(x, xi)
+        pref = -2.0 / (3.0 * x * (4.0 - x))
+        expected = pref * (2.0 * p - q) / lval**2
+        np.testing.assert_allclose(grad_f(x, xi)[1:], expected, rtol=1e-11)
 
     def test_domain(self):
         with pytest.raises(DomainError):
