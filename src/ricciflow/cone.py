@@ -63,6 +63,8 @@ __all__ = [
 
 # Relative width of the numerical round diagonal {s0 = s1 = s2}.
 ROUND_DIAGONAL_RTOL = 1e-13
+# Largest relative spread |s1 - s2| / mean that `classify_aw_slice` certifies.
+SLICE_RTOL = 0.05
 
 
 def _s_floats(s) -> list[float]:
@@ -73,6 +75,16 @@ def _s_floats(s) -> list[float]:
     if not (0.0 < s0 < math.inf and 0.0 < s1 < math.inf and 0.0 < s2 < math.inf):  # NaN too
         raise ValueError(f"scale factors must be strictly positive and finite, got {arr}")
     return values
+
+
+def _scaled(s) -> tuple[float, float, float, float]:
+    """s divided by the power of two `scale` that brings max(s) into [1, 2),
+    and `scale`.  A kernel of degree d on the scaled s, times scale**d, has no
+    intermediate over- or underflow and the bits of the kernel on s itself
+    while max(s)/min(s) < 2^1022."""
+    s0, s1, s2 = _s_floats(s)
+    scale = 2.0 ** (math.frexp(max(s0, s1, s2))[1] - 1)
+    return s0 / scale, s1 / scale, s2 / scale, scale
 
 
 def _sigma(s0: float, s1: float, s2: float) -> float:
@@ -87,8 +99,9 @@ def _sigma(s0: float, s1: float, s2: float) -> float:
 
 def sigma(s) -> float:
     """Quadratic sigma(s) = 2s1s2 + 2s0s2 + 2s0s1 - s0^2 - s1^2 - s2^2,
-    correctly rounded where its terms nearly cancel."""
-    return _sigma(*_s_floats(s))
+    correctly rounded where its terms nearly cancel; inf where it overflows."""
+    s0, s1, s2, scale = _scaled(s)
+    return _sigma(s0, s1, s2) * scale * scale
 
 
 def _is_round(s0: float, s1: float, s2: float) -> bool:
@@ -97,11 +110,11 @@ def _is_round(s0: float, s1: float, s2: float) -> bool:
 
 
 def is_round_diagonal(s) -> bool:
-    return _is_round(*_s_floats(s))
+    return _is_round(*_scaled(s)[:3])
 
 
 def in_omega_sigma(s) -> bool:
-    return sigma(s) > 0.0
+    return _sigma(*_scaled(s)[:3]) > 0.0
 
 
 def in_d_sigma(s) -> bool:
@@ -109,22 +122,21 @@ def in_d_sigma(s) -> bool:
 
 
 def a_tilde(s) -> np.ndarray:
-    """Symmetric 3x3 matrix A~(s); warns when s is outside D_sigma."""
-    arr = np.array(_s_floats(s))
-    if not in_d_sigma(arr):
+    """Symmetric 3x3 matrix A~(s); warns when s is outside D_sigma.  A~ has
+    degree -1 and is evaluated on s scaled as in `_scaled`."""
+    s0, s1, s2, scale = _scaled(s)
+    sig = _sigma(s0, s1, s2)
+    if sig <= 0.0 or _is_round(s0, s1, s2):
         warnings.warn("A~ evaluated outside D_sigma; matrix may be singular",
                       RuntimeWarning, stacklevel=2)
-    sig = sigma(arr)
-    prod = arr[0] * arr[1] * arr[2]
-    b = np.empty(3)
-    for j in range(3):
-        sm, sj, sp = arr[(j - 1) % 3], arr[j], arr[(j + 1) % 3]
-        b[j] = -sig / prod + (sm - sj + sp) / (sm * sp)
+    arr, prod = (s0, s1, s2), s0 * s1 * s2
+    b = [-sig / prod + (arr[j - 1] - arr[j] + arr[(j + 1) % 3]) / (arr[j - 1] * arr[(j + 1) % 3])
+         for j in range(3)]
     return np.array([
-        [4 / arr[0], b[2], b[1]],
-        [b[2], 4 / arr[1], b[0]],
-        [b[1], b[0], 4 / arr[2]],
-    ])
+        [4 / s0, b[2], b[1]],
+        [b[2], 4 / s1, b[0]],
+        [b[1], b[0], 4 / s2],
+    ]) / scale
 
 
 def v_vector(s, xi) -> np.ndarray:
@@ -144,15 +156,11 @@ def t_a(s, xi) -> float:
     docstring: no matrix is formed or solved, and the value stays accurate
     up to the round diagonal.  On the round diagonal itself (within
     ROUND_DIAGONAL_RTOL), where the limit of t_A depends on the direction
-    of approach, returns 0 by convention.  t_A has degree 1, so it is
-    evaluated on s scaled by the power of two that brings max(s) into
-    [1, 2), where no intermediate overflows or underflows; the scaling is
-    exact while max(s)/min(s) < 2^1022.
+    of approach, returns 0 by convention.  t_A has degree 1 and is
+    evaluated on s scaled as in `_scaled`.
     """
-    s0, s1, s2 = _s_floats(s)
+    s0, s1, s2, scale = _scaled(s)
     x = xi_value(xi)
-    scale = 2.0 ** (math.frexp(max(s0, s1, s2))[1] - 1)
-    s0, s1, s2 = s0 / scale, s1 / scale, s2 / scale
     if _is_round(s0, s1, s2):
         return 0.0
     d01, d02, d12 = s1 - s0, s2 - s0, s2 - s1
@@ -254,11 +262,11 @@ def classify_berger(m) -> ConeVerdict:
     return _verdict_from_margin(2.0 * x2 - x1)
 
 
-def classify_aw_slice(state, xi, slice_rtol: float = 0.05) -> ConeVerdict:
+def classify_aw_slice(state, xi) -> ConeVerdict:
     """Classify a 4-tuple (t, s0, s1, s2) near the s1 = s2 slice at any xi.
 
     The certified slice statement (x in (0, s), t vs t_A) extends to an open
-    neighbourhood; `slice_rtol` bounds the accepted relative spread
+    neighbourhood; SLICE_RTOL bounds the accepted relative spread
     |s1 - s2| / mean.  Off-slice beyond that, or with s0 outside (0, mean),
     the verdict is Unknown.
     """
@@ -266,9 +274,7 @@ def classify_aw_slice(state, xi, slice_rtol: float = 0.05) -> ConeVerdict:
     if min(t, s0, s1, s2) <= 0.0:
         raise ValueError(f"state must be strictly positive, got {state}")
     s_mean = 0.5 * (s1 + s2)
-    if abs(s1 - s2) > slice_rtol * s_mean:
-        return ConeVerdict(ConeClass.UNKNOWN, 0.0)
-    if s0 >= s_mean:
+    if abs(s1 - s2) > SLICE_RTOL * s_mean or s0 >= s_mean:
         return ConeVerdict(ConeClass.UNKNOWN, 0.0)
     return _verdict_from_margin(t_a((s0, s1, s2), xi) - t)
 

@@ -13,7 +13,7 @@ Termination modes of `integrate`:
   * "singular" - a state component fell below COLLAPSE_FLOOR (the flow is
                  collapsing); the trajectory is truncated there and a
                  "singular" event is recorded.
-The cone-exit families (aw2, aw3, aw4, berger) are described once, in FAMILIES.
+Each system kind is described once, in SYSTEMS; rows with a classifier are FAMILIES.
 """
 
 from __future__ import annotations
@@ -48,38 +48,12 @@ __all__ = [
     "window_event",
     "post_exit_verdict",
     "Family",
+    "SYSTEMS",
     "FAMILIES",
 ]
 
 # A state component below this value ends an integration as "singular".
 COLLAPSE_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class Family:
-    """How one cone-exit family is set up, integrated and classified.
-
-    Functions are named, not held, and looked up at each use, so that a
-    rebinding of `cone.classify_*` or of this module's functions is seen.
-    `coords` maps (t, s0, s1, s2) onto the reduced state; coefficients with
-    equal indices must be equal.  aw4 integrates the expanded (t, x, s, s).
-    """
-
-    takes_xi: bool                   # varies with xi; all others accept only xi = 1
-    coords: tuple[int, ...] | None   # None: the state is taken as given
-    classifier: str                  # name of the `cone` classifier
-    unpack: bool                     # the classifier takes the components as arguments
-    window: bool                     # leaving the certified slice window x < s is monitored
-
-
-FAMILIES = {
-    "aw2": Family(False, (0, 0, 1, 1), "classify_2param", True, False),
-    "aw3": Family(False, (0, 1, 2, 2), "classify_3param", True, True),
-    "aw4": Family(True, (0, 1, 2, 2), "classify_aw_slice", False, True),
-    "berger": Family(False, None, "classify_berger", False, False),
-}
-SYSTEM_KINDS = (*FAMILIES, "normalized")
-_SYSTEM_DIMS = {"aw2": 2, "aw3": 3, "aw4": 4, "berger": 2, "normalized": 2}
 
 
 def _on_floats(kernel):
@@ -139,13 +113,63 @@ def normalized_rhs(x, s) -> np.ndarray:
     return np.array([xp, sp])
 
 
+def _aw4_gap(y, xi) -> float:
+    """t_A(s, xi) - t, or inf where a coefficient of s is <= 0."""
+    try:
+        return cone.t_a(y[1:], xi) - float(y[0])
+    except ValueError:  # such a step end is past the collapse floor, whose root ends the run
+        if any(c <= 0.0 for c in y[1:]):
+            return math.inf
+        raise
+
+
+@dataclass(frozen=True)
+class Family:
+    """Everything specific to one system kind.
+
+    `rhs` names this module's right-hand side and `classify` calls
+    `cone.classify_*` by name, so a rebinding of either is seen at each use.
+    `coords` maps (t, s0, s1, s2) onto the reduced state (equal indices mark
+    equal coefficients; aw4 integrates the expanded (t, x, s, s)).
+    `boundary(state, xi)` is positive strictly inside the cone and crosses
+    zero on exit; `window(state)` turns negative on leaving x < s.
+    """
+
+    dim: int
+    rhs: str
+    takes_xi: bool   # varies with xi; all others accept only xi = 1
+    coords: tuple[int, ...] | None = None   # None: the state is taken as given
+    boundary: Callable[[np.ndarray, float], float] | None = None
+    window: Callable[[np.ndarray], float] | None = None
+    classify: Callable[[Sequence[float], float], cone.ConeVerdict] | None = None
+
+
+SYSTEMS = {
+    "aw2": Family(2, "aw2_rhs", False, (0, 0, 1, 1),
+                  _on_floats(lambda t, s, _xi: s - t), None,
+                  lambda y, _xi: cone.classify_2param(*y)),
+    "aw3": Family(3, "aw3_rhs", False, (0, 1, 2, 2),
+                  _on_floats(lambda t, x, s, _xi: x * (4.0 * s - x) / (3.0 * s) - t),
+                  _on_floats(lambda t, x, s: s - x),
+                  lambda y, _xi: cone.classify_3param(*y)),
+    "aw4": Family(4, "aw_rhs", True, (0, 1, 2, 2), _aw4_gap,
+                  _on_floats(lambda t, x, s1, s2: 0.5 * (s1 + s2) - x),
+                  lambda y, xi: cone.classify_aw_slice(y, xi)),
+    "berger": Family(2, "berger_rhs", False, None,
+                     _on_floats(lambda x1, x2, _xi: 2.0 * x2 - x1), None,
+                     lambda y, _xi: cone.classify_berger(y)),
+    "normalized": Family(2, "normalized_rhs", False),
+}
+SYSTEM_KINDS = tuple(SYSTEMS)
+FAMILIES = {kind: fam for kind, fam in SYSTEMS.items() if fam.classify is not None}
+
+
 @dataclass(frozen=True)
 class FlowSystem:
     """One of the named ODE systems; `rhs` maps a state to its velocity."""
 
     kind: str
     dim: int
-    xi: float | None
     rhs: Callable[[np.ndarray], np.ndarray]
 
 
@@ -154,16 +178,14 @@ def make_system(kind: str, xi: float | None = None) -> FlowSystem:
     default 1).  The aw2/aw3 slices are flow-invariant only at xi = 1 and
     the Berger and normalized systems have no xi, so for them any xi other
     than 1 is rejected."""
-    if kind not in SYSTEM_KINDS:
+    if kind not in SYSTEMS:
         raise ValueError(f"unknown system kind {kind!r}, expected one of {SYSTEM_KINDS}")
+    fam = SYSTEMS[kind]
     x = 1.0 if xi is None else xi_value(xi)
-    if x != 1.0 and not (kind in FAMILIES and FAMILIES[kind].takes_xi):
+    if x != 1.0 and not fam.takes_xi:
         raise ValueError(f"system {kind!r} takes only xi = 1, got xi = {xi}")
-    if kind in ("aw2", "aw3"):
-        return FlowSystem(kind, _SYSTEM_DIMS[kind], 1.0, aw2_rhs if kind == "aw2" else aw3_rhs)
-    if kind == "aw4":
-        return FlowSystem(kind, 4, x, lambda state: aw_rhs(state, x))
-    return FlowSystem(kind, 2, None, berger_rhs if kind == "berger" else normalized_rhs)
+    rhs = globals()[fam.rhs]
+    return FlowSystem(kind, fam.dim, (lambda state: rhs(state, x)) if fam.takes_xi else rhs)
 
 
 @dataclass(frozen=True)
@@ -276,33 +298,21 @@ def integrate(system: FlowSystem, init, config: IntegratorConfig | None = None,
 
 
 def boundary_event(family: str, xi: float = 1.0) -> EventSpec:
-    """Cone-boundary event for a flow family.
-
-    aw2: s - t;  aw3: t_A(x, s, s) - t (slice closed form);  berger:
-    2 x2 - x1;  aw4: t_A(s, xi) - t through the general closed form.
-    All are positive strictly inside the cone and cross zero on exit.
-    """
-    if family == "aw2":
-        gap = _on_floats(lambda t, s: s - t)
-    elif family == "aw3":
-        gap = _on_floats(lambda t, x, s: x * (4.0 * s - x) / (3.0 * s) - t)
-    elif family == "berger":
-        gap = _on_floats(lambda x1, x2: 2.0 * x2 - x1)
-    elif family == "aw4":
-        x = xi_value(xi)
-        return EventSpec("cone_exit", lambda _l, y: cone.t_a(y[1:], x) - float(y[0]), True, -1.0)
-    else:
+    """Terminal event on the family's `boundary` gap, falling through zero
+    where the flow leaves the cone."""
+    gap = getattr(SYSTEMS.get(family), "boundary", None)
+    if gap is None:
         raise ValueError(f"no cone boundary event for family {family!r}")
-    return EventSpec("cone_exit", lambda _l, y: gap(y), True, -1.0)
+    x = xi_value(xi)
+    return EventSpec("cone_exit", lambda _l, y: gap(y, x), True, -1.0)
 
 
-def window_event(dim: int) -> EventSpec:
-    """Monitor for leaving the certified slice window x < s (3- or 4-state);
+def window_event(kind: str) -> EventSpec:
+    """Monitor for leaving the certified slice window x < s (aw3, aw4);
     non-terminal, recorded as "window_exit"."""
-    if dim == 3:
-        gap = _on_floats(lambda t, x, s: s - x)
-    else:
-        gap = _on_floats(lambda t, x, s1, s2: 0.5 * (s1 + s2) - x)
+    gap = getattr(SYSTEMS.get(kind), "window", None)
+    if gap is None:
+        raise ValueError(f"no certified window for system {kind!r}")
     return EventSpec("window_exit", lambda _l, y: gap(y), terminal=False, direction=-1.0)
 
 
@@ -321,9 +331,8 @@ def _initial_state(kind: str, fam: Family, init) -> np.ndarray:
     slice state (aw4), or as the four coefficients (t, s0, s1, s2)."""
     arr = np.asarray(init, dtype=float)
     if fam.coords is None:
-        dim = _SYSTEM_DIMS[kind]
-        if arr.shape != (dim,):
-            raise ValueError(f"{kind} initial state must have {dim} components, got {arr.shape}")
+        if arr.shape != (fam.dim,):
+            raise ValueError(f"{kind} initial state must have {fam.dim} components, got {arr.shape}")
         return arr
     first = [fam.coords.index(k) for k in range(fam.coords[-1] + 1)]
     if arr.shape == (4,):
@@ -333,22 +342,15 @@ def _initial_state(kind: str, fam: Family, init) -> np.ndarray:
         arr = arr[first]
     elif arr.shape != (len(first),):
         raise ValueError(f"{kind} initial state must have {len(first)} or 4 components, got {arr.shape}")
-    return arr[list(fam.coords)] if _SYSTEM_DIMS[kind] == 4 else arr
-
-
-def _classify(fam: Family, state, xi: float) -> cone.ConeVerdict:
-    classify = getattr(cone, fam.classifier)
-    if fam.takes_xi:
-        return classify(state, xi)
-    return classify(*state) if fam.unpack else classify(state)
+    return arr[list(fam.coords)] if fam.dim == len(fam.coords) else arr
 
 
 def cone_events(kind: str, xi: float = 1.0) -> list[EventSpec]:
     """The cone-boundary event of system `kind`, followed by the
     certified-window monitor where the family has one."""
     events = [boundary_event(kind, xi)]
-    if FAMILIES[kind].window:
-        events.append(window_event(_SYSTEM_DIMS[kind]))
+    if SYSTEMS[kind].window is not None:
+        events.append(window_event(kind))
     return events
 
 
@@ -367,7 +369,7 @@ def cone_exit(family: str, init, config: IntegratorConfig | None = None,
     kind, fam, xi = _resolve(family, xi)
     system = make_system(kind, xi)
     state = _initial_state(kind, fam, init)
-    verdict = _classify(fam, state, xi)
+    verdict = fam.classify(state, xi)
     if verdict.classification is not cone.ConeClass.POSITIVELY_CURVED:
         raise ValueError(f"initial metric is not positively curved ({verdict.classification.value})")
     if cfg.direction != "forward":
@@ -395,4 +397,4 @@ def post_exit_verdict(family: str, state, xi: float = 1.0,
     """
     kind, fam, xi = _resolve(family, xi)
     after = integrate(make_system(kind, xi), state, IntegratorConfig(max_time=dt)).final_state
-    return _classify(fam, after, xi)
+    return fam.classify(after, xi)

@@ -207,6 +207,25 @@ def test_unused_xi_is_config_error(tmp_path, capsys, argv):
     assert "xi = 1" in out["error"]
 
 
+@pytest.mark.parametrize("xi", ["0", "1.5"])
+@pytest.mark.parametrize("argv", [
+    ("flow", "--system", "aw4", "--init", "0.9,0.9,1,1"),
+    ("cone-exit", "--family", "aw3", "--init", "0.9,0.9,1"),
+])
+def test_xi_outside_unit_interval_is_config_error(tmp_path, capsys, argv, xi):
+    out_flag = ("--out", str(tmp_path)) if argv[0] == "flow" else ()
+    code, out = run_cli(capsys, *argv, "--xi", xi, *out_flag)
+    assert code == 2
+    assert "xi must lie in (0, 1]" in out["error"]
+
+
+@pytest.mark.parametrize("k", ["1", "1,2,3", "a,2", "2,1"])
+def test_malformed_k_is_config_error(capsys, k):
+    code, out = run_cli(capsys, "cone-exit", "--family", "aw3", "--init", "0.9,0.9,1", "--k", k)
+    assert code == 2
+    assert out["status"] == "error"
+
+
 class TestRootsCommand:
     def test_roots_and_sign_chart(self, capsys):
         code, out = run_cli(capsys, "roots")
@@ -237,6 +256,13 @@ class TestConeExitCommand:
         code, out = run_cli(capsys, "cone-exit", "--family", "berger", "--init", "1.99,1,3")
         assert code == 2
         assert "2 components" in out["error"]
+
+    def test_collapse_is_numerical_failure(self, capsys):
+        code, out = run_cli(capsys, "cone-exit", "--family", "aw3",
+                            "--init", "0.12,0.22,1", "--xi", "0.9")
+        assert code == 3
+        assert out["error"].startswith("NoExitWithinHorizon")
+        assert "(status: singular)" in out["error"]
 
     def test_no_exit_is_numerical_failure(self, capsys):
         code, out = run_cli(capsys, "cone-exit", "--family", "aw2",

@@ -1,6 +1,7 @@
 """Positivity cone: sigma, the A~ system, t_A paths, and the classifiers."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -23,11 +24,14 @@ from ricciflow import (
     t_a_closed,
     v_vector,
 )
+from ricciflow import cone
 from ricciflow.cone import in_d_sigma, in_omega_sigma
 
 triple = st.tuples(*[st.floats(min_value=0.3, max_value=2.0)] * 3)
 # D_sigma points where the terms of sigma cancel to about 1e-4 or closer
 NEAR_SIGMA_ZERO = [(1.0, 1.0, 3.99999), (1.0, 1.3, 4.579), (88.4, 1.03, 70.347)]
+# A D_sigma point where sigma itself overflows
+EXTREME = (1e160, 1.2e160, 1.2e160)
 
 
 def cofactor_inverse(m):
@@ -41,16 +45,23 @@ def cofactor_inverse(m):
     return cof.T / det
 
 
+def mp_a_tilde(s0, s1, s2, sig=None):
+    """A~(s) on mpf or float components, by the formula of the cone docstring
+    (test oracle); `sig` replaces the polynomial sigma(s) when given."""
+    if sig is None:
+        sig = 2 * s1 * s2 + 2 * s0 * s2 + 2 * s0 * s1 - s0 * s0 - s1 * s1 - s2 * s2
+    ss = (s0, s1, s2)
+    b = [-sig / (s0 * s1 * s2) + (ss[j - 1] - ss[j] + ss[(j + 1) % 3])
+         / (ss[j - 1] * ss[(j + 1) % 3]) for j in range(3)]
+    return [[4 / s0, b[2], b[1]], [b[2], 4 / s1, b[0]], [b[1], b[0], 4 / s2]]
+
+
 def mp_t_a(s, xi):
     """t_A = (2/9) <v, A~^-1 v>^-1 by a 50-digit LU solve (test oracle)."""
     with mpmath.workdps(50):
         s0, s1, s2 = (mpmath.mpf(c) for c in s)
         x = mpmath.mpf(xi)
-        sig = 2 * s1 * s2 + 2 * s0 * s2 + 2 * s0 * s1 - s0 * s0 - s1 * s1 - s2 * s2
-        ss = (s0, s1, s2)
-        b = [-sig / (s0 * s1 * s2) + (ss[j - 1] - ss[j] + ss[(j + 1) % 3])
-             / (ss[j - 1] * ss[(j + 1) % 3]) for j in range(3)]
-        a = mpmath.matrix([[4 / s0, b[2], b[1]], [b[2], 4 / s1, b[0]], [b[1], b[0], 4 / s2]])
+        a = mpmath.matrix(mp_a_tilde(s0, s1, s2))
         den = mpmath.sqrt(2 * (x * x + x + 1))
         v = mpmath.matrix([-(1 + x) / (s0 * den), x / (s1 * den), 1 / (s2 * den)])
         w = mpmath.lu_solve(a, v)
@@ -100,6 +111,15 @@ class TestSigma:
         with pytest.raises(ValueError):
             sigma((1.0, 0.0, 1.0))
 
+    def test_overflow_gives_inf(self):
+        # sigma is about 3.8e320 there: its value overflows, membership does not
+        assert sigma(EXTREME) == math.inf
+
+    @pytest.mark.parametrize("s", [EXTREME, (1e308, 1.2e308, 1.7e308), (1e-200, 1.2e-200, 1.2e-200)])
+    def test_membership_at_extreme_scales(self, s):
+        assert in_omega_sigma(s) and in_d_sigma(s)
+        assert not in_d_sigma((s[0], s[0], s[0]))
+
     @pytest.mark.parametrize("s", NEAR_SIGMA_ZERO)
     def test_correctly_rounded_near_zero(self, s):
         with mpmath.workdps(50):
@@ -128,11 +148,30 @@ class TestATilde:
         np.testing.assert_allclose(m, m.T, rtol=0, atol=0)
         np.testing.assert_allclose(a_tilde(2.0 * s), m / 2.0, rtol=1e-14)
 
+    def test_extreme_scale(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = a_tilde(EXTREME)
+        with mpmath.workdps(50):
+            exact = mp_a_tilde(*(mpmath.mpf(c) for c in EXTREME))
+            for i in range(3):
+                for j in range(3):
+                    assert abs(m[i, j] - exact[i][j]) <= 1e-13 * abs(exact[i][j]), (i, j)
+
     def test_warns_outside_d_sigma(self):
         with pytest.warns(RuntimeWarning):
             a_tilde((1.0, 1.0, 5.0))
         with pytest.warns(RuntimeWarning):
             a_tilde((1.0, 1.0, 1.0))
+
+
+def test_sigma_and_a_tilde_scaling_changes_no_bits():
+    # sigma and A~ are evaluated on s brought to a fixed binade; in the
+    # normal range that gives the bits of the same formulas on s itself
+    rng = np.random.default_rng(5)
+    for s in random_d_sigma(rng, 100.0, 300):
+        assert sigma(s) == cone._sigma(*s), s
+        assert np.array_equal(a_tilde(s), np.array(mp_a_tilde(*s, sig=cone._sigma(*s)))), s
 
 
 class TestVVector:

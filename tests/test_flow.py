@@ -1,5 +1,6 @@
 """Flow systems, integration, events, and cone-exit detection."""
 
+import collections
 import os
 import subprocess
 import sys
@@ -29,7 +30,8 @@ from ricciflow import (
     t_a,
     t_a_closed,
 )
-from ricciflow.flow import FAMILIES, FlowSystem, post_exit_verdict, window_event
+from ricciflow import cone, flow
+from ricciflow.flow import FAMILIES, FlowSystem, cone_events, post_exit_verdict, window_event
 
 TIGHT = IntegratorConfig(max_time=1.0)
 
@@ -139,7 +141,7 @@ class TestIntegrate:
     def test_step_size_underflow_keeps_the_partial_trajectory(self):
         # y' = y^2 from y(0) = 1 blows up at l = 1
         calls = []
-        blowup = FlowSystem("blowup", 1, None, lambda y: calls.append(1) or y * y)
+        blowup = FlowSystem("blowup", 1, lambda y: calls.append(1) or y * y)
         with pytest.raises(StepSizeUnderflow,
                            match="^Required step size is less than spacing between numbers.$") as info:
             integrate(blowup, [1.0], IntegratorConfig(max_time=2.0))
@@ -157,7 +159,7 @@ class TestIntegrate:
     def test_stats_count_the_work(self, kind, init, max_time):
         system = make_system(kind, 0.7 if kind == "aw4" else None)
         calls = []
-        counted = FlowSystem(kind, system.dim, system.xi, lambda y: calls.append(1) or system.rhs(y))
+        counted = FlowSystem(kind, system.dim, lambda y: calls.append(1) or system.rhs(y))
         traj = integrate(counted, init, IntegratorConfig(max_time=max_time))
         assert traj.status == "horizon"
         assert traj.stats["nfev"] == len(calls)
@@ -241,7 +243,7 @@ class TestEvents:
     def test_aw3_cone_event(self):
         init = (t_a_closed(0.9, 1.0) - 1e-4, 0.9, 1.0)
         traj = integrate(make_system("aw3"), init, TIGHT,
-                         [boundary_event("aw3"), window_event(3)])
+                         [boundary_event("aw3"), window_event("aw3")])
         hit = traj.first_event("cone_exit")
         assert hit is not None and hit.time > 0.0
         verdict = post_exit_verdict("aw3", hit.state)
@@ -319,6 +321,12 @@ class TestConeExit:
             return
         assert exit_time > 0.0
 
+    def test_collapse_before_the_boundary_is_no_exit(self):
+        # the aw4 boundary event meets a step end with a negative coefficient
+        # before the collapse floor's root cuts the step
+        with pytest.raises(NoExitWithinHorizon, match=r"\(status: singular\)"):
+            cone_exit("aw3", (0.12, 0.22, 1.0), xi=0.9)
+
     def test_window_exit_reported_first(self):
         # from (0.2, 0.99, 1) the ratio x/s crosses 1 before the boundary
         with pytest.raises(NoExitWithinHorizon, match="certified window"):
@@ -342,6 +350,40 @@ def test_every_family_exits_into_nonpositive_planes(kind):
     assert cone_exit(kind, init, TIGHT, xi=xi)[0] == exit_time
     verdict = post_exit_verdict(family, state, xi)
     assert verdict.classification is ConeClass.HAS_NONPOSITIVE_PLANE
+
+
+def test_aw4_cone_events_survive_collapsing_runs():
+    # a collapsing run meets the aw4 boundary event at a step end with a
+    # coefficient below zero; it must end "singular", not raise
+    rng = np.random.default_rng(20240611)
+    statuses = []
+    for _ in range(40):
+        y0, xi = np.exp(rng.uniform(-2.0, 1.0, 4)), rng.uniform(0.3, 1.0)
+        traj = integrate(make_system("aw4", xi), y0, IntegratorConfig(max_time=2.0),
+                         cone_events("aw4", xi))
+        statuses.append(traj.status)
+    assert "singular" in statuses and "event" in statuses
+
+
+@pytest.mark.parametrize("xi, rhs, classifier", [(1.0, "aw3_rhs", "classify_3param"),
+                                                 (0.9, "aw_rhs", "classify_aw_slice")])
+def test_cone_exit_calls_rebound_functions(monkeypatch, xi, rhs, classifier):
+    # The benchmark's tracer wraps functions by rebinding module attributes;
+    # cone_exit must reach each rebinding, not a reference taken at import.
+    calls = collections.Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, **k: calls.update([name]) or original(*a, **k))
+
+    names = [(flow, rhs), (flow, "boundary_event"), (flow, "window_event"), (cone, classifier)]
+    if xi != 1.0:
+        names.append((cone, "t_a"))
+    for module, name in names:
+        count(module, name)
+    cone_exit("aw3", (t_a((0.9, 1.0, 1.0), xi) - 1e-3, 0.9, 1.0), TIGHT, xi=xi)
+    assert set(calls) == {name for _, name in names}
 
 
 class TestBackwardPersistence:

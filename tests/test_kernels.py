@@ -35,8 +35,8 @@ EVENTS = {
     "berger": (lambda: flow.boundary_event("berger"), lambda y: 2.0 * y[1] - y[0], 2),
     "aw4": (lambda: flow.boundary_event("aw4", 0.7),
             lambda y: cone.t_a(y[1:], 0.7) - y[0], 4),
-    "window3": (lambda: flow.window_event(3), lambda y: y[2] - y[1], 3),
-    "window4": (lambda: flow.window_event(4), lambda y: 0.5 * (y[2] + y[3]) - y[1], 4),
+    "window3": (lambda: flow.window_event("aw3"), lambda y: y[2] - y[1], 3),
+    "window4": (lambda: flow.window_event("aw4"), lambda y: 0.5 * (y[2] + y[3]) - y[1], 4),
 }
 
 # States where float `**` overflows or `/` divides by zero, per system.
