@@ -56,14 +56,12 @@ from .flow import (
     normalized_rhs,
 )
 from .spaces import (
-    AWMetric,
-    BergerMetric,
-    RicciEigenvalues,
-    XiParam,
+    aw_eigenvalue_tuple,
+    berger_eigenvalue_tuple,
     bracket_constants,
-    ricci_eigenvalues_aw,
-    ricci_eigenvalues_berger,
     ricci_from_structure,
+    xi_from_integers,
+    xi_value,
 )
 
 __version__ = "0.1.0"

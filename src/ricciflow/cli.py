@@ -22,14 +22,12 @@ import numpy as np
 
 from . import cone, derivatives, flow, serialize, verify
 from .errors import RicciFlowError
-from .spaces import XiParam
+from .spaces import xi_from_integers
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
-
-_DEFAULT_SEEDS = (((10.0 / 11.0) ** (4.0 / 3.0), 1.1), (0.87, 1.1))
 
 
 class ConfigError(ValueError):
@@ -56,7 +54,7 @@ def _resolve_xi(args) -> float:
             k1, k2 = (int(part) for part in args.k.split(","))
         except ValueError as exc:  # also a count other than two
             raise ConfigError(f"--k: expected two integers k1,k2, got {args.k!r}") from exc
-        return XiParam.from_integers(k1, k2).xi
+        return xi_from_integers(k1, k2)
     return 1.0 if args.xi is None else args.xi
 
 
@@ -64,7 +62,7 @@ def _config_from(args) -> flow.IntegratorConfig:
     return flow.IntegratorConfig(
         rel_tol=args.rel_tol,
         abs_tol=args.abs_tol,
-        max_step=args.max_step if args.max_step else float("inf"),
+        max_step=args.max_step,
         max_time=args.horizon,
         direction=getattr(args, "direction", "forward"),
     )
@@ -122,7 +120,7 @@ def _parse_grid(text: str):
 
 def _load_seeds(path: str | None):
     if path is None:
-        return [np.array(seed) for seed in _DEFAULT_SEEDS]
+        return [np.array(seed) for seed in derivatives.REFERENCE_SEEDS]
     seeds = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
@@ -229,7 +227,7 @@ def _add_tolerance_flags(parser, horizon_default):
                         help="integration horizon (flow time)")
     parser.add_argument("--rel-tol", type=float, default=1e-10, dest="rel_tol")
     parser.add_argument("--abs-tol", type=float, default=1e-12, dest="abs_tol")
-    parser.add_argument("--max-step", type=float, default=None, dest="max_step")
+    parser.add_argument("--max-step", type=float, default=math.inf, dest="max_step")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,7 +41,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .spaces import BergerMetric, xi_value
+from .spaces import xi_value
 
 __all__ = [
     "ConeClass",
@@ -80,20 +81,34 @@ def _s_floats(s) -> list[float]:
 def _scaled(s) -> tuple[float, float, float, float]:
     """s divided by the power of two `scale` that brings max(s) into [1, 2),
     and `scale`.  A kernel of degree d on the scaled s, times scale**d, has no
-    intermediate over- or underflow and the bits of the kernel on s itself
-    while max(s)/min(s) < 2^1022."""
+    intermediate over- or underflow and the bits of the kernel on s itself.
+    Where a scaled component would be subnormal and lose digits
+    (max(s)/min(s) >= 2^1022), s itself comes back as exact Fractions with
+    scale 1: the kernels compute in the number type of s, so they are exact
+    there, and `_rounded` rounds their result once."""
     s0, s1, s2 = _s_floats(s)
     scale = 2.0 ** (math.frexp(max(s0, s1, s2))[1] - 1)
+    if min(s0, s1, s2) < scale * sys.float_info.min:
+        return Fraction(s0), Fraction(s1), Fraction(s2), 1
     return s0 / scale, s1 / scale, s2 / scale, scale
+
+
+def _rounded(value) -> float:
+    """A kernel's float or exact Fraction value as a float: +-inf where it overflows."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _sigma(s0: float, s1: float, s2: float) -> float:
     value = 2 * s1 * s2 + 2 * s0 * s2 + 2 * s0 * s1 - s0 * s0 - s1 * s1 - s2 * s2
     # The terms' magnitudes sum to (s0 + s1 + s2)^2; near sigma = 0 they
-    # cancel, so there the value is computed exactly and rounded once.
-    if 16.0 * value < (s0 + s1 + s2) ** 2:
+    # cancel, so there the value is computed exactly and rounded once to
+    # the type of s.
+    if 16 * value < (s0 + s1 + s2) ** 2:
         f0, f1, f2 = Fraction(s0), Fraction(s1), Fraction(s2)
-        value = float(2 * f1 * f2 + 2 * f0 * f2 + 2 * f0 * f1 - f0 * f0 - f1 * f1 - f2 * f2)
+        value = type(s0)(2 * f1 * f2 + 2 * f0 * f2 + 2 * f0 * f1 - f0 * f0 - f1 * f1 - f2 * f2)
     return value
 
 
@@ -101,11 +116,11 @@ def sigma(s) -> float:
     """Quadratic sigma(s) = 2s1s2 + 2s0s2 + 2s0s1 - s0^2 - s1^2 - s2^2,
     correctly rounded where its terms nearly cancel; inf where it overflows."""
     s0, s1, s2, scale = _scaled(s)
-    return _sigma(s0, s1, s2) * scale * scale
+    return _rounded(_sigma(s0, s1, s2) * scale * scale)
 
 
 def _is_round(s0: float, s1: float, s2: float) -> bool:
-    mean = (s0 + s1 + s2) / 3.0
+    mean = (s0 + s1 + s2) / 3
     return max(abs(s0 - mean), abs(s1 - mean), abs(s2 - mean)) <= ROUND_DIAGONAL_RTOL * mean
 
 
@@ -132,11 +147,8 @@ def a_tilde(s) -> np.ndarray:
     arr, prod = (s0, s1, s2), s0 * s1 * s2
     b = [-sig / prod + (arr[j - 1] - arr[j] + arr[(j + 1) % 3]) / (arr[j - 1] * arr[(j + 1) % 3])
          for j in range(3)]
-    return np.array([
-        [4 / s0, b[2], b[1]],
-        [b[2], 4 / s1, b[0]],
-        [b[1], b[0], 4 / s2],
-    ]) / scale
+    rows = [[4 / s0, b[2], b[1]], [b[2], 4 / s1, b[0]], [b[1], b[0], 4 / s2]]
+    return np.array([[_rounded(a / scale) for a in row] for row in rows])
 
 
 def v_vector(s, xi) -> np.ndarray:
@@ -160,18 +172,18 @@ def t_a(s, xi) -> float:
     evaluated on s scaled as in `_scaled`.
     """
     s0, s1, s2, scale = _scaled(s)
-    x = xi_value(xi)
+    x = type(s0)(xi_value(xi))
     if _is_round(s0, s1, s2):
         return 0.0
     d01, d02, d12 = s1 - s0, s2 - s0, s2 - s1
     e01, e02, e12 = d01 * d01 / s2, d02 * d02 / s1, d12 * d12 / s0  # E_jk
-    mu = 2.0 * (e01 + e02 + e12)
-    p0, p1, p2 = x - 1.0, x + 2.0, -(2.0 * x + 1.0)
-    pm1 = (3.0 * (p1 * d01 + p2 * d02)  # p^T M 1
+    mu = 2 * (e01 + e02 + e12)
+    p0, p1, p2 = x - 1, x + 2, -(2 * x + 1)
+    pm1 = (3 * (p1 * d01 + p2 * d02)  # p^T M 1
            + p0 * (e01 + e02) + p1 * (e01 + e12) + p2 * (e02 + e12))
-    pmp = (6.0 * (p0 * p0 * s0 + p1 * p1 * s1 + p2 * p2 * s2)  # p^T M p
-           + 2.0 * (p0 * p1 * e01 + p0 * p2 * e02 + p1 * p2 * e12))
-    return 12.0 * (x * x + x + 1.0) * _sigma(s0, s1, s2) / (pmp - pm1 * pm1 / mu) * scale
+    pmp = (6 * (p0 * p0 * s0 + p1 * p1 * s1 + p2 * p2 * s2)  # p^T M p
+           + 2 * (p0 * p1 * e01 + p0 * p2 * e02 + p1 * p2 * e12))
+    return _rounded(12 * (x * x + x + 1) * _sigma(s0, s1, s2) / (pmp - pm1 * pm1 / mu) * scale)
 
 
 def t_a_closed(x: float, s: float) -> float:
@@ -254,9 +266,8 @@ def classify_3param(t: float, x: float, s: float) -> ConeVerdict:
     return _verdict_from_margin(t_a_closed(x_hat, 1.0) - t_hat)
 
 
-def classify_berger(m) -> ConeVerdict:
-    """Berger metrics: positively curved iff x1 < 2 x2."""
-    x1, x2 = (m.x1, m.x2) if isinstance(m, BergerMetric) else m
+def classify_berger(x1: float, x2: float) -> ConeVerdict:
+    """Berger metrics (x1, x2): positively curved iff x1 < 2 x2."""
     if not (x1 > 0.0 and x2 > 0.0):
         raise ValueError(f"need x1, x2 > 0, got ({x1}, {x2})")
     return _verdict_from_margin(2.0 * x2 - x1)

@@ -36,6 +36,7 @@ __all__ = [
     "two_param_ratio_derivative",
     "berger_ratio_derivative",
     "einstein_points",
+    "REFERENCE_SEEDS",
 ]
 
 
@@ -187,6 +188,11 @@ def berger_ratio_derivative(x1, x2):
     """d/dl of x1/(2 x2) along the Berger flow:
     (-9 x1^2 - 32 x2^2 + 40 x1 x2) / (4 x2^3); equals 3 at (2, 1)."""
     return (-9 * x1 * x1 - 32 * x2 * x2 + 40 * x1 * x2) / (4 * x2**3)
+
+
+# The two reference seeds (x, s) of the normalized planar flow: p1 lies on
+# the unit-volume curve x^3 s^4 = 1 and flows to E-, p2 enters region P.
+REFERENCE_SEEDS = (((10.0 / 11.0) ** (4.0 / 3.0), 1.1), (0.87, 1.1))
 
 
 def einstein_points() -> tuple[np.ndarray, np.ndarray]:

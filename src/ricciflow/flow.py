@@ -157,7 +157,7 @@ SYSTEMS = {
                   lambda y, xi: cone.classify_aw_slice(y, xi)),
     "berger": Family(2, "berger_rhs", False, None,
                      _on_floats(lambda x1, x2, _xi: 2.0 * x2 - x1), None,
-                     lambda y, _xi: cone.classify_berger(y)),
+                     lambda y, _xi: cone.classify_berger(*y)),
     "normalized": Family(2, "normalized_rhs", False),
 }
 SYSTEM_KINDS = tuple(SYSTEMS)
@@ -201,8 +201,8 @@ class IntegratorConfig:
             raise ValueError("tolerances must be positive")
         if not self.max_step > 0.0:
             raise ValueError("max_step must be positive")
-        if not self.max_time > 0.0:
-            raise ValueError("max_time must be positive")
+        if not 0.0 < self.max_time < math.inf:
+            raise ValueError("max_time must be positive and finite")
         if self.direction not in ("forward", "backward"):
             raise ValueError(f"direction must be 'forward' or 'backward', got {self.direction!r}")
 

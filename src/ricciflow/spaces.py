@@ -20,114 +20,40 @@ cross-check of the closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import permutations
 from math import gcd
 
 import numpy as np
 
 __all__ = [
-    "XiParam",
-    "AWMetric",
-    "BergerMetric",
-    "RicciEigenvalues",
-    "ricci_eigenvalues_aw",
-    "ricci_eigenvalues_berger",
+    "xi_value",
+    "xi_from_integers",
+    "aw_eigenvalue_tuple",
+    "berger_eigenvalue_tuple",
     "bracket_constants",
     "ricci_from_structure",
 ]
 
 
-@dataclass(frozen=True)
-class XiParam:
-    """Continuous Aloff-Wallach parameter xi = k1/k2 in (0, 1].
-
-    `gamma` is the combination xi^2 + xi + 1 that replaces Gamma/k2^2 in the
-    eigenvalue formulas.
-    """
-
-    xi: float
-
-    def __post_init__(self):
-        if not (0.0 < self.xi <= 1.0):
-            raise ValueError(f"xi must lie in (0, 1], got {self.xi}")
-
-    @classmethod
-    def from_integers(cls, k1: int, k2: int) -> "XiParam":
-        if not (0 < k1 <= k2):
-            raise ValueError(f"need 0 < k1 <= k2, got ({k1}, {k2})")
-        if gcd(k1, k2) != 1:
-            raise ValueError(f"(k1, k2) must be coprime, got ({k1}, {k2})")
-        return cls(k1 / k2)
-
-    @property
-    def gamma(self) -> float:
-        return self.xi * self.xi + self.xi + 1.0
-
-
-def _require_positive(**fields):
-    for name, value in fields.items():
-        if not value > 0.0:
-            raise ValueError(f"{name} must be strictly positive, got {value}")
-
-
-@dataclass(frozen=True)
-class AWMetric:
-    """Diagonal invariant metric (t, s0, s1, s2) on an Aloff-Wallach space."""
-
-    t: float
-    s0: float
-    s1: float
-    s2: float
-
-    def __post_init__(self):
-        _require_positive(t=self.t, s0=self.s0, s1=self.s1, s2=self.s2)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.t, self.s0, self.s1, self.s2])
-
-    def scaled(self, lam: float) -> "AWMetric":
-        return AWMetric(lam * self.t, lam * self.s0, lam * self.s1, lam * self.s2)
-
-
-@dataclass(frozen=True)
-class BergerMetric:
-    """Diagonal invariant metric (x1, x2) on the Berger space B^13."""
-
-    x1: float
-    x2: float
-
-    def __post_init__(self):
-        _require_positive(x1=self.x1, x2=self.x2)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.x2])
-
-    def scaled(self, lam: float) -> "BergerMetric":
-        return BergerMetric(lam * self.x1, lam * self.x2)
-
-
-@dataclass(frozen=True)
-class RicciEigenvalues:
-    """Diagonal Ricci eigenvalues; the Berger family only has r1 and r2."""
-
-    r0: float | None
-    r1: float
-    r2: float
-    r3: float | None
-
-    def as_tuple(self) -> tuple:
-        if self.r0 is None:
-            return (self.r1, self.r2)
-        return (self.r0, self.r1, self.r2, self.r3)
-
-
-def xi_value(xi) -> float:
-    """Accept a XiParam or a bare float in (0, 1]."""
-    x = xi.xi if isinstance(xi, XiParam) else float(xi)
+def xi_value(xi: float) -> float:
+    """xi as a float, which must lie in (0, 1]."""
+    x = float(xi)
     if not (0.0 < x <= 1.0):
         raise ValueError(f"xi must lie in (0, 1], got {x}")
     return x
+
+
+def _check_pair(k1: int, k2: int) -> None:
+    if not (0 < k1 <= k2):
+        raise ValueError(f"need 0 < k1 <= k2, got ({k1}, {k2})")
+    if gcd(k1, k2) != 1:
+        raise ValueError(f"(k1, k2) must be coprime, got ({k1}, {k2})")
+
+
+def xi_from_integers(k1: int, k2: int) -> float:
+    """xi = k1/k2 of W^7_{k1,k2}, for coprime integers 0 < k1 <= k2."""
+    _check_pair(k1, k2)
+    return k1 / k2
 
 
 def aw_eigenvalue_tuple(t, s0, s1, s2, xi):
@@ -147,12 +73,6 @@ def aw_eigenvalue_tuple(t, s0, s1, s2, xi):
     return r0, r1, r2, r3
 
 
-def ricci_eigenvalues_aw(m: AWMetric, xi) -> RicciEigenvalues:
-    """Closed-form Ricci eigenvalues of (t, s0, s1, s2) at parameter xi."""
-    r0, r1, r2, r3 = aw_eigenvalue_tuple(m.t, m.s0, m.s1, m.s2, xi_value(xi))
-    return RicciEigenvalues(r0, r1, r2, r3)
-
-
 def berger_eigenvalue_tuple(x1, x2):
     """Raw (r1, r2) for the Berger metric (x1, x2).
 
@@ -162,11 +82,6 @@ def berger_eigenvalue_tuple(x1, x2):
     r1 = (8.0 * x2 * x2 + x1 * x1) / (x1 * x2 * x2)
     r2 = 5.0 * (8.0 * x2 - x1) / (4.0 * x2 * x2)
     return r1, r2
-
-
-def ricci_eigenvalues_berger(m: BergerMetric) -> RicciEigenvalues:
-    r1, r2 = berger_eigenvalue_tuple(m.x1, m.x2)
-    return RicciEigenvalues(None, r1, r2, None)
 
 
 def bracket_constants(k1: int, k2: int) -> np.ndarray:
@@ -181,10 +96,7 @@ def bracket_constants(k1: int, k2: int) -> np.ndarray:
 
     together with all permutations; every other entry vanishes.
     """
-    if not (0 < k1 <= k2):
-        raise ValueError(f"need 0 < k1 <= k2, got ({k1}, {k2})")
-    if gcd(k1, k2) != 1:
-        raise ValueError(f"(k1, k2) must be coprime, got ({k1}, {k2})")
+    _check_pair(k1, k2)
     gamma = k1 * k1 + k2 * k2 + k1 * k2
     table = np.zeros((4, 4, 4))
     families = {
@@ -205,18 +117,22 @@ _B_COEFF = 12.0
 _MODULE_DIMS = (1.0, 2.0, 2.0, 2.0)
 
 
-def ricci_from_structure(k1: int, k2: int, m: AWMetric) -> RicciEigenvalues:
-    """Eigenvalues from the general structure-constant formula.
+def ricci_from_structure(k1: int, k2: int, coeffs) -> tuple[float, float, float, float]:
+    """Eigenvalues (r0, r1, r2, r3) of the metric `coeffs` = (t, s0, s1, s2)
+    from the general structure-constant formula.
 
         r_i = b_i/(2 x_i) - (1/2d_i) sum [ijk] x_j/(x_i x_k)
                           + (1/4d_i) sum [ijk] x_i/(x_j x_k)
 
     with b_i = 12, d = (1, 2, 2, 2) and x = (t, s0, s1, s2).  Independent of
-    the closed forms in `ricci_eigenvalues_aw`; sums are compensated so the
-    two paths agree to ~1e-13 relative.
+    the closed forms in `aw_eigenvalue_tuple`; sums are compensated so the
+    two paths agree to ~1e-13 relative.  The four coefficients must be
+    positive and finite.
     """
     table = bracket_constants(k1, k2)
-    x = m.as_array()
+    x = [float(c) for c in coeffs]
+    if len(x) != 4 or not all(0.0 < c < math.inf for c in x):  # NaN too
+        raise ValueError(f"need four positive finite coefficients (t, s0, s1, s2), got {coeffs}")
     r = []
     for i in range(4):
         first = []
@@ -231,4 +147,4 @@ def ricci_from_structure(k1: int, k2: int, m: AWMetric) -> RicciEigenvalues:
         r.append(math.fsum([_B_COEFF / (2.0 * x[i]),
                             -math.fsum(first) / (2.0 * d),
                             math.fsum(second) / (4.0 * d)]))
-    return RicciEigenvalues(*r)
+    return tuple(r)

@@ -5,10 +5,17 @@ are expected to be red: the packaged two-digit brackets for the outer
 irrational roots of the derivative quintic do not contain the true roots
 -7.489652155... and 2.697788435... (the root values themselves are verified
 by the exact-pair and residual checks); see the verification report notes.
+The module also checks that each package module's `__all__` matches what
+the module defines.
 """
+
+import importlib
+import inspect
+import pkgutil
 
 import pytest
 
+import ricciflow
 from ricciflow import NoExitWithinHorizon, flow, verify
 
 
@@ -20,6 +27,24 @@ def results():
 def test_registry_complete():
     names = [result.name for result in verify.run_all()]
     assert len(set(names)) == len(names) == 30
+
+
+_MODULES = [importlib.import_module(f"ricciflow.{info.name}")
+            for info in pkgutil.iter_modules(ricciflow.__path__)]
+
+
+@pytest.mark.parametrize("mod", [m for m in _MODULES if hasattr(m, "__all__")],
+                         ids=lambda m: m.__name__)
+def test_all_lists_the_public_definitions(mod):
+    # __all__ names exactly the public functions and classes the module
+    # itself defines, plus any data it exports
+    defined = {name for name, value in vars(mod).items()
+               if not name.startswith("_") and (inspect.isfunction(value) or inspect.isclass(value))
+               and value.__module__ == mod.__name__}
+    listed = {name for name in mod.__all__
+              if inspect.isfunction(getattr(mod, name)) or inspect.isclass(getattr(mod, name))}
+    assert listed == defined
+    assert len(set(mod.__all__)) == len(mod.__all__)
 
 
 @pytest.mark.parametrize("name", [result.name for result in verify.run_all()])

@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 
+from ricciflow import flow
 from ricciflow.cli import main
 from ricciflow.cone import normalized_region
 
@@ -222,6 +223,21 @@ def test_xi_outside_unit_interval_is_config_error(tmp_path, capsys, argv, xi):
 @pytest.mark.parametrize("k", ["1", "1,2,3", "a,2", "2,1"])
 def test_malformed_k_is_config_error(capsys, k):
     code, out = run_cli(capsys, "cone-exit", "--family", "aw3", "--init", "0.9,0.9,1", "--k", k)
+    assert code == 2
+    assert out["status"] == "error"
+
+
+@pytest.mark.parametrize("argv", [
+    ("flow", "--system", "normalized", "--init", "1,1", "--horizon", "inf"),
+    ("portrait", "--horizon", "inf"),
+    ("flow", "--system", "normalized", "--init", "1,1", "--max-step", "0"),
+])
+def test_unbounded_horizon_or_zero_step_is_config_error(tmp_path, capsys, monkeypatch, argv):
+    def never(*_args, **_kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(flow, "integrate", never)  # a run to an infinite horizon never ends
+    code, out = run_cli(capsys, *argv, "--out", str(tmp_path))
     assert code == 2
     assert out["status"] == "error"
 

@@ -32,6 +32,14 @@ triple = st.tuples(*[st.floats(min_value=0.3, max_value=2.0)] * 3)
 NEAR_SIGMA_ZERO = [(1.0, 1.0, 3.99999), (1.0, 1.3, 4.579), (88.4, 1.03, 70.347)]
 # A D_sigma point where sigma itself overflows
 EXTREME = (1e160, 1.2e160, 1.2e160)
+# Spreads max(s)/min(s) >= 2^1022, where s scaled into [1, 2) has a
+# subnormal or zero component; the last one is outside Omega_sigma
+SPREAD = [(1e-160, 1e160, 1e160), (1e-300, 1e300, 1e300), (1e-300, 1e300, 1.1e300)]
+
+
+def spread_digits(s):
+    """Decimal digits that the terms of sigma(s) span beyond one another."""
+    return 2 * math.ceil(math.log10(max(s)) - math.log10(min(s)))
 
 
 def cofactor_inverse(m):
@@ -57,8 +65,9 @@ def mp_a_tilde(s0, s1, s2, sig=None):
 
 
 def mp_t_a(s, xi):
-    """t_A = (2/9) <v, A~^-1 v>^-1 by a 50-digit LU solve (test oracle)."""
-    with mpmath.workdps(50):
+    """t_A = (2/9) <v, A~^-1 v>^-1 by an LU solve with 50 digits beyond
+    `spread_digits(s)` (test oracle)."""
+    with mpmath.workdps(50 + spread_digits(s)):
         s0, s1, s2 = (mpmath.mpf(c) for c in s)
         x = mpmath.mpf(xi)
         a = mpmath.matrix(mp_a_tilde(s0, s1, s2))
@@ -115,9 +124,14 @@ class TestSigma:
         # sigma is about 3.8e320 there: its value overflows, membership does not
         assert sigma(EXTREME) == math.inf
 
-    @pytest.mark.parametrize("s", [EXTREME, (1e308, 1.2e308, 1.7e308), (1e-200, 1.2e-200, 1.2e-200)])
+    @pytest.mark.parametrize("s", [EXTREME, (1e308, 1.2e308, 1.7e308), (1e-200, 1.2e-200, 1.2e-200),
+                                   *SPREAD])
     def test_membership_at_extreme_scales(self, s):
-        assert in_omega_sigma(s) and in_d_sigma(s)
+        with mpmath.workdps(50 + spread_digits(s)):
+            s0, s1, s2 = (mpmath.mpf(c) for c in s)
+            exact = 2 * s1 * s2 + 2 * s0 * s2 + 2 * s0 * s1 - s0 * s0 - s1 * s1 - s2 * s2
+        assert in_omega_sigma(s) == in_d_sigma(s) == (exact > 0)
+        assert sigma(s) == float(exact)  # +-inf where it overflows
         assert not in_d_sigma((s[0], s[0], s[0]))
 
     @pytest.mark.parametrize("s", NEAR_SIGMA_ZERO)
@@ -253,7 +267,7 @@ class TestTA:
 
     @pytest.mark.parametrize("s", [
         (1e160, 1.2e160, 1.2e160), (1e-200, 1.0000001e-200, 1e-200),
-        (1e308, 1.7e308, 1.2e308), (3e-310, 4e-310, 5e-310)])
+        (1e308, 1.7e308, 1.2e308), (3e-310, 4e-310, 5e-310), *SPREAD])
     def test_extreme_scales(self, s):
         for xi in (1.0, 0.5, 0.1):
             assert oracle_error(s, xi) <= 1e-13, (s, xi)
@@ -359,11 +373,11 @@ class TestClassifiers:
         assert classify_3param(t, t, s).classification is ConeClass.POSITIVELY_CURVED
 
     def test_berger(self):
-        assert classify_berger((1.9, 1.0)).classification is ConeClass.POSITIVELY_CURVED
-        boundary = classify_berger((2.0, 1.0))
+        assert classify_berger(1.9, 1.0).classification is ConeClass.POSITIVELY_CURVED
+        boundary = classify_berger(2.0, 1.0)
         assert boundary.classification is ConeClass.HAS_NONPOSITIVE_PLANE
         assert boundary.margin == 0.0
-        assert classify_berger((4.0, 1.0)).classification is ConeClass.HAS_NONPOSITIVE_PLANE
+        assert classify_berger(4.0, 1.0).classification is ConeClass.HAS_NONPOSITIVE_PLANE
 
     def test_verdict_invariants(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Flow systems, integration, events, and cone-exit detection."""
 
 import collections
+import math
 import os
 import subprocess
 import sys
@@ -164,6 +165,13 @@ class TestIntegrate:
         assert traj.status == "horizon"
         assert traj.stats["nfev"] == len(calls)
         assert traj.stats["n_steps"] == len(traj.times) - 1
+
+    @pytest.mark.parametrize("field,value", [
+        ("max_time", math.inf), ("max_time", 0.0), ("max_time", math.nan), ("max_step", 0.0)])
+    def test_config_rejects(self, field, value):
+        # an infinite horizon is never reached by the stepper
+        with pytest.raises(ValueError):
+            IntegratorConfig(**{field: value})
 
     def test_rejects_bad_init(self):
         with pytest.raises(NonPositiveState):

@@ -1,19 +1,19 @@
-"""Metric types, Ricci eigenvalue closed forms, and the structure-constant oracle."""
+"""xi, Ricci eigenvalue closed forms on coefficient tuples, and the
+structure-constant oracle."""
 
-from fractions import Fraction
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from ricciflow import (
-    AWMetric,
-    BergerMetric,
-    XiParam,
+    aw_eigenvalue_tuple,
+    berger_eigenvalue_tuple,
     bracket_constants,
-    ricci_eigenvalues_aw,
-    ricci_eigenvalues_berger,
     ricci_from_structure,
+    xi_from_integers,
+    xi_value,
 )
 
 positive = st.floats(min_value=0.1, max_value=5.0, allow_nan=False)
@@ -34,66 +34,58 @@ def aw_term_magnitudes(t, s0, s1, s2, xi):
 
 
 class TestXiParam:
+    """The Aloff-Wallach parameter xi = k1/k2 is a float in (0, 1]."""
+
     def test_valid_range(self):
-        assert XiParam(0.5).xi == 0.5
-        assert XiParam(1.0).gamma == 3.0
+        assert xi_value(0.5) == 0.5
+        assert xi_value(1) == 1.0
 
     @pytest.mark.parametrize("bad", [0.0, -0.2, 1.5])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
-            XiParam(bad)
+            xi_value(bad)
 
     def test_from_integers(self):
-        p = XiParam.from_integers(1, 2)
-        assert p.xi == 0.5
+        assert xi_from_integers(1, 2) == 0.5
 
     @pytest.mark.parametrize("k1,k2", [(2, 4), (3, 2), (0, 1)])
     def test_from_integers_rejects(self, k1, k2):
         with pytest.raises(ValueError):
-            XiParam.from_integers(k1, k2)
+            xi_from_integers(k1, k2)
 
 
 class TestMetricTypes:
-    def test_positive_required(self):
-        with pytest.raises(ValueError):
-            AWMetric(1.0, -1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            BergerMetric(0.0, 1.0)
+    """Metrics are coefficient tuples, checked where they are used."""
 
-    def test_scaled(self):
-        m = AWMetric(1.0, 2.0, 3.0, 4.0).scaled(2.0)
-        assert m == AWMetric(2.0, 4.0, 6.0, 8.0)
+    def test_positive_required(self):
+        for bad in (-1.0, 0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                ricci_from_structure(1, 1, (1.0, bad, 1.0, 1.0))
+
+    def test_four_coefficients_required(self):
+        with pytest.raises(ValueError):
+            ricci_from_structure(1, 1, (1.0, 1.0, 1.0))
 
 
 class TestAWEigenvalues:
     def test_round_metric(self):
-        r = ricci_eigenvalues_aw(AWMetric(1, 1, 1, 1), 1.0)
-        assert r.as_tuple() == (3.0, 3.0, 4.5, 4.5)
+        assert aw_eigenvalue_tuple(1, 1, 1, 1, 1.0) == (3.0, 3.0, 4.5, 4.5)
 
     def test_round_metric_scaled(self):
-        r = ricci_eigenvalues_aw(AWMetric(2, 2, 2, 2), 1.0)
-        assert r.as_tuple() == (1.5, 1.5, 2.25, 2.25)
+        assert aw_eigenvalue_tuple(2, 2, 2, 2, 1.0) == (1.5, 1.5, 2.25, 2.25)
 
     def test_xi_one_half(self):
         # frozen from the (k1, k2) = (1, 2) structure-constant evaluation:
         # Gamma = 7/4 in xi form gives (3, 43/14, 67/14, 29/7)
-        r = ricci_eigenvalues_aw(AWMetric(1, 1, 1, 1), 0.5)
         expected = (3.0, 43.0 / 14.0, 67.0 / 14.0, 29.0 / 7.0)
-        np.testing.assert_allclose(r.as_tuple(), expected, rtol=1e-14)
-
-    def test_accepts_xi_param_object(self):
-        m = AWMetric(0.8, 0.9, 1.1, 1.2)
-        via_object = ricci_eigenvalues_aw(m, XiParam.from_integers(1, 2))
-        via_float = ricci_eigenvalues_aw(m, 0.5)
-        assert via_object == via_float
+        np.testing.assert_allclose(aw_eigenvalue_tuple(1, 1, 1, 1, 0.5), expected, rtol=1e-14)
 
     @given(t=positive, s0=positive, s1=positive, s2=positive,
            xi=st.floats(min_value=0.05, max_value=1.0), lam=power_of_two)
     def test_degree_minus_one_homogeneity(self, t, s0, s1, s2, xi, lam):
         # scaling by a power of two commutes with every rounding: bit-exact
-        base = np.array(ricci_eigenvalues_aw(AWMetric(t, s0, s1, s2), xi).as_tuple())
-        scaled = np.array(ricci_eigenvalues_aw(
-            AWMetric(lam * t, lam * s0, lam * s1, lam * s2), xi).as_tuple())
+        base = np.array(aw_eigenvalue_tuple(t, s0, s1, s2, xi))
+        scaled = np.array(aw_eigenvalue_tuple(lam * t, lam * s0, lam * s1, lam * s2, xi))
         np.testing.assert_array_equal(scaled, base / lam)
 
     @given(t=positive, s0=positive, s1=positive, s2=positive,
@@ -102,29 +94,28 @@ class TestAWEigenvalues:
     def test_degree_minus_one_homogeneity_general_scale(self, t, s0, s1, s2, xi, lam):
         # the rounding of lam * s moves each eigenvalue by O(eps) relative to
         # its terms' magnitudes, not to a value in which they cancel
-        base = np.array(ricci_eigenvalues_aw(AWMetric(t, s0, s1, s2), xi).as_tuple())
-        scaled = np.array(ricci_eigenvalues_aw(
-            AWMetric(lam * t, lam * s0, lam * s1, lam * s2), xi).as_tuple())
+        base = np.array(aw_eigenvalue_tuple(t, s0, s1, s2, xi))
+        scaled = np.array(aw_eigenvalue_tuple(lam * t, lam * s0, lam * s1, lam * s2, xi))
         bound = 1e-12 * aw_term_magnitudes(t, s0, s1, s2, xi) / lam
         assert np.all(np.abs(scaled - base / lam) <= bound)
 
     @given(t=positive, s0=positive, s=positive)
     def test_slice_equality_is_exact(self, t, s0, s):
-        r = ricci_eigenvalues_aw(AWMetric(t, s0, s, s), 1.0)
-        assert r.r2 == r.r3  # identical expressions, zero ulps
+        _, _, r2, r3 = aw_eigenvalue_tuple(t, s0, s, s, 1.0)
+        assert r2 == r3  # identical expressions, zero ulps
 
     @given(t=positive, s=positive)
     def test_two_param_equalities(self, t, s):
-        r = ricci_eigenvalues_aw(AWMetric(t, t, s, s), 1.0)
-        assert r.r2 == r.r3
-        assert r.r0 == pytest.approx(r.r1, rel=1e-14)
+        r0, r1, r2, r3 = aw_eigenvalue_tuple(t, t, s, s, 1.0)
+        assert r2 == r3
+        assert r0 == pytest.approx(r1, rel=1e-14)
 
     def test_two_param_closed_forms(self):
         # r0 = r1 = (2s^2 + t^2)/(t s^2), r2 = r3 = 3(4s - t)/(2 s^2)
         t, s = 0.7, 1.3
-        r = ricci_eigenvalues_aw(AWMetric(t, t, s, s), 1.0)
-        assert r.r0 == pytest.approx((2 * s * s + t * t) / (t * s * s), rel=1e-14)
-        assert r.r2 == pytest.approx(3 * (4 * s - t) / (2 * s * s), rel=1e-14)
+        r0, _, r2, _ = aw_eigenvalue_tuple(t, t, s, s, 1.0)
+        assert r0 == pytest.approx((2 * s * s + t * t) / (t * s * s), rel=1e-14)
+        assert r2 == pytest.approx(3 * (4 * s - t) / (2 * s * s), rel=1e-14)
 
 
 class TestBracketConstants:
@@ -166,50 +157,44 @@ class TestStructureOracle:
     def test_agrees_with_closed_forms(self, k1, k2):
         rng = np.random.default_rng(17 * k1 + k2)
         for _ in range(50):
-            m = AWMetric(*rng.uniform(0.5, 2.0, size=4))
-            closed = np.array(ricci_eigenvalues_aw(m, k1 / k2).as_tuple())
-            general = np.array(ricci_from_structure(k1, k2, m).as_tuple())
+            m = rng.uniform(0.5, 2.0, size=4)
+            closed = np.array(aw_eigenvalue_tuple(*m, k1 / k2))
+            general = np.array(ricci_from_structure(k1, k2, m))
             np.testing.assert_allclose(general, closed, rtol=1e-12)
 
     def test_round_metric(self):
-        r = ricci_from_structure(1, 1, AWMetric(1, 1, 1, 1))
-        np.testing.assert_allclose(r.as_tuple(), (3, 3, 4.5, 4.5), rtol=1e-14)
+        r = ricci_from_structure(1, 1, (1, 1, 1, 1))
+        np.testing.assert_allclose(r, (3, 3, 4.5, 4.5), rtol=1e-14)
 
     def test_slice_equality_on_independent_path(self):
-        r = ricci_from_structure(1, 1, AWMetric(0.7, 0.9, 1.3, 1.3))
-        assert r.r2 == pytest.approx(r.r3, rel=1e-14)
+        _, _, r2, r3 = ricci_from_structure(1, 1, (0.7, 0.9, 1.3, 1.3))
+        assert r2 == pytest.approx(r3, rel=1e-14)
 
     def test_homogeneity(self):
         lam = 1.7
-        base = np.array(ricci_from_structure(1, 1, AWMetric(1, 1, 1, 1)).as_tuple())
-        scaled = np.array(ricci_from_structure(
-            1, 1, AWMetric(lam, lam, lam, lam)).as_tuple())
+        base = np.array(ricci_from_structure(1, 1, (1, 1, 1, 1)))
+        scaled = np.array(ricci_from_structure(1, 1, (lam, lam, lam, lam)))
         np.testing.assert_allclose(scaled, base / lam, rtol=1e-14)
 
 
 class TestBergerEigenvalues:
     def test_boundary_values(self):
-        r = ricci_eigenvalues_berger(BergerMetric(2, 1))
-        assert r.as_tuple() == (6.0, 7.5)
-        assert r.r0 is None and r.r3 is None
+        assert berger_eigenvalue_tuple(2, 1) == (6.0, 7.5)
 
     def test_round(self):
-        r = ricci_eigenvalues_berger(BergerMetric(1, 1))
-        assert r.as_tuple() == (9.0, 8.75)
+        assert berger_eigenvalue_tuple(1, 1) == (9.0, 8.75)
 
     def test_homogeneity_example(self):
-        r = ricci_eigenvalues_berger(BergerMetric(4, 2))
-        assert r.as_tuple() == (3.0, 3.75)
+        assert berger_eigenvalue_tuple(4, 2) == (3.0, 3.75)
 
     def test_unit_x2_slice_grid(self):
         for x1 in np.arange(0.1, 8.01, 0.1):
-            r = ricci_eigenvalues_berger(BergerMetric(float(x1), 1.0))
-            assert r.r1 == pytest.approx((8.0 + x1 * x1) / x1, rel=1e-13)
-            assert r.r2 == pytest.approx(5.0 * (8.0 - x1) / 4.0, rel=1e-13)
+            r1, r2 = berger_eigenvalue_tuple(float(x1), 1.0)
+            assert r1 == pytest.approx((8.0 + x1 * x1) / x1, rel=1e-13)
+            assert r2 == pytest.approx(5.0 * (8.0 - x1) / 4.0, rel=1e-13)
 
     @given(x1=positive, x2=positive, lam=scale)
     def test_degree_minus_one(self, x1, x2, lam):
-        base = np.array(ricci_eigenvalues_berger(BergerMetric(x1, x2)).as_tuple())
-        scaled = np.array(ricci_eigenvalues_berger(
-            BergerMetric(lam * x1, lam * x2)).as_tuple())
+        base = np.array(berger_eigenvalue_tuple(x1, x2))
+        scaled = np.array(berger_eigenvalue_tuple(lam * x1, lam * x2))
         np.testing.assert_allclose(scaled, base / lam, rtol=1e-12)
