@@ -2,12 +2,14 @@
 
 The embedded pair of Dormand & Prince (1980, J. Comput. Appl. Math. 6) with
 the step-size control and initial-step heuristic of Hairer, Norsett &
-Wanner, *Solving ODEs I*, II.4, and Shampine's quartic dense output.  The
-array operations are those of `scipy.integrate.solve_ivp(method="RK45",
-dense_output=True, events=...)`, in the same order, so steps, event roots
-and outputs are the same bit for bit.  Event signs are tested at step ends;
-a sign change is refined by Brent's method on that step's interpolant,
-which is only built on such steps.
+Wanner, *Solving ODEs I*, II.4, and Shampine's quartic dense output, bit for
+bit as `scipy.integrate.solve_ivp(method="RK45", dense_output=True,
+events=...)`.  Only the BLAS products (stage increments, B and E sums, the
+norm's x.dot(x), K^T P, Q (x, .., x^4)) run in numpy, on solve_ivp's
+operands, since OpenBLAS sums them with fused multiply-adds in its own order;
+the elementwise work runs on Python floats, rounded as in numpy but cheaper.
+Event signs are tested at step ends; a sign change is refined by Brent's
+method on that step's interpolant, which is only built on such steps.
 """
 
 from __future__ import annotations
@@ -126,15 +128,13 @@ def solve(fun, y0: np.ndarray, t_bound: float, rtol: float, atol: float,
         rtol = 100 * EPS
     direction = 1.0 if t_bound > 0 else -1.0
     n_steps = n_rejected = 0
-    t, y, f = 0.0, y0, fun(y0)
+    t, y, ya, f = 0.0, y0.tolist(), y0, fun(y0)   # y on Python floats, ya as an ndarray
     h_abs = _initial_step(fun, y0, f, t_bound, direction, rtol, atol, max_step)
     K = np.empty((7, y0.size))
     stages = [(K[:s].T, A[s, :s]) for s in range(1, 6)]
-    # Products of two short arrays cost about half of those of an array and
-    # a Python float, with the same bits, so h and the tolerances are arrays.
-    hv, atol_v, rtol_v = np.empty(y0.size), np.full(y0.size, atol), np.full(y0.size, rtol)
-    ts, ys = [t], [y]
-    g = [float(ev(t, y)) for ev, _, _ in events]
+    K_B, K_T = K[:-1].T, K.T
+    ts, ys = [t], [ya]
+    g = [float(ev(t, ya)) for ev, _, _ in events]
     t_events, y_events = [[] for _ in events], [[] for _ in events]
     status = None
     while status is None:
@@ -147,14 +147,15 @@ def solve(fun, y0: np.ndarray, t_bound: float, rtol: float, atol: float,
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            hv.fill(h)
             K[0] = f
             for s, (Ks, a) in enumerate(stages, start=1):
-                K[s] = fun(y + np.dot(Ks, a) * hv)
-            y_new = y + hv * np.dot(K[:-1].T, B)
-            K[-1] = f_new = fun(y_new)
-            scale = atol_v + np.maximum(np.abs(y), np.abs(y_new)) * rtol_v
-            error_norm = _norm(np.dot(K.T, E) * hv / scale)
+                K[s] = fun(np.array([yi + di * h for yi, di in zip(y, Ks.dot(a).tolist())]))
+            y_new = [yi + h * bi for yi, bi in zip(y, K_B.dot(B).tolist())]
+            ya_new = np.array(y_new)
+            K[-1] = f_new = fun(ya_new)
+            # with y_new first, max() propagates its NaN as np.maximum does
+            error_norm = _norm(np.array([ei * h / (atol + max(abs(yn), abs(yo)) * rtol)
+                                         for ei, yn, yo in zip(K_T.dot(E).tolist(), y_new, y)]))
             if error_norm < 1:
                 factor = MAX_FACTOR if error_norm == 0 else min(MAX_FACTOR, SAFETY * error_norm ** EXPONENT)
                 h_abs *= min(1, factor) if rejected else factor
@@ -167,19 +168,20 @@ def solve(fun, y0: np.ndarray, t_bound: float, rtol: float, atol: float,
             break
         n_steps += 1
         t_old, y_old = t, y
-        t, y, f = t_new, y_new, f_new
+        t, y, ya, f = t_new, y_new, ya_new, f_new
         if direction * (t - t_bound) >= 0:
             status = 0
-        g_new = [float(ev(t, y)) for ev, _, _ in events]
+        g_new = [float(ev(t, ya)) for ev, _, _ in events]
         active = [i for i, (_, _, d) in enumerate(events)
                   if (g[i] <= 0 <= g_new[i] and d >= 0) or (g[i] >= 0 >= g_new[i] and d <= 0)]
         g = g_new
         if active:
-            Q, dt = K.T.dot(P), t - t_old
+            Q, dt = K_T.dot(P), t - t_old
 
             def sol(tt):
                 x = (tt - t_old) / dt
-                return dt * np.dot(Q, np.array([x, x * x, x * x * x, x * x * x * x])) + y_old
+                q = Q.dot([x, x * x, x * x * x, x * x * x * x]).tolist()
+                return np.array([dt * qi + yi for qi, yi in zip(q, y_old)])
 
             hits = [(i, brentq(lambda tt: events[i][0](tt, sol(tt)), t_old, t)) for i in active]
             if any(events[i][1] for i in active):
@@ -187,14 +189,15 @@ def solve(fun, y0: np.ndarray, t_bound: float, rtol: float, atol: float,
                 hits = hits[:1 + next(k for k, (i, _) in enumerate(hits) if events[i][1])]
                 status = 1
                 t = hits[-1][1]
-                y = sol(t)
             for i, te in hits:
                 t_events[i].append(te)
                 y_events[i].append(sol(te))
+            if status == 1:
+                ya = y_events[hits[-1][0]][-1]
         if not (len(ts) > 1 and ts[-1] == t):   # a terminal root at the last step end
             ts.append(t)
-            ys.append(y)
+            ys.append(ya)
     # six RHS calls per step attempt, plus f(y0) and the initial-step probe
     stats = {"n_steps": n_steps, "n_rejected": n_rejected, "nfev": 2 + 6 * (n_steps + n_rejected)}
-    return {"t": np.array(ts), "y": np.vstack(ys), "t_events": t_events, "y_events": y_events,
+    return {"t": np.array(ts), "y": np.array(ys), "t_events": t_events, "y_events": y_events,
             "status": status, "stats": stats}

@@ -106,10 +106,10 @@ def berger_rhs(x1, x2) -> np.ndarray:
 @_on_floats
 def normalized_rhs(x, s) -> np.ndarray:
     """Volume-one planar flow of the three-parameter family (t = x^-2 s^-4)."""
-    xp = (-40.0 * x**3 * s**6 + 24.0 * s**2 - 18.0 * x**5 * s**4 - 2.0 * x**2
-          + 48.0 * x**4 * s**5) / (7.0 * x**3 * s**6)
-    sp = (-36.0 * x**4 * s**5 + 16.0 * x**3 * s**6 + 10.0 * x**5 * s**4 + 5.0 * x**2
-          - 4.0 * s**2) / (7.0 * x**4 * s**5)
+    x2, x3, x4, x5 = x**2, x**3, x**4, x**5
+    s2, s4, s5, s6 = s**2, s**4, s**5, s**6
+    xp = (-40.0 * x3 * s6 + 24.0 * s2 - 18.0 * x5 * s4 - 2.0 * x2 + 48.0 * x4 * s5) / (7.0 * x3 * s6)
+    sp = (-36.0 * x4 * s5 + 16.0 * x3 * s6 + 10.0 * x5 * s4 + 5.0 * x2 - 4.0 * s2) / (7.0 * x4 * s5)
     return np.array([xp, sp])
 
 
@@ -197,8 +197,8 @@ class IntegratorConfig:
     direction: str = "forward"
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if not self.max_step > 0.0:
             raise ValueError("max_step must be positive")
         if not 0.0 < self.max_time < math.inf:
@@ -251,10 +251,7 @@ class Trajectory:
         return self.states[-1]
 
     def first_event(self, name: str) -> FlowEvent | None:
-        for ev in self.events:
-            if ev.name == name:
-                return ev
-        return None
+        return next((ev for ev in self.events if ev.name == name), None)
 
 
 def integrate(system: FlowSystem, init, config: IntegratorConfig | None = None,
@@ -271,8 +268,8 @@ def integrate(system: FlowSystem, init, config: IntegratorConfig | None = None,
     y0 = np.asarray(init, dtype=float)
     if y0.shape != (system.dim,):
         raise ValueError(f"system {system.kind!r} needs {system.dim} components, got {y0.shape}")
-    if not np.all(y0 > 0.0):
-        raise NonPositiveState(f"initial state must be strictly positive, got {y0}")
+    if not all(0.0 < c < math.inf for c in y0.tolist()):
+        raise NonPositiveState(f"initial state must be positive and finite, got {y0}")
 
     sign = 1.0 if cfg.direction == "forward" else -1.0
     floor = (lambda _l, y: min(y.tolist()) - COLLAPSE_FLOOR, True, 0.0)

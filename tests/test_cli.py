@@ -242,6 +242,18 @@ def test_unbounded_horizon_or_zero_step_is_config_error(tmp_path, capsys, monkey
     assert out["status"] == "error"
 
 
+@pytest.mark.parametrize("flag", ["--rel-tol", "--abs-tol"])
+def test_infinite_tolerance_is_config_error(tmp_path, capsys, monkeypatch, flag):
+    def never(*_args, **_kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(flow, "integrate", never)
+    code, out = run_cli(capsys, "flow", "--system", "normalized", "--init", "1,1",
+                        "--horizon", "10", flag, "inf", "--out", str(tmp_path))
+    assert code == 2
+    assert "positive and finite" in out["error"]
+
+
 class TestRootsCommand:
     def test_roots_and_sign_chart(self, capsys):
         code, out = run_cli(capsys, "roots")

@@ -167,7 +167,8 @@ class TestIntegrate:
         assert traj.stats["n_steps"] == len(traj.times) - 1
 
     @pytest.mark.parametrize("field,value", [
-        ("max_time", math.inf), ("max_time", 0.0), ("max_time", math.nan), ("max_step", 0.0)])
+        ("max_time", math.inf), ("max_time", 0.0), ("max_time", math.nan), ("max_step", 0.0),
+        ("rel_tol", math.inf), ("abs_tol", math.inf)])
     def test_config_rejects(self, field, value):
         # an infinite horizon is never reached by the stepper
         with pytest.raises(ValueError):
@@ -178,6 +179,14 @@ class TestIntegrate:
             integrate(make_system("aw2"), (-1.0, 1.0))
         with pytest.raises(ValueError):
             integrate(make_system("aw2"), (1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("init", [(math.inf, 1.0), (1.0, math.nan)])
+    def test_rejects_non_finite_init_before_stepping(self, init):
+        calls = []
+        counted = FlowSystem("aw2", 2, lambda y: calls.append(1) or aw2_rhs(y))
+        with pytest.raises(NonPositiveState, match="positive and finite"):
+            integrate(counted, init)
+        assert calls == []
 
     def test_time_reversal(self):
         init = np.array([0.8, 0.9, 1.0])

@@ -2,10 +2,13 @@
 
 `flow.integrate` is a port of `solve_ivp(method="RK45", dense_output=True,
 events=...)`: run on the same inputs, both give the same steps, states and
-event roots.  Skipped where scipy is not installed.
+event roots.  Skipped where scipy is not installed.  Which BLAS kernels
+numpy picks changes the bits of both runs alike; to check the port on
+another kernel set, run this file again under e.g. OPENBLAS_CORETYPE=Haswell.
 """
 
 import math
+import random
 import warnings
 
 import numpy as np
@@ -17,7 +20,7 @@ from scipy.optimize import brentq as scipy_brentq  # noqa: E402
 
 from ricciflow import IntegratorConfig, StepSizeUnderflow, integrate, make_system  # noqa: E402
 from ricciflow._rk45 import brentq  # noqa: E402
-from ricciflow.flow import COLLAPSE_FLOOR, cone_events  # noqa: E402
+from ricciflow.flow import COLLAPSE_FLOOR, FlowSystem, cone_events  # noqa: E402
 
 STARTS = {
     "aw2": (0.99, 1.0),
@@ -48,9 +51,16 @@ def scipy_integrate(system, init, cfg, events):
 
 
 def assert_same_run(kind, init, cfg, events, xi=None):
-    system = make_system(kind, xi)
-    traj = integrate(system, init, cfg, events)
+    """`kind` names a system or is a FlowSystem; where solve_ivp gives up,
+    `integrate` must raise StepSizeUnderflow with the same partial run."""
+    system = make_system(kind, xi) if isinstance(kind, str) else kind
     ref = scipy_integrate(system, init, cfg, events)
+    if ref.status == -1:
+        with pytest.raises(StepSizeUnderflow) as info:
+            integrate(system, init, cfg, events)
+        traj = info.value.trajectory
+    else:
+        traj = integrate(system, init, cfg, events)
     np.testing.assert_array_equal(traj.times, ref.t)
     np.testing.assert_array_equal(traj.states, ref.y.T)
     names = ["singular", *(spec.name for spec in events)]
@@ -87,10 +97,46 @@ def test_singular_collapse_matches_solve_ivp():
 def test_window_exit_recorded_before_terminal_cone_exit():
     traj = assert_same_run("aw4", (1.1, 1.0, 1.2, 0.9), IntegratorConfig(max_time=2.0),
                            cone_events("aw4", 0.7), 0.7)
+    # the last bits of the roots depend on the host's BLAS kernels
     assert [(ev.name, ev.time) for ev in traj.events] == [
-        ("window_exit", 0.014085229333834022), ("cone_exit", 0.055023525020492674)]
+        ("window_exit", pytest.approx(0.014085229333834022, rel=1e-12)),
+        ("cone_exit", pytest.approx(0.055023525020492674, rel=1e-12))]
     assert traj.status == "event"
-    assert traj.final_time == 0.055023525020492674
+    assert traj.final_time == pytest.approx(0.055023525020492674, rel=1e-12)
+
+
+def random_run(seed):
+    """A run drawn from `seed`: kind, start, tolerance, step cap, direction,
+    horizon and, for the cone families, the cone events."""
+    rng = random.Random(seed)
+    kind = rng.choice(list(STARTS))
+    xi = rng.uniform(0.5, 1.0) if kind == "aw4" else None
+    init = [c * rng.uniform(0.8, 1.25) for c in STARTS[kind]]
+    cfg = IntegratorConfig(rel_tol=rng.choice([1e-10, 1e-6, 1e-3]), max_step=rng.choice([math.inf, 0.003]),
+                           max_time=rng.uniform(0.05, 0.5), direction=rng.choice(["forward", "backward"]))
+    events = cone_events(kind, xi or 1.0) if kind != "normalized" and rng.random() < 0.7 else []
+    return kind, init, cfg, events, xi
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_random_runs_match_solve_ivp(seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert_same_run(*random_run(seed))
+
+
+@pytest.mark.parametrize("y0", [1.0, 1e150])
+def test_blowup_matches_solve_ivp(y0):
+    # y' = y^2 blows up at l = 1/y0.  From 1 the step size underflows after
+    # rejected steps; from 1e150 stages and step ends overflow to inf and nan
+    # first, and those steps must be rejected alike.
+    finite = []
+    blowup = FlowSystem("blowup", 1, lambda y: finite.append(bool(np.all(np.isfinite(y)))) or y * y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        traj = assert_same_run(blowup, [y0], IntegratorConfig(max_time=2.0), [])
+    assert traj.stats["n_rejected"] > 0
+    assert all(finite) == (y0 == 1.0)
 
 
 @pytest.mark.parametrize("kind,init", [("normalized", (1e-120, 1.0)), ("normalized", (1e70, 1.0)),
