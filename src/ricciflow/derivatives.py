@@ -177,11 +177,11 @@ def f_xi_prime0(xi, x: float) -> float:
 
 
 def two_param_ratio_derivative(t, s):
-    """d/dl of t/s along the two-parameter flow: (-4s^2 - 5t^2 + 12ts)/s^2.
+    """d/dl of t/s along the two-parameter flow: (-4s^2 - 5t^2 + 12ts)/s^3.
 
     Pure arithmetic, so Fraction inputs stay exact; equals 3 at (1, 1).
     """
-    return (-4 * s * s - 5 * t * t + 12 * t * s) / (s * s)
+    return (-4 * s * s - 5 * t * t + 12 * t * s) / s**3
 
 
 def berger_ratio_derivative(x1, x2):

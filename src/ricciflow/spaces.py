@@ -84,6 +84,19 @@ def berger_eigenvalue_tuple(x1, x2):
     return r1, r2
 
 
+# The nonzero [ijk] form four families, each closed under permuting ijk;
+# _BRACKETS_BY_I lists, for each i, the family and (j, k) of every one.
+_FAMILIES = [sorted(set(permutations(index))) for index in ((1, 1, 0), (2, 2, 0), (3, 3, 0), (1, 2, 3))]
+_BRACKETS_BY_I = [[(f, j, k) for f, perms in enumerate(_FAMILIES) for i2, j, k in perms if i2 == i]
+                  for i in range(4)]
+
+
+def _family_values(k1: int, k2: int) -> tuple[float, float, float, float]:
+    _check_pair(k1, k2)
+    gamma = k1 * k1 + k2 * k2 + k1 * k2
+    return (6.0 * (k1 + k2) ** 2 / gamma, 6.0 * k1 * k1 / gamma, 6.0 * k2 * k2 / gamma, 4.0)
+
+
 def bracket_constants(k1: int, k2: int) -> np.ndarray:
     """Structure constants [ijk] of W^7_{k1,k2} as a symmetric 4x4x4 array.
 
@@ -96,18 +109,10 @@ def bracket_constants(k1: int, k2: int) -> np.ndarray:
 
     together with all permutations; every other entry vanishes.
     """
-    _check_pair(k1, k2)
-    gamma = k1 * k1 + k2 * k2 + k1 * k2
     table = np.zeros((4, 4, 4))
-    families = {
-        (1, 1, 0): 6.0 * (k1 + k2) ** 2 / gamma,
-        (2, 2, 0): 6.0 * k1 * k1 / gamma,
-        (3, 3, 0): 6.0 * k2 * k2 / gamma,
-        (1, 2, 3): 4.0,
-    }
-    for index, value in families.items():
-        for perm in set(permutations(index)):
-            table[perm] = value
+    for perms, value in zip(_FAMILIES, _family_values(k1, k2)):
+        for index in perms:
+            table[index] = value
     return table
 
 
@@ -129,22 +134,13 @@ def ricci_from_structure(k1: int, k2: int, coeffs) -> tuple[float, float, float,
     two paths agree to ~1e-13 relative.  The four coefficients must be
     positive and finite.
     """
-    table = bracket_constants(k1, k2)
-    x = [float(c) for c in coeffs]
-    if len(x) != 4 or not all(0.0 < c < math.inf for c in x):  # NaN too
+    c = _family_values(k1, k2)
+    x = [float(v) for v in coeffs]
+    if len(x) != 4 or not all(0.0 < v < math.inf for v in x):  # NaN too
         raise ValueError(f"need four positive finite coefficients (t, s0, s1, s2), got {coeffs}")
     r = []
-    for i in range(4):
-        first = []
-        second = []
-        for j in range(4):
-            for k in range(4):
-                c = table[i, j, k]
-                if c != 0.0:
-                    first.append(c * x[j] / (x[i] * x[k]))
-                    second.append(c * x[i] / (x[j] * x[k]))
-        d = _MODULE_DIMS[i]
-        r.append(math.fsum([_B_COEFF / (2.0 * x[i]),
-                            -math.fsum(first) / (2.0 * d),
-                            math.fsum(second) / (4.0 * d)]))
+    for x_i, d, brackets in zip(x, _MODULE_DIMS, _BRACKETS_BY_I):
+        first = math.fsum([c[f] * x[j] / (x_i * x[k]) for f, j, k in brackets])
+        second = math.fsum([c[f] * x_i / (x[j] * x[k]) for f, j, k in brackets])
+        r.append(math.fsum([_B_COEFF / (2.0 * x_i), -first / (2.0 * d), second / (4.0 * d)]))
     return tuple(r)

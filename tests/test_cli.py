@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from ricciflow import flow
+from ricciflow import NoExitWithinHorizon, flow, verify
 from ricciflow.cli import main
 from ricciflow.cone import normalized_region
 
@@ -309,3 +309,26 @@ class TestVerifyCommand:
         assert failed == {"d_roots_lambda1_bracket", "d_roots_lambda5_bracket"}
         assert code == 4
         assert set(out["failed"]) == failed
+
+    def test_check_without_measurement_reports_null(self, tmp_path, capsys, monkeypatch):
+        def no_exit(*_args, **_kwargs):
+            raise NoExitWithinHorizon("stubbed")
+
+        monkeypatch.setattr(flow, "cone_exit", no_exit)
+        verify._run_all_cached.cache_clear()
+        try:
+            code, _ = run_cli(capsys, "verify", "--out", str(tmp_path))
+        finally:
+            verify._run_all_cached.cache_clear()
+        assert code == 4
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        text = (tmp_path / "verification_report.json").read_text()
+        report = {entry["check"]: entry for entry in json.loads(text, parse_constant=reject)}
+        exits = [name for name in report if name.startswith("cone_exit_")]
+        assert len(exits) == 5
+        for name in exits:
+            assert report[name]["status"] == "fail" and report[name]["measured"] is None
+        assert report["seed_p2_enters_pink"]["measured"] > 0.0

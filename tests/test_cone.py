@@ -379,6 +379,13 @@ class TestClassifiers:
         assert boundary.margin == 0.0
         assert classify_berger(4.0, 1.0).classification is ConeClass.HAS_NONPOSITIVE_PLANE
 
+    def test_zero_coefficient_is_rejected(self):
+        # t = 0 is outside the domain, not a metric on the positive side
+        with pytest.raises(ValueError):
+            classify_2param(0.0, 1.0)
+        with pytest.raises(ValueError):
+            classify_3param(0.0, 0.9, 1.0)
+
     def test_verdict_invariants(self):
         with pytest.raises(ValueError):
             ConeVerdict(ConeClass.POSITIVELY_CURVED, -0.5)

@@ -22,7 +22,7 @@ from ricciflow import (
 )
 from ricciflow import classify_2param, ConeClass
 from ricciflow.cone import a_tilde, v_vector
-from ricciflow.flow import aw_rhs
+from ricciflow.flow import aw2_rhs, aw_rhs, berger_rhs
 
 GRID = [(x, xi) for x in (0.85, 0.9, 0.95) for xi in (0.4, 0.7, 1.0)]
 
@@ -273,11 +273,25 @@ class TestRatioDerivatives:
         assert two_param_ratio_derivative(1.0, 1.0) == 3.0
 
     def test_two_param_at_zero_t(self):
-        assert two_param_ratio_derivative(0.0, 2.5) == -4.0
+        # t' = -4 at t = 0, so d/dl (t/s) = t'/s = -4/2.5
+        assert two_param_ratio_derivative(0.0, 2.5) == -1.6
+        assert two_param_ratio_derivative(Fraction(0), Fraction(5, 2)) == Fraction(-8, 5)
 
     def test_berger_exact(self):
         assert berger_ratio_derivative(Fraction(2), Fraction(1)) == 3
         assert berger_ratio_derivative(0.0, 1.0) == -8.0
+
+    @pytest.mark.parametrize("a,b", [(0.7, 1.3), (1.5, 1.3), (1.3, 0.6), (2.9, 1.7)])
+    def test_two_param_quotient_rule(self, a, b):
+        # (t/s)' = (t' s - t s')/s^2 on the aw2 right-hand side, off s = 1
+        tp, sp = aw2_rhs((a, b))
+        assert two_param_ratio_derivative(a, b) == pytest.approx((tp * b - a * sp) / (b * b), rel=1e-13)
+
+    @pytest.mark.parametrize("a,b", [(0.7, 1.3), (1.5, 1.3), (1.3, 0.6), (2.9, 1.7)])
+    def test_berger_quotient_rule(self, a, b):
+        # (x1/(2 x2))' = (x1' x2 - x1 x2')/(2 x2^2) on the Berger right-hand side
+        x1p, x2p = berger_rhs((a, b))
+        assert berger_ratio_derivative(a, b) == pytest.approx((x1p * b - a * x2p) / (2 * b * b), rel=1e-13)
 
 
 class TestEinsteinPoints:

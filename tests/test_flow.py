@@ -382,6 +382,11 @@ def test_aw4_cone_events_survive_collapsing_runs():
     assert "singular" in statuses and "event" in statuses
 
 
+def test_aw4_gap_is_infinite_at_a_zero_coefficient():
+    # exactly at collapse the boundary gap is inf, past the collapse floor
+    assert flow._aw4_gap(np.array([1.0, 0.0, 1.0, 1.0]), 0.9) == math.inf
+
+
 @pytest.mark.parametrize("xi, rhs, classifier", [(1.0, "aw3_rhs", "classify_3param"),
                                                  (0.9, "aw_rhs", "classify_aw_slice")])
 def test_cone_exit_calls_rebound_functions(monkeypatch, xi, rhs, classifier):

@@ -18,7 +18,7 @@ pytest.importorskip("scipy")
 from scipy.integrate import solve_ivp  # noqa: E402
 from scipy.optimize import brentq as scipy_brentq  # noqa: E402
 
-from ricciflow import IntegratorConfig, StepSizeUnderflow, integrate, make_system  # noqa: E402
+from ricciflow import EventSpec, IntegratorConfig, StepSizeUnderflow, integrate, make_system  # noqa: E402
 from ricciflow._rk45 import brentq  # noqa: E402
 from ricciflow.flow import COLLAPSE_FLOOR, FlowSystem, cone_events  # noqa: E402
 
@@ -103,6 +103,18 @@ def test_window_exit_recorded_before_terminal_cone_exit():
         ("cone_exit", pytest.approx(0.055023525020492674, rel=1e-12))]
     assert traj.status == "event"
     assert traj.final_time == pytest.approx(0.055023525020492674, rel=1e-12)
+
+
+@pytest.mark.parametrize("terminal", [False, True])
+def test_event_zero_at_a_step_end_matches_solve_ivp(terminal):
+    # g = l - t_k is exactly 0 at the step end t_k of an event-free run.
+    # solve_ivp counts a root where g_new == 0 (and, when the run goes on,
+    # again where the next step starts from g == 0).
+    cfg = IntegratorConfig(max_time=0.05)
+    t_k = float(integrate(make_system("aw3"), STARTS["aw3"], cfg).times[3])
+    event = EventSpec("step_end", lambda l, _y: l - t_k, terminal, 1.0)
+    traj = assert_same_run("aw3", STARTS["aw3"], cfg, [event])
+    assert [ev.time for ev in traj.events if ev.name == "step_end"] == [t_k] * (1 if terminal else 2)
 
 
 def random_run(seed):
