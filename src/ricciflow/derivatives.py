@@ -70,12 +70,13 @@ def d_roots() -> np.ndarray:
     return np.sort(np.concatenate([cubic, [-2.0, 0.0]]))
 
 
-def f1_prime0(x: float) -> float:
+def f1_prime0(x):
     """Boundary derivative at xi = 1: quartic(x) / (3x(4 - x)).
 
     Equals D(x)/(3 t x) at the anchor tuple; negative on (lambda4, 1).
+    A numpy array of x gives each point the bits of a scalar call.
     """
-    if not 0.0 < x < 1.0:
+    if not (np.all(0.0 < x) and np.all(x < 1.0)):
         raise DomainError(f"x must lie in (0, 1), got {x}")
     return _quartic(x) / (3.0 * x * (4.0 - x))
 
@@ -160,15 +161,16 @@ def k_polynomial(xi, x):
     return result
 
 
-def f_xi_prime0(xi, x: float) -> float:
+def f_xi_prime0(xi, x):
     """Boundary derivative f'(0) at parameter xi and slice position x.
 
     K(xi, x) / (x (x-4)(x-1) R^2); the denominator is positive for
     x in (0, 1).  At xi = 1 numerator and denominator share the factor
     768(x - 1), so the deflated quartic form f1_prime0 is used instead.
+    x may be a numpy array, as in `f1_prime0`.
     """
     xi = xi_value(xi)
-    if not 0.0 < x < 1.0:
+    if not (np.all(0.0 < x) and np.all(x < 1.0)):
         raise DomainError(f"x must lie in (0, 1), got {x}")
     if xi == 1.0:
         return f1_prime0(x)

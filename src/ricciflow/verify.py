@@ -171,18 +171,10 @@ def _check_k_polynomial():
 
 # --- criterion 7: negativity of the boundary derivative ---
 
-def _f_prime0_grid(xi: float, xs: np.ndarray) -> np.ndarray:
-    """`derivatives.f_xi_prime0(xi, x)` at each x of `xs`, in its operations."""
-    if xi == 1.0:
-        return derivatives._quartic(xs) / (3.0 * xs * (4.0 - xs))
-    r = derivatives._r_factor(xs, xi)
-    return derivatives.k_polynomial(xi, xs) / (xs * (xs - 4.0) * (xs - 1.0) * r * r)
-
-
 def _check_sign_theorem():
-    worst = float(np.max(_f_prime0_grid(1.0, np.arange(0.801, 0.9995, 1e-3))))
+    worst = float(np.max(derivatives.f1_prime0(np.arange(0.801, 0.9995, 1e-3))))
     xs = np.arange(0.9, 0.9995, 1e-3)
-    worst_nearby = max(float(np.min(_f_prime0_grid(k / 10.0, xs))) for k in range(1, 10))
+    worst_nearby = max(float(np.min(derivatives.f_xi_prime0(k / 10.0, xs))) for k in range(1, 10))
     return [
         CheckResult("sign_theorem_xi1", worst < 0.0, worst, 0.0,
                     "max of f1'(0) on the 1e-3 grid of [0.801, 0.999]"),

@@ -120,6 +120,9 @@ class TestF1Prime:
             f1_prime0(1.0)
         with pytest.raises(DomainError):
             f1_prime0(-0.2)
+        for bad in (1.0, 0.0, np.nan):
+            with pytest.raises(DomainError):
+                f1_prime0(np.array([0.5, bad, 0.9]))
 
 
 class TestIntermediates:
@@ -250,6 +253,9 @@ class TestFXiPrime:
     def test_domain(self):
         with pytest.raises(DomainError):
             f_xi_prime0(0.5, 1.0)
+        for xi in (0.5, 1.0):
+            with pytest.raises(DomainError):
+                f_xi_prime0(xi, np.array([0.9, np.nan]))
 
     @pytest.mark.parametrize("x,xi", GRID)
     def test_flow_finite_difference_oracle(self, x, xi):
