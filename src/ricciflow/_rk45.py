@@ -7,9 +7,9 @@ bit as `scipy.integrate.solve_ivp(method="RK45", dense_output=True,
 events=...)`.  Only the BLAS products (stage increments, B and E sums, the
 norm's x.dot(x), K^T P, Q (x, .., x^4)) run in numpy, on solve_ivp's
 operands, since OpenBLAS sums them with fused multiply-adds in its own order;
-the elementwise work runs on Python floats, rounded as in numpy but cheaper.
-Event signs are tested at step ends; a sign change is refined by Brent's
-method on that step's interpolant, which is only built on such steps.
+the state is a list of Python floats, on which the elementwise work rounds as
+in numpy but costs less.  Event signs are tested at step ends; a sign change is
+refined by Brent's method on that step's interpolant, only built on such steps.
 """
 
 from __future__ import annotations
@@ -44,19 +44,19 @@ P = np.array([
 
 
 def _norm(x) -> float:
-    """RMS norm."""
+    """RMS norm of a list of floats."""
+    x = np.array(x)
     return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
 def _initial_step(fun, y0, f0, t_bound, direction, rtol, atol, max_step) -> float:
     """First step size from the local error of an Euler step (HNW II.4), order 4."""
     span = abs(t_bound)
-    scale = atol + np.abs(y0) * rtol
-    d0, d1 = _norm(y0 / scale), _norm(f0 / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, span)
-    f1 = fun(y0 + h0 * direction * f0)
-    d2 = _norm((f1 - f0) / scale) / h0 if h0 else math.inf  # h0 = 0: f0 not finite
+    scale = [atol + abs(yi) * rtol for yi in y0]
+    d0, d1 = (_norm([xi / si for xi, si in zip(x, scale)]) for x in (y0, f0))
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    f1 = fun([yi + h0 * direction * float(fi) for yi, fi in zip(y0, f0)])
+    d2 = _norm([(a - b) / si for a, b, si in zip(f1, f0, scale)]) / h0 if h0 else math.inf  # f0 not finite
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -113,14 +113,15 @@ def brentq(f, xa: float, xb: float, maxiter: int = 100) -> float:
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
-def solve(fun, y0: np.ndarray, t_bound: float, rtol: float, atol: float,
+def solve(fun, y0: list, t_bound: float, rtol: float, atol: float,
           max_step: float, events) -> dict:
     """Integrate y' = fun(y) from (0, y0) to t_bound, forward or backward.
 
-    `events` are (g, terminal, direction) triples with g(t, y) a scalar; a
-    root is recorded where g changes sign in `direction` (0: either), and
-    the first terminal root in time ends the run.  Returns the step ends
-    `t`, `y`, the roots `t_events`/`y_events` per event, `status` (0 at
+    y0 and every state passed to `fun` and to the events is a list of floats.
+    `events` are (g, terminal, direction) triples with g(t, y) a scalar; a root
+    is recorded where g changes sign in `direction` (0: either), and the first
+    terminal root in time ends the run.  Returns the step ends `t`, `y`, the
+    roots `t_events`/`y_events` per event (states as ndarrays), `status` (0 at
     t_bound, 1 terminal event, -1 step-size underflow), and `stats`.
     """
     if rtol < 100 * EPS:
@@ -128,13 +129,13 @@ def solve(fun, y0: np.ndarray, t_bound: float, rtol: float, atol: float,
         rtol = 100 * EPS
     direction = 1.0 if t_bound > 0 else -1.0
     n_steps = n_rejected = 0
-    t, y, ya, f = 0.0, y0.tolist(), y0, fun(y0)   # y on Python floats, ya as an ndarray
-    h_abs = _initial_step(fun, y0, f, t_bound, direction, rtol, atol, max_step)
-    K = np.empty((7, y0.size))
+    t, y, f = 0.0, y0, fun(y0)
+    h_abs = _initial_step(fun, y, f, t_bound, direction, rtol, atol, max_step)
+    K = np.empty((7, len(y)))
     stages = [(K[:s].T, A[s, :s]) for s in range(1, 6)]
     K_B, K_T = K[:-1].T, K.T
-    ts, ys = [t], [ya]
-    g = [float(ev(t, ya)) for ev, _, _ in events]
+    ts, ys = [t], [y]
+    g = [float(ev(t, y)) for ev, _, _ in events]
     t_events, y_events = [[] for _ in events], [[] for _ in events]
     status = None
     while status is None:
@@ -149,13 +150,12 @@ def solve(fun, y0: np.ndarray, t_bound: float, rtol: float, atol: float,
             h_abs = abs(h)
             K[0] = f
             for s, (Ks, a) in enumerate(stages, start=1):
-                K[s] = fun(np.array([yi + di * h for yi, di in zip(y, Ks.dot(a).tolist())]))
+                K[s] = fun([yi + di * h for yi, di in zip(y, Ks.dot(a).tolist())])
             y_new = [yi + h * bi for yi, bi in zip(y, K_B.dot(B).tolist())]
-            ya_new = np.array(y_new)
-            K[-1] = f_new = fun(ya_new)
+            K[-1] = f_new = fun(y_new)
             # with y_new first, max() propagates its NaN as np.maximum does
-            error_norm = _norm(np.array([ei * h / (atol + max(abs(yn), abs(yo)) * rtol)
-                                         for ei, yn, yo in zip(K_T.dot(E).tolist(), y_new, y)]))
+            error_norm = _norm([ei * h / (atol + max(abs(yn), abs(yo)) * rtol)
+                                for ei, yn, yo in zip(K_T.dot(E).tolist(), y_new, y)])
             if error_norm < 1:
                 factor = MAX_FACTOR if error_norm == 0 else min(MAX_FACTOR, SAFETY * error_norm ** EXPONENT)
                 h_abs *= min(1, factor) if rejected else factor
@@ -168,10 +168,10 @@ def solve(fun, y0: np.ndarray, t_bound: float, rtol: float, atol: float,
             break
         n_steps += 1
         t_old, y_old = t, y
-        t, y, ya, f = t_new, y_new, ya_new, f_new
+        t, y, f = t_new, y_new, f_new
         if direction * (t - t_bound) >= 0:
             status = 0
-        g_new = [float(ev(t, ya)) for ev, _, _ in events]
+        g_new = [float(ev(t, y)) for ev, _, _ in events]
         active = [i for i, (_, _, d) in enumerate(events)
                   if (g[i] <= 0 <= g_new[i] and d >= 0) or (g[i] >= 0 >= g_new[i] and d <= 0)]
         g = g_new
@@ -181,7 +181,7 @@ def solve(fun, y0: np.ndarray, t_bound: float, rtol: float, atol: float,
             def sol(tt):
                 x = (tt - t_old) / dt
                 q = Q.dot([x, x * x, x * x * x, x * x * x * x]).tolist()
-                return np.array([dt * qi + yi for qi, yi in zip(q, y_old)])
+                return [dt * qi + yi for qi, yi in zip(q, y_old)]
 
             hits = [(i, brentq(lambda tt: events[i][0](tt, sol(tt)), t_old, t)) for i in active]
             if any(events[i][1] for i in active):
@@ -193,11 +193,11 @@ def solve(fun, y0: np.ndarray, t_bound: float, rtol: float, atol: float,
                 t_events[i].append(te)
                 y_events[i].append(sol(te))
             if status == 1:
-                ya = y_events[hits[-1][0]][-1]
+                y = y_events[hits[-1][0]][-1]
         if not (len(ts) > 1 and ts[-1] == t):   # a terminal root at the last step end
             ts.append(t)
-            ys.append(ya)
+            ys.append(y)
     # six RHS calls per step attempt, plus f(y0) and the initial-step probe
     stats = {"n_steps": n_steps, "n_rejected": n_rejected, "nfev": 2 + 6 * (n_steps + n_rejected)}
-    return {"t": np.array(ts), "y": np.array(ys), "t_events": t_events, "y_events": y_events,
-            "status": status, "stats": stats}
+    return {"t": np.array(ts), "y": np.array(ys), "t_events": t_events, "status": status, "stats": stats,
+            "y_events": [[np.array(ye) for ye in roots] for roots in y_events]}

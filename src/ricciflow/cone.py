@@ -69,12 +69,12 @@ SLICE_RTOL = 0.05
 
 
 def _s_floats(s) -> list[float]:
-    arr = np.asarray(s, dtype=float)
-    if arr.shape != (3,):
-        raise ValueError(f"expected a triple, got shape {arr.shape}")
-    s0, s1, s2 = values = arr.tolist()
+    try:
+        s0, s1, s2 = values = [float(c) for c in s]
+    except (TypeError, ValueError):   # not iterable, not three items, or an item not a real
+        raise ValueError(f"expected a triple of reals, got {s!r}") from None
     if not (0.0 < s0 < math.inf and 0.0 < s1 < math.inf and 0.0 < s2 < math.inf):  # NaN too
-        raise ValueError(f"scale factors must be strictly positive and finite, got {arr}")
+        raise ValueError(f"scale factors must be strictly positive and finite, got {values}")
     return values
 
 
@@ -104,11 +104,15 @@ def _rounded(value) -> float:
 def _sigma(s0: float, s1: float, s2: float) -> float:
     value = 2 * s1 * s2 + 2 * s0 * s2 + 2 * s0 * s1 - s0 * s0 - s1 * s1 - s2 * s2
     # The terms' magnitudes sum to (s0 + s1 + s2)^2; near sigma = 0 they
-    # cancel, so there the value is computed exactly and rounded once to
-    # the type of s.
+    # cancel, so there the value is computed exactly, in integers over the
+    # common denominator of s, and rounded once to the type of s (int / int
+    # is correctly rounded, as float(Fraction) is).
     if 16 * value < (s0 + s1 + s2) ** 2:
-        f0, f1, f2 = Fraction(s0), Fraction(s1), Fraction(s2)
-        value = type(s0)(2 * f1 * f2 + 2 * f0 * f2 + 2 * f0 * f1 - f0 * f0 - f1 * f1 - f2 * f2)
+        (n0, d0), (n1, d1), (n2, d2) = (c.as_integer_ratio() for c in (s0, s1, s2))
+        d = math.lcm(d0, d1, d2)
+        n0, n1, n2 = n0 * (d // d0), n1 * (d // d1), n2 * (d // d2)
+        num = 2 * n1 * n2 + 2 * n0 * n2 + 2 * n0 * n1 - n0 * n0 - n1 * n1 - n2 * n2
+        value = num / (d * d) if isinstance(s0, float) else Fraction(num, d * d)
     return value
 
 

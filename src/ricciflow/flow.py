@@ -57,60 +57,60 @@ COLLAPSE_FLOOR = 1e-12
 
 
 def _on_floats(kernel):
-    """`kernel(*state, *args)` as `f(state, *args)` on Python floats: the bits of
-    numpy float64 scalars at half the cost.  Where float `**` or `/` raises and
-    numpy gives inf or nan, the kernel runs again on numpy scalars, so a stage
-    that overflows is rejected by the integrator, not raised."""
+    """`kernel(*state, *args)` as `f(state, *args)` on Python floats (a list is
+    taken to hold them): the bits of numpy float64 scalars at half the cost.
+    Where float `**` or `/` raises and numpy gives inf or nan, the kernel runs
+    again on numpy scalars, so a stage that overflows is rejected, not raised."""
     @functools.wraps(kernel)
     def f(state, *args):
-        arr = np.asarray(state, dtype=float)
+        state = state if type(state) is list else np.asarray(state, dtype=float).tolist()
         try:
-            return kernel(*arr.tolist(), *args)
+            return kernel(*state, *args)
         except (OverflowError, ZeroDivisionError):
-            return kernel(*arr, *args)
+            return kernel(*np.array(state), *args)
     return f
 
 
 @_on_floats
-def aw_rhs(t, s0, s1, s2, xi) -> np.ndarray:
+def aw_rhs(t, s0, s1, s2, xi) -> tuple:
     """Four-parameter Aloff-Wallach flow: (t', s0', s1', s2') = -2 r_i * state."""
     r0, r1, r2, r3 = aw_eigenvalue_tuple(t, s0, s1, s2, xi_value(xi))
-    return np.array([-2.0 * r0 * t, -2.0 * r1 * s0, -2.0 * r2 * s1, -2.0 * r3 * s2])
+    return -2.0 * r0 * t, -2.0 * r1 * s0, -2.0 * r2 * s1, -2.0 * r3 * s2
 
 
 @_on_floats
-def aw3_rhs(t, x, s) -> np.ndarray:
+def aw3_rhs(t, x, s) -> tuple:
     """Three-parameter slice (t, x, s) at xi = 1, eigenvalues in reduced form."""
     r0 = t * (2.0 * s * s + x * x) / (x * x * s * s)
     r1 = (4.0 * x * s * s - 2.0 * t * s * s + x**3) / (x * x * s * s)
     r2 = (12.0 * s - t - 2.0 * x) / (2.0 * s * s)
-    return np.array([-2.0 * r0 * t, -2.0 * r1 * x, -2.0 * r2 * s])
+    return -2.0 * r0 * t, -2.0 * r1 * x, -2.0 * r2 * s
 
 
 @_on_floats
-def aw2_rhs(t, s) -> np.ndarray:
+def aw2_rhs(t, s) -> tuple:
     """Two-parameter slice (t, s) at xi = 1: r0 = (2s^2+t^2)/(ts^2),
     r2 = 3(4s-t)/(2s^2)."""
     r0 = (2.0 * s * s + t * t) / (t * s * s)
     r2 = 3.0 * (4.0 * s - t) / (2.0 * s * s)
-    return np.array([-2.0 * r0 * t, -2.0 * r2 * s])
+    return -2.0 * r0 * t, -2.0 * r2 * s
 
 
 @_on_floats
-def berger_rhs(x1, x2) -> np.ndarray:
+def berger_rhs(x1, x2) -> tuple:
     """Berger flow (x1', x2') = (-2 r1 x1, -2 r2 x2)."""
     r1, r2 = berger_eigenvalue_tuple(x1, x2)
-    return np.array([-2.0 * r1 * x1, -2.0 * r2 * x2])
+    return -2.0 * r1 * x1, -2.0 * r2 * x2
 
 
 @_on_floats
-def normalized_rhs(x, s) -> np.ndarray:
+def normalized_rhs(x, s) -> tuple:
     """Volume-one planar flow of the three-parameter family (t = x^-2 s^-4)."""
     x2, x3, x4, x5 = x**2, x**3, x**4, x**5
     s2, s4, s5, s6 = s**2, s**4, s**5, s**6
     xp = (-40.0 * x3 * s6 + 24.0 * s2 - 18.0 * x5 * s4 - 2.0 * x2 + 48.0 * x4 * s5) / (7.0 * x3 * s6)
     sp = (-36.0 * x4 * s5 + 16.0 * x3 * s6 + 10.0 * x5 * s4 + 5.0 * x2 - 4.0 * s2) / (7.0 * x4 * s5)
-    return np.array([xp, sp])
+    return xp, sp
 
 
 def _aw4_gap(y, xi) -> float:
@@ -139,8 +139,8 @@ class Family:
     rhs: str
     takes_xi: bool   # varies with xi; all others accept only xi = 1
     coords: tuple[int, ...] | None = None   # None: the state is taken as given
-    boundary: Callable[[np.ndarray, float], float] | None = None
-    window: Callable[[np.ndarray], float] | None = None
+    boundary: Callable[[list[float], float], float] | None = None
+    window: Callable[[list[float]], float] | None = None
     classify: Callable[[Sequence[float], float], cone.ConeVerdict] | None = None
 
 
@@ -166,11 +166,11 @@ FAMILIES = {kind: fam for kind, fam in SYSTEMS.items() if fam.classify is not No
 
 @dataclass(frozen=True)
 class FlowSystem:
-    """One of the named ODE systems; `rhs` maps a state to its velocity."""
+    """One of the named ODE systems; `rhs` maps a state (a list of floats) to its velocity."""
 
     kind: str
     dim: int
-    rhs: Callable[[np.ndarray], np.ndarray]
+    rhs: Callable[[list[float]], Sequence[float]]
 
 
 def make_system(kind: str, xi: float | None = None) -> FlowSystem:
@@ -209,14 +209,14 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class EventSpec:
-    """Scalar event g(l, state); a recorded zero crossing of g.
+    """Scalar event g(l, state) of a state list of floats; a recorded zero crossing of g.
 
     `terminal` stops the integration at the crossing; `direction` restricts
     to rising (+1) or falling (-1) crossings, 0 accepts both.
     """
 
     name: str
-    fn: Callable[[float, np.ndarray], float]
+    fn: Callable[[float, list[float]], float]
     terminal: bool = True
     direction: float = 0.0
 
@@ -272,8 +272,8 @@ def integrate(system: FlowSystem, init, config: IntegratorConfig | None = None,
         raise NonPositiveState(f"initial state must be positive and finite, got {y0}")
 
     sign = 1.0 if cfg.direction == "forward" else -1.0
-    floor = (lambda _l, y: min(y.tolist()) - COLLAPSE_FLOOR, True, 0.0)
-    sol = _rk45.solve(system.rhs, y0, sign * cfg.max_time, cfg.rel_tol, cfg.abs_tol, cfg.max_step,
+    floor = (lambda _l, y: min(y) - COLLAPSE_FLOOR, True, 0.0)
+    sol = _rk45.solve(system.rhs, y0.tolist(), sign * cfg.max_time, cfg.rel_tol, cfg.abs_tol, cfg.max_step,
                       [floor, *((spec.fn, spec.terminal, spec.direction) for spec in events)])
 
     names = ["singular", *(spec.name for spec in events)]

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -25,6 +26,7 @@ from ricciflow import (
     v_vector,
 )
 from ricciflow import cone
+from ricciflow.verify import _TA_GRID
 from ricciflow.cone import in_d_sigma, in_omega_sigma
 
 triple = st.tuples(*[st.floats(min_value=0.3, max_value=2.0)] * 3)
@@ -186,6 +188,35 @@ def test_sigma_and_a_tilde_scaling_changes_no_bits():
     for s in random_d_sigma(rng, 100.0, 300):
         assert sigma(s) == cone._sigma(*s), s
         assert np.array_equal(a_tilde(s), np.array(mp_a_tilde(*s, sig=cone._sigma(*s)))), s
+
+
+def fraction_sigma(s0, s1, s2):
+    """sigma evaluated exactly in Fraction (test oracle)."""
+    f0, f1, f2 = Fraction(s0), Fraction(s1), Fraction(s2)
+    return 2 * f1 * f2 + 2 * f0 * f2 + 2 * f0 * f1 - f0 * f0 - f1 * f1 - f2 * f2
+
+
+def near_cancellation_triples(rng, count):
+    """Triples with s2 = (sqrt(s0) + sqrt(s1))^2 (1 + eps), where the terms of
+    sigma cancel to |eps| relative, for |eps| log-uniform in [1e-17, 1e-1]."""
+    s0, s1 = rng.uniform(0.01, 2.0, (2, count))
+    eps = np.exp(rng.uniform(math.log(1e-17), math.log(1e-1), count)) * rng.choice([-1.0, 1.0], count)
+    s2 = (np.sqrt(s0) + np.sqrt(s1)) ** 2 * (1.0 + eps)
+    return [tuple(rng.permutation(t).tolist()) for t in zip(s0, s1, s2)]
+
+
+def test_exact_sigma_branch_matches_fraction():
+    # float triples take the cancellation branch in integers: its bits must
+    # be those of the Fraction formula rounded once
+    rng = np.random.default_rng(17)
+    grid_ends = [(x, 1.0, 1.0) for x in _TA_GRID if x <= 0.06 or x >= 3.47]
+    triples = [cone._scaled(s)[:3] for s in grid_ends + near_cancellation_triples(rng, 3000)]
+    for s0, s1, s2 in triples:
+        assert 16 * (2 * s1 * s2 + 2 * s0 * s2 + 2 * s0 * s1 - s0 * s0 - s1 * s1 - s2 * s2) < (s0 + s1 + s2) ** 2
+        assert cone._sigma(s0, s1, s2).hex() == float(fraction_sigma(s0, s1, s2)).hex(), (s0, s1, s2)
+    # exact Fraction triples (max/min >= 2^1022) keep an exact Fraction
+    exact = cone._sigma(*(Fraction(c) for c in (1e-300, 1e300, 1.1e300)))
+    assert isinstance(exact, Fraction) and exact == fraction_sigma(1e-300, 1e300, 1.1e300)
 
 
 class TestVVector:

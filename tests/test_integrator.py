@@ -7,6 +7,7 @@ numpy picks changes the bits of both runs alike; to check the port on
 another kernel set, run this file again under e.g. OPENBLAS_CORETYPE=Haswell.
 """
 
+import dataclasses
 import math
 import random
 import warnings
@@ -117,6 +118,29 @@ def test_event_zero_at_a_step_end_matches_solve_ivp(terminal):
     assert [ev.time for ev in traj.events if ev.name == "step_end"] == [t_k] * (1 if terminal else 2)
 
 
+def test_states_are_float_lists_and_any_returned_sequence_works():
+    # the stepper hands the rhs and every event a list of Python floats, and
+    # a right-hand side may return a list, a tuple or an ndarray alike
+    system, cfg = make_system("aw4", 0.7), IntegratorConfig(max_time=2.0)
+    rhs_states, event_states = [], []
+    events = [dataclasses.replace(spec, fn=lambda l, y, _fn=spec.fn: event_states.append(y) or _fn(l, y))
+              for spec in cone_events("aw4", 0.7)]
+    runs = []
+    for form in (list, tuple, np.array):
+        rhs = FlowSystem("aw4", 4, lambda y, _form=form: rhs_states.append(y) or _form(system.rhs(y)))
+        runs.append(integrate(rhs, STARTS["aw4"], cfg, events))
+    for states in (rhs_states, event_states):
+        assert states and all(type(y) is list and all(type(v) is float for v in y) for y in states)
+    ref = runs[0]
+    assert [ev.name for ev in ref.events] == ["window_exit", "cone_exit"]
+    for traj in runs[1:]:
+        assert traj.times.tobytes() == ref.times.tobytes()
+        assert traj.states.tobytes() == ref.states.tobytes()
+        assert [(ev.name, ev.time, ev.state.tobytes()) for ev in traj.events] == \
+            [(ev.name, ev.time, ev.state.tobytes()) for ev in ref.events]
+        assert traj.stats == ref.stats
+
+
 def random_run(seed):
     """A run drawn from `seed`: kind, start, tolerance, step cap, direction,
     horizon and, for the cone families, the cone events."""
@@ -143,7 +167,7 @@ def test_blowup_matches_solve_ivp(y0):
     # rejected steps; from 1e150 stages and step ends overflow to inf and nan
     # first, and those steps must be rejected alike.
     finite = []
-    blowup = FlowSystem("blowup", 1, lambda y: finite.append(bool(np.all(np.isfinite(y)))) or y * y)
+    blowup = FlowSystem("blowup", 1, lambda y: finite.append(bool(np.all(np.isfinite(y)))) or [v * v for v in y])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         traj = assert_same_run(blowup, [y0], IntegratorConfig(max_time=2.0), [])

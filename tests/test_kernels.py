@@ -86,7 +86,7 @@ def test_rhs_matches_numpy_scalars(kind):
         expected = bits(numpy_rhs(kind, y, xi))
         for form, state in input_forms(y).items():
             got = rhs(state, *rhs_args(kind, xi))
-            assert isinstance(got, np.ndarray)
+            assert isinstance(got, tuple) and all(type(v) is float for v in got)
             assert bits(got) == expected, (kind, form, y.tolist(), xi)
 
 
@@ -145,3 +145,11 @@ def test_scale_factors_must_be_positive_and_finite(fn, bad):
     for s in [(1.0, 1.0, bad), (bad, 0.9, 1.0), np.array([1.0, bad, 1.2])]:
         with pytest.raises(ValueError, match="positive and finite"):
             fn(s)
+
+
+@pytest.mark.parametrize("s", [(1.0, 1.2), (1.0, 1.2, 0.9, 1.1), [[1.0], [1.2], [0.9]], np.ones((3, 1)),
+                               np.ones((1, 3)), 1.0, (1.0, "x", 0.9), (1.0, None, 0.9)],
+                         ids=["two", "four", "nested", "column", "row", "scalar", "text", "none"])
+def test_scale_factors_must_be_a_triple_of_reals(s):
+    with pytest.raises(ValueError, match="expected a triple of reals"):
+        cone.t_a(s, 1.0)
