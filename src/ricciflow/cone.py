@@ -68,9 +68,20 @@ ROUND_DIAGONAL_RTOL = 1e-13
 SLICE_RTOL = 0.05
 
 
+def _real(c) -> float:
+    """float(c); an array of one element, which NumPy < 2.4 converts, is not a real."""
+    if getattr(c, "ndim", 0):
+        raise TypeError
+    return float(c)
+
+
 def _s_floats(s) -> list[float]:
     try:
-        s0, s1, s2 = values = [float(c) for c in s]
+        # a string iterates as its characters and an array of shape (3, 1) as
+        # one-element rows: neither is a triple
+        if type(s) is not list and (isinstance(s, (str, bytes)) or getattr(s, "shape", (3,)) != (3,)):
+            raise TypeError
+        s0, s1, s2 = values = [c if type(c) is float else _real(c) for c in s]
     except (TypeError, ValueError):   # not iterable, not three items, or an item not a real
         raise ValueError(f"expected a triple of reals, got {s!r}") from None
     if not (0.0 < s0 < math.inf and 0.0 < s1 < math.inf and 0.0 < s2 < math.inf):  # NaN too
@@ -104,15 +115,15 @@ def _rounded(value) -> float:
 def _sigma(s0: float, s1: float, s2: float) -> float:
     value = 2 * s1 * s2 + 2 * s0 * s2 + 2 * s0 * s1 - s0 * s0 - s1 * s1 - s2 * s2
     # The terms' magnitudes sum to (s0 + s1 + s2)^2; near sigma = 0 they
-    # cancel, so there the value is computed exactly, in integers over the
-    # common denominator of s, and rounded once to the type of s (int / int
-    # is correctly rounded, as float(Fraction) is).
-    if 16 * value < (s0 + s1 + s2) ** 2:
+    # cancel, so there a float value is computed exactly, in integers over
+    # the common denominator of s, and rounded once (int / int is correctly
+    # rounded, as float(Fraction) is).  Fraction s is exact already.
+    if isinstance(s0, float) and 16 * value < (s0 + s1 + s2) ** 2:
         (n0, d0), (n1, d1), (n2, d2) = (c.as_integer_ratio() for c in (s0, s1, s2))
         d = math.lcm(d0, d1, d2)
         n0, n1, n2 = n0 * (d // d0), n1 * (d // d1), n2 * (d // d2)
         num = 2 * n1 * n2 + 2 * n0 * n2 + 2 * n0 * n1 - n0 * n0 - n1 * n1 - n2 * n2
-        value = num / (d * d) if isinstance(s0, float) else Fraction(num, d * d)
+        value = num / (d * d)
     return value
 
 

@@ -67,7 +67,7 @@ def _on_floats(kernel):
         try:
             return kernel(*state, *args)
         except (OverflowError, ZeroDivisionError):
-            return kernel(*np.array(state), *args)
+            return kernel(*np.array(state, dtype=float), *args)
     return f
 
 
