@@ -25,7 +25,7 @@ As p is orthogonal to 1, mu, p^T M p and p^T M 1 need only E and the
 differences s_j - s_k, so nothing cancels near the round diagonal.  There
 the limit of t_A depends on the direction of approach (1 along the s1 = s2
 slice, about 1.3288 along (0, 1, -0.7)); on the round diagonal itself `t_a`
-returns 0 by convention.  On the s1 = s2 slice t_A(x, s, s) = x(4s - x)/(3s).
+returns 0 by convention.  At xi = 1, t_A(x, s, s) = x(4s - x)/(3s).
 The Berger cone is simply x1 < 2 x2.
 """
 
@@ -176,20 +176,8 @@ def v_vector(s, xi) -> np.ndarray:
                      1.0 / (arr[2] * den)])
 
 
-def t_a(s, xi) -> float:
-    """Boundary scale t_A(s, xi) = (2/9) <v, A~^-1 v>^-1 in closed form.
-
-    Evaluates 12 Gamma sigma / (p^T M p - (p^T M 1)^2 / mu) of the module
-    docstring: no matrix is formed or solved, and the value stays accurate
-    up to the round diagonal.  On the round diagonal itself (within
-    ROUND_DIAGONAL_RTOL), where the limit of t_A depends on the direction
-    of approach, returns 0 by convention.  t_A has degree 1 and is
-    evaluated on s scaled as in `_scaled`.
-    """
-    s0, s1, s2, scale = _scaled(s)
-    x = type(s0)(xi_value(xi))
-    if _is_round(s0, s1, s2):
-        return 0.0
+def _t_a(s0, s1, s2, x):
+    """The Schur form of t_A off the round diagonal, in the number type of its arguments."""
     d01, d02, d12 = s1 - s0, s2 - s0, s2 - s1
     e01, e02, e12 = d01 * d01 / s2, d02 * d02 / s1, d12 * d12 / s0  # E_jk
     mu = 2 * (e01 + e02 + e12)
@@ -198,16 +186,33 @@ def t_a(s, xi) -> float:
            + p0 * (e01 + e02) + p1 * (e01 + e12) + p2 * (e02 + e12))
     pmp = (6 * (p0 * p0 * s0 + p1 * p1 * s1 + p2 * p2 * s2)  # p^T M p
            + 2 * (p0 * p1 * e01 + p0 * p2 * e02 + p1 * p2 * e12))
-    return _rounded(12 * (x * x + x + 1) * _sigma(s0, s1, s2) / (pmp - pm1 * pm1 / mu) * scale)
+    return 12 * (x * x + x + 1) * _sigma(s0, s1, s2) / (pmp - pm1 * pm1 / mu)
+
+
+def t_a(s, xi) -> float:
+    """Boundary scale t_A(s, xi) = (2/9) <v, A~^-1 v>^-1 in closed form.
+
+    Evaluates 12 Gamma sigma / (p^T M p - (p^T M 1)^2 / mu) of the module
+    docstring (`_t_a`): no matrix is formed or solved, and the value stays
+    accurate up to the round diagonal.  On the round diagonal itself (within
+    ROUND_DIAGONAL_RTOL), where the limit of t_A depends on the direction
+    of approach, returns 0 by convention.  t_A has degree 1 and is
+    evaluated on s scaled as in `_scaled`.
+    """
+    s0, s1, s2, scale = _scaled(s)
+    x = type(s0)(xi_value(xi))
+    if _is_round(s0, s1, s2):
+        return 0.0
+    return _rounded(_t_a(s0, s1, s2, x) * scale)
 
 
 def t_a_closed(x: float, s: float) -> float:
-    """Closed form t_A(x, s, s) = x(4s - x)/(3s) on the s1 = s2 slice.
+    """Closed form t_A(x, s, s) = x(4s - x)/(3s) on the s1 = s2 slice at xi = 1.
 
     Only certified where sigma(x, s, s) = x(4s - x) > 0, i.e. x < 4s.
     """
-    if not (x > 0.0 and s > 0.0):
-        raise DomainError(f"need x > 0 and s > 0, got ({x}, {s})")
+    if not (0.0 < x < math.inf and 0.0 < s < math.inf):
+        raise DomainError(f"need finite x > 0 and s > 0, got ({x}, {s})")
     if x >= 4.0 * s:
         raise DomainError(f"x = {x} >= 4s = {4 * s}: sigma <= 0, closed form not certified")
     return x * (4.0 * s - x) / (3.0 * s)
@@ -215,8 +220,8 @@ def t_a_closed(x: float, s: float) -> float:
 
 def a_tilde_inverse_slice(x: float, s: float) -> np.ndarray:
     """Closed-form inverse of A~(x, s, s), prefactor 1/((s-x)^2 (4s-x))."""
-    if not (x > 0.0 and s > 0.0):
-        raise DomainError(f"need x > 0 and s > 0, got ({x}, {s})")
+    if not (0.0 < x < math.inf and 0.0 < s < math.inf):
+        raise DomainError(f"need finite x > 0 and s > 0, got ({x}, {s})")
     denom = (s - x) ** 2 * (4.0 * s - x)
     if denom == 0.0:
         raise DomainError(f"inverse prefactor vanishes at (x, s) = ({x}, {s})")
@@ -261,8 +266,8 @@ def _verdict_from_margin(margin: float) -> ConeVerdict:
 
 def classify_2param(t: float, s: float) -> ConeVerdict:
     """Metrics (t, t, s, s) on W^7_{1,1}: positively curved iff t < s."""
-    if not (t > 0.0 and s > 0.0):
-        raise ValueError(f"need t, s > 0, got ({t}, {s})")
+    if not (0.0 < t < math.inf and 0.0 < s < math.inf):
+        raise ValueError(f"need finite t, s > 0, got ({t}, {s})")
     return _verdict_from_margin(s - t)
 
 
@@ -273,8 +278,8 @@ def classify_3param(t: float, x: float, s: float) -> ConeVerdict:
     is t < t_A against t >= t_A (boundary included on the non-positive
     side).  For x >= s nothing is certified and the verdict is Unknown.
     """
-    if not (t > 0.0 and x > 0.0 and s > 0.0):
-        raise ValueError(f"need t, x, s > 0, got ({t}, {x}, {s})")
+    if not (0.0 < t < math.inf and 0.0 < x < math.inf and 0.0 < s < math.inf):
+        raise ValueError(f"need finite t, x, s > 0, got ({t}, {x}, {s})")
     t_hat, x_hat = t / s, x / s
     if x_hat >= 1.0:
         return ConeVerdict(ConeClass.UNKNOWN, 0.0)
@@ -283,8 +288,8 @@ def classify_3param(t: float, x: float, s: float) -> ConeVerdict:
 
 def classify_berger(x1: float, x2: float) -> ConeVerdict:
     """Berger metrics (x1, x2): positively curved iff x1 < 2 x2."""
-    if not (x1 > 0.0 and x2 > 0.0):
-        raise ValueError(f"need x1, x2 > 0, got ({x1}, {x2})")
+    if not (0.0 < x1 < math.inf and 0.0 < x2 < math.inf):
+        raise ValueError(f"need finite x1, x2 > 0, got ({x1}, {x2})")
     return _verdict_from_margin(2.0 * x2 - x1)
 
 
@@ -297,8 +302,8 @@ def classify_aw_slice(state, xi) -> ConeVerdict:
     the verdict is Unknown.
     """
     t, s0, s1, s2 = (float(c) for c in state)
-    if min(t, s0, s1, s2) <= 0.0:
-        raise ValueError(f"state must be strictly positive, got {state}")
+    if not all(0.0 < c < math.inf for c in (t, s0, s1, s2)):  # NaN too
+        raise ValueError(f"state must be strictly positive and finite, got {state}")
     s_mean = 0.5 * (s1 + s2)
     if abs(s1 - s2) > SLICE_RTOL * s_mean or s0 >= s_mean:
         return ConeVerdict(ConeClass.UNKNOWN, 0.0)
@@ -308,8 +313,8 @@ def classify_aw_slice(state, xi) -> ConeVerdict:
 def normalized_region(x: float, s: float) -> str:
     """Region of the unit-volume plane: G (sec > 0), P (non-positive plane),
     W (undetermined).  Ties 4x^3 s^4 - x^4 s^3 = 3 belong to P."""
-    if not (x > 0.0 and s > 0.0):
-        raise ValueError(f"need x, s > 0, got ({x}, {s})")
+    if not (0.0 < x < math.inf and 0.0 < s < math.inf):
+        raise ValueError(f"need finite x, s > 0, got ({x}, {s})")
     q = 4.0 * x**3 * s**4 - x**4 * s**3
     if 3.0 >= q:
         return "P"

@@ -9,6 +9,8 @@ anchored at the tuple
     (t, s0, s1, s2) = (x(4 - x)/3, x, 1, 1)
 
 for every xi (see `gradient_anchor`), where f'(0) = <grad F, velocity>.
+The initial velocity is the flow's right-hand side `flow.aw_rhs` at the
+anchor, whose t is `cone.t_a_closed(x, 1)`, the slice boundary at xi = 1.
 
 At xi = 1 the derivative reduces to the quintic story: with
 D(x) = (x/3)(32 - 32x - 16x^2 + 6x^3 + x^4), the boundary derivative is
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import cone, flow
 from .errors import DomainError
 from .spaces import xi_value
 
@@ -86,11 +89,7 @@ def gradient_anchor(x: float) -> np.ndarray:
     are the exact gradient data, for every xi."""
     if not 0.0 < x < 1.0:
         raise DomainError(f"x must lie in (0, 1), got {x}")
-    return np.array([x * (4.0 - x) / 3.0, x, 1.0, 1.0])
-
-
-def _gamma(xi: float) -> float:
-    return xi * xi + xi + 1.0
+    return np.array([cone.t_a_closed(x, 1.0), x, 1.0, 1.0])
 
 
 def _r_factor(x: float, xi: float) -> float:
@@ -99,13 +98,19 @@ def _r_factor(x: float, xi: float) -> float:
     return (xi - 1.0) ** 2 * x * x - 4.0 * (xi - 1.0) ** 2 * x - 12.0 * (xi + 1.0) ** 2
 
 
+def _f_denominator(x, xi):
+    """x(x - 4)(x - 1)R^2, the denominator of f'(0); positive on the domain."""
+    r = _r_factor(x, xi)
+    return x * (x - 4.0) * (x - 1.0) * r * r
+
+
 def grad_f(x: float, xi) -> np.ndarray:
     """Gradient (d_t, d_s0, d_s1, d_s2) of F(t, s, xi) = t_A(s, xi)/t at
     the anchor tuple; d_t < 0 there."""
     xi = xi_value(xi)
     if not 0.0 < x < 1.0:
         raise DomainError(f"x must lie in (0, 1), got {x}")
-    g = _gamma(xi)
+    g = xi * xi + xi + 1.0
     r = _r_factor(x, xi)
     d_t = -48.0 * g / (x * (x - 4.0) * r)
     d_s0 = 384.0 * (xi + 1.0) ** 2 * (x - 2.0) * g / (x * (x - 4.0) * r * r)
@@ -122,13 +127,7 @@ def grad_f(x: float, xi) -> np.ndarray:
 
 def initial_velocity(x: float, xi) -> np.ndarray:
     """Flow velocities (t', s0', s1', s2') at time 0 from the anchor tuple."""
-    xi = xi_value(xi)
-    g = _gamma(xi)
-    tp = -(x**4 - 8.0 * x**3 + 16.0 * x * x) * ((xi + 1.0) ** 2 / (x * x) + xi * xi + 1.0) / (3.0 * g)
-    s0p = -8.0 + (xi + 1.0) ** 2 * (4.0 - x) / g - 2.0 * x * x
-    s1p = -12.0 + xi * xi * (-x * x + 4.0 * x) / g + 2.0 * x
-    s2p = -12.0 + (-x * x + 4.0 * x) / g + 2.0 * x
-    return np.array([tp, s0p, s1p, s2p])
+    return np.array(flow.aw_rhs(gradient_anchor(x), xi))
 
 
 # Coefficients of K(xi, x) = sum_i c_i(xi) x^i as exact integer polynomials
@@ -174,8 +173,7 @@ def f_xi_prime0(xi, x):
         raise DomainError(f"x must lie in (0, 1), got {x}")
     if xi == 1.0:
         return f1_prime0(x)
-    r = _r_factor(x, xi)
-    return k_polynomial(xi, x) / (x * (x - 4.0) * (x - 1.0) * r * r)
+    return k_polynomial(xi, x) / _f_denominator(x, xi)
 
 
 def two_param_ratio_derivative(t, s):

@@ -99,7 +99,7 @@ def _check_d_roots():
 # --- criterion 4: closed-form boundary scale against the linear solve ---
 
 def _check_t_a_closed_form():
-    closed = [x * (4.0 - x) / 3.0 for x in _TA_GRID]
+    closed = [cone.t_a_closed(x, 1.0) for x in _TA_GRID]
     worst = max(abs(cone.t_a((x, 1.0, 1.0), 1.0) - c) / c for x, c in zip(_TA_GRID, closed))
     prods = (np.array([cone.a_tilde((x, 1.0, 1.0)) for x in _TA_GRID])
              @ np.array([cone.a_tilde_inverse_slice(x, 1.0) for x in _TA_GRID]))
@@ -146,13 +146,6 @@ def _check_gradient_oracle():
 
 # --- criterion 6: K limit at x -> 1 and denominator positivity ---
 
-def _denominator_grid() -> np.ndarray:
-    """x(x-4)(x-1)R(x, xi)^2 with x = 0.01..0.99 down, xi = 0.01..1 across."""
-    x = np.array(_grid(1, 100))[:, None]
-    r = derivatives._r_factor(x, np.array(_grid(1, 101)))
-    return x * (x - 4.0) * (x - 1.0) * r * r
-
-
 def _check_k_polynomial():
     worst = 0.0
     for k in range(1, 10):
@@ -160,7 +153,8 @@ def _check_k_polynomial():
         target = -432.0 * (xi * xi - 1.0) ** 2
         dev = abs(derivatives.k_polynomial(xi, 1.0) - target) / (1.0 - target)
         worst = max(worst, dev)
-    min_den = float(np.min(_denominator_grid()))
+    min_den = float(np.min(derivatives._f_denominator(np.array(_grid(1, 100))[:, None],
+                                                      np.array(_grid(1, 101)))))
     return [
         CheckResult("k_limit_x1", worst <= 1e-9, worst, 1e-9,
                     "|K(xi, 1) + 432(xi^2-1)^2| / (1 + 432(xi^2-1)^2)"),

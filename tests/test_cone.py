@@ -337,10 +337,9 @@ class TestTAClosed:
                 assert t_a((x, s, s), 1.0) == pytest.approx(t_a_closed(x, s), rel=1e-12)
 
     def test_domain_error(self):
-        with pytest.raises(DomainError):
-            t_a_closed(4.0, 1.0)
-        with pytest.raises(DomainError):
-            t_a_closed(-0.1, 1.0)
+        for x, s in ((4.0, 1.0), (-0.1, 1.0), (0.5, math.inf), (math.inf, 1.0), (math.nan, 1.0)):
+            with pytest.raises(DomainError):
+                t_a_closed(x, s)
 
 
 class TestInverseSlice:
@@ -363,10 +362,9 @@ class TestInverseSlice:
         assert a_tilde_inverse_slice(0.5, 1.0)[0, 0] == pytest.approx(4.0 / 7.0, rel=1e-15)
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            a_tilde_inverse_slice(1.0, 1.0)
-        with pytest.raises(DomainError):
-            a_tilde_inverse_slice(4.0, 1.0)
+        for x, s in ((1.0, 1.0), (4.0, 1.0), (0.5, math.inf), (math.nan, 1.0)):
+            with pytest.raises(DomainError):
+                a_tilde_inverse_slice(x, s)
 
 
 class TestClassifiers:
@@ -411,11 +409,16 @@ class TestClassifiers:
         assert classify_berger(4.0, 1.0).classification is ConeClass.HAS_NONPOSITIVE_PLANE
 
     def test_zero_coefficient_is_rejected(self):
-        # t = 0 is outside the domain, not a metric on the positive side
-        with pytest.raises(ValueError):
-            classify_2param(0.0, 1.0)
-        with pytest.raises(ValueError):
-            classify_3param(0.0, 0.9, 1.0)
+        # t = 0 is outside the domain, not a metric on the positive side;
+        # neither is an infinite or NaN coefficient
+        for classify, args in ((classify_2param, (0.0, 1.0)), (classify_2param, (1.0, math.inf)),
+                               (classify_3param, (0.0, 0.9, 1.0)), (classify_3param, (math.nan, 0.9, 1.0)),
+                               (classify_3param, (0.9, 0.9, math.inf)), (classify_berger, (math.inf, 1.0)),
+                               (classify_berger, (1.0, math.nan)),
+                               (classify_aw_slice, ((math.nan, 0.9, 1.0, 1.0), 0.9)),
+                               (classify_aw_slice, ((0.9, 0.9, math.inf, 1.0), 0.9))):
+            with pytest.raises(ValueError):
+                classify(*args)
 
     def test_verdict_invariants(self):
         with pytest.raises(ValueError):
@@ -441,6 +444,11 @@ class TestNormalizedRegion:
         assert normalized_region(1.0, 1.2) == "G"
         assert normalized_region(1.0, 1.0) == "P"  # tie 4 - 1 = 3 goes to P
         assert normalized_region(1.3, 1.0) == "W"
+
+    def test_domain(self):
+        for x, s in ((0.0, 1.0), (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)):
+            with pytest.raises(ValueError):
+                normalized_region(x, s)
 
     @settings(max_examples=100, deadline=None)
     @given(x=st.floats(min_value=0.1, max_value=3.0),

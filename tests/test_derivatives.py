@@ -20,7 +20,7 @@ from ricciflow import (
     t_a,
     two_param_ratio_derivative,
 )
-from ricciflow import classify_2param, ConeClass
+from ricciflow import classify_2param, ConeClass, derivatives
 from ricciflow.cone import a_tilde, v_vector
 from ricciflow.flow import aw2_rhs, aw_rhs, berger_rhs
 
@@ -185,6 +185,11 @@ class TestInitialVelocity:
         vel = initial_velocity(0.7, 1.0)
         assert vel[2] == vel[3]
 
+    def test_domain(self):
+        for x in (0.0, 1.0, 5.0, -0.2, np.nan):
+            with pytest.raises(DomainError):
+                initial_velocity(x, 0.5)
+
 
 class TestKPolynomial:
     def test_constant_term(self):
@@ -235,8 +240,7 @@ class TestFXiPrime:
     def test_denominator_positive(self):
         for x in np.arange(0.05, 1.0, 0.05):
             for xi in np.arange(0.05, 1.01, 0.05):
-                r = (xi - 1) ** 2 * x * x - 4 * (xi - 1) ** 2 * x - 12 * (xi + 1) ** 2
-                assert x * (x - 4.0) * (x - 1.0) * r * r > 0.0
+                assert derivatives._f_denominator(float(x), float(xi)) > 0.0
 
     @pytest.mark.parametrize("xi", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_negative_near_one(self, xi):

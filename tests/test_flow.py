@@ -149,7 +149,7 @@ class TestIntegrate:
         traj = info.value.trajectory
         assert traj.status == "singular"
         assert len(traj.times) == 1307
-        assert traj.final_time == 0.9999999999839899
+        assert 1.0 - 1e-9 < traj.final_time < 1.0  # just short of the blow-up, on any BLAS
         assert traj.stats["n_rejected"] > 0
         assert traj.stats["nfev"] == len(calls)
 
