@@ -176,8 +176,9 @@ def cmd_verify(args) -> int:
     results = verify.run_all()
     # JSON has no nan: a check without a measurement reports null
     report = [{"check": r.name, "status": "pass" if r.passed else "fail",
-               "measured": r.measured if math.isfinite(r.measured) else None,
-               "tolerance": r.tolerance} for r in results]
+               "measured": r.measured if math.isfinite(r.measured) else None, "tolerance": r.tolerance,
+               "headroom": r.measured / r.tolerance if math.isfinite(r.measured) and r.tolerance else None}
+              for r in results]
     out = _out_dir(args)
     path = serialize.write_json(out / "verification_report.json", report)
     failed = [r.name for r in results if not r.passed]

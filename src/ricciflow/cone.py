@@ -159,11 +159,14 @@ def a_tilde(s) -> np.ndarray:
     if sig <= 0.0 or _is_round(s0, s1, s2):
         warnings.warn("A~ evaluated outside D_sigma; matrix may be singular",
                       RuntimeWarning, stacklevel=2)
+    return np.array([[_rounded(a / scale) for a in row] for row in _a_tilde(s0, s1, s2, sig)])
+
+
+def _a_tilde(s0, s1, s2, sig):  # the rows of A~, elementwise on arrays
     arr, prod = (s0, s1, s2), s0 * s1 * s2
     b = [-sig / prod + (arr[j - 1] - arr[j] + arr[(j + 1) % 3]) / (arr[j - 1] * arr[(j + 1) % 3])
          for j in range(3)]
-    rows = [[4 / s0, b[2], b[1]], [b[2], 4 / s1, b[0]], [b[1], b[0], 4 / s2]]
-    return np.array([[_rounded(a / scale) for a in row] for row in rows])
+    return [[4 / s0, b[2], b[1]], [b[2], 4 / s1, b[0]], [b[1], b[0], 4 / s2]]
 
 
 def v_vector(s, xi) -> np.ndarray:
@@ -196,8 +199,10 @@ def t_a(s, xi) -> float:
     docstring (`_t_a`): no matrix is formed or solved, and the value stays
     accurate up to the round diagonal.  On the round diagonal itself (within
     ROUND_DIAGONAL_RTOL), where the limit of t_A depends on the direction
-    of approach, returns 0 by convention.  t_A has degree 1 and is
-    evaluated on s scaled as in `_scaled`.
+    of approach, returns 0 by convention.  t_A has degree 1 and is evaluated on s
+    scaled as in `_scaled`.  The result is not correctly rounded: it lies a median
+    1.4 ulps, and up to 120 where sigma is small, from the exact `_t_a` in `Fraction`,
+    so interval work must evaluate `_t_a` itself.
     """
     s0, s1, s2, scale = _scaled(s)
     x = type(s0)(xi_value(xi))
@@ -211,29 +216,65 @@ def t_a_closed(x: float, s: float) -> float:
 
     Only certified where sigma(x, s, s) = x(4s - x) > 0, i.e. x < 4s.
     """
-    if not (0.0 < x < math.inf and 0.0 < s < math.inf):
+    if not (_all((0.0 < x) & (x < math.inf)) and _all((0.0 < s) & (s < math.inf))):
         raise DomainError(f"need finite x > 0 and s > 0, got ({x}, {s})")
-    if x >= 4.0 * s:
+    if not _all(x < 4.0 * s):
         raise DomainError(f"x = {x} >= 4s = {4 * s}: sigma <= 0, closed form not certified")
     return x * (4.0 * s - x) / (3.0 * s)
 
 
 def a_tilde_inverse_slice(x: float, s: float) -> np.ndarray:
-    """Closed-form inverse of A~(x, s, s), prefactor 1/((s-x)^2 (4s-x))."""
-    if not (0.0 < x < math.inf and 0.0 < s < math.inf):
+    """Closed-form inverse of A~(x, s, s), prefactor 1/((s-x)^2 (4s-x)); a stack (..., 3, 3) on arrays."""
+    if not (_all((0.0 < x) & (x < math.inf)) and _all((0.0 < s) & (s < math.inf))):
         raise DomainError(f"need finite x > 0 and s > 0, got ({x}, {s})")
-    denom = (s - x) ** 2 * (4.0 * s - x)
-    if denom == 0.0:
+    denom = _pow(s - x, 2) * (4.0 * s - x)
+    if not _all(denom != 0.0):
         raise DomainError(f"inverse prefactor vanishes at (x, s) = ({x}, {s})")
-    diag0 = s**3 * x
+    diag0 = _pow(s, 3) * x
     off0 = s * s * x * (3.0 * s - x) / 2.0
-    diag = s * (16.0 * s**3 - 9.0 * s * s * x + 6.0 * s * x * x - x**3) / 12.0
-    off = s * (8.0 * s**3 + 9.0 * s * s * x - 6.0 * s * x * x + x**3) / 12.0
-    return np.array([
-        [diag0, off0, off0],
-        [off0, diag, off],
-        [off0, off, diag],
-    ]) / denom
+    diag = s * (16.0 * _pow(s, 3) - 9.0 * s * s * x + 6.0 * s * x * x - _pow(x, 3)) / 12.0
+    off = s * (8.0 * _pow(s, 3) + 9.0 * s * s * x - 6.0 * s * x * x + _pow(x, 3)) / 12.0
+    inv = np.array([[diag0, off0, off0], [off0, diag, off], [off0, off, diag]]) / denom
+    return np.moveaxis(inv, (0, 1), (-2, -1)).copy() if inv.ndim > 2 else inv
+
+
+def _all(cond) -> bool:  # a comparison of floats or arrays holds everywhere; np.all is slow on a scalar
+    return bool(cond.all()) if isinstance(cond, np.ndarray) else bool(cond)
+
+
+def _pow(c, k):  # c ** k, per element on an array: NumPy's array `**` need not give Python's bits
+    return np.reshape([v ** k for v in c.ravel().tolist()], c.shape) if isinstance(c, np.ndarray) else c ** k
+
+
+def _rowwise(kernel, s, scalar) -> np.ndarray:
+    """`kernel(columns, scale)` on an (N, 3) stack scaled as in `_scaled`, and `scalar(row)` on
+    supersets of the rows where the scalar path branches; rows with max/min >= 2^1022 (exact
+    Fraction scale) have sigma <= 4 min max and so lie in `_sigma`'s exact branch."""
+    rows = np.asarray(s, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != 3 or not np.all((0.0 < rows) & (rows < math.inf)):
+        raise ValueError(f"expected an (N, 3) stack of positive finite reals, got {s!r}")
+    scale = np.ldexp(1.0, np.frexp(rows.max(axis=1))[1] - 1)
+    scaled = rows / scale[:, None]
+    with np.errstate(all="ignore"):  # the rows that take `scalar` may divide by zero
+        out = kernel(scaled.T, scale)
+        fallback = ((np.ptp(scaled, axis=1) <= 8 * ROUND_DIAGONAL_RTOL)  # round: ptp <= 2 RTOL mean
+                    | (15 * _sigma(*scaled.T) < np.square(scaled.sum(axis=1))))  # 16 sigma < sum**2
+    for i in np.flatnonzero(fallback):
+        out[i] = scalar(rows[i].tolist())
+    return out
+
+
+def _sigma_rows(s) -> np.ndarray:
+    return _rowwise(lambda c, scale: _sigma(*c) * scale * scale, s, sigma)
+
+
+def _t_a_rows(s, xi) -> np.ndarray:
+    return _rowwise(lambda c, scale: _t_a(*c, xi_value(xi)) * scale, s, lambda row: t_a(row, xi))
+
+
+def _a_tilde_rows(s) -> np.ndarray:
+    return _rowwise(lambda c, scale: (np.array(_a_tilde(*c, _sigma(*c))) / scale).transpose(2, 0, 1).copy(),
+                    s, a_tilde)
 
 
 class ConeClass(enum.Enum):

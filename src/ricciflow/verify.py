@@ -4,7 +4,9 @@ Each check produces a CheckResult with the measured worst-case value and the
 tolerance it is held to; `run_all` evaluates the full battery, the single
 source for the CLI `verify` command and the acceptance tests.  The grids
 run on numpy arrays in the operations of the scalar functions they sample,
-so every grid point has the bits of a scalar call.
+so every grid point has the bits of a scalar call (the t_A and A~ grid uses
+`cone`'s row-wise kernels, which evaluate `**` per element: NumPy's array
+`**` need not give Python's bits).
 
 Note on the two root-bracket checks: the quintic's outer irrational roots
 are -7.489652155... and 2.697788435... (residuals at machine precision).
@@ -99,10 +101,10 @@ def _check_d_roots():
 # --- criterion 4: closed-form boundary scale against the linear solve ---
 
 def _check_t_a_closed_form():
-    closed = [cone.t_a_closed(x, 1.0) for x in _TA_GRID]
-    worst = max(abs(cone.t_a((x, 1.0, 1.0), 1.0) - c) / c for x, c in zip(_TA_GRID, closed))
-    prods = (np.array([cone.a_tilde((x, 1.0, 1.0)) for x in _TA_GRID])
-             @ np.array([cone.a_tilde_inverse_slice(x, 1.0) for x in _TA_GRID]))
+    slice_s = np.array([(x, 1.0, 1.0) for x in _TA_GRID])
+    closed = cone.t_a_closed(slice_s[:, 0], 1.0)
+    worst = float(np.max(np.abs(cone._t_a_rows(slice_s, 1.0) - closed) / closed))
+    prods = cone._a_tilde_rows(slice_s) @ cone.a_tilde_inverse_slice(slice_s[:, 0], 1.0)
     worst_inv = float(np.max(np.abs(prods - np.eye(3))))
     return [
         CheckResult("t_a_closed_form_grid", worst <= 1e-12, worst, 1e-12,

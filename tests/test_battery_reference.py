@@ -3,9 +3,10 @@ they replace, bit for bit.
 
 Each reference below is the per-point form the check used before: the
 4x4x4 table scan of `ricci_from_structure`, one `rng.uniform(size=4)` draw
-per metric, one `@` per grid point, and the double and single loops over
-the K-denominator and f'(0) grids.  Values are compared through
-`float.hex`, so even a sign of zero counts.  The stacked `@` goes through
+per metric, one `@` per grid point, one `t_a`, `a_tilde` and
+`a_tilde_inverse_slice` call per point of the t_A grid, and the double and
+single loops over the K-denominator and f'(0) grids.  Values are compared
+through `float.hex`, so even a sign of zero counts.  The stacked `@` goes through
 BLAS; run this file again under e.g. OPENBLAS_CORETYPE=Haswell to check a
 second kernel set.
 """
@@ -88,6 +89,15 @@ def test_stacked_products_match_the_per_point_products():
         worst_inv = max(worst_inv, float(np.max(np.abs(p @ q - np.eye(3)))))
     (_, result) = verify._check_t_a_closed_form()
     assert result.measured.hex() == worst_inv.hex()
+
+
+def test_t_a_grid_matches_the_per_point_loop():
+    # the check runs the grid through the row-wise kernels; the scalar
+    # loop it replaced gives the same worst relative deviation
+    closed = [cone.t_a_closed(x, 1.0) for x in verify._TA_GRID]
+    worst = max(abs(cone.t_a((x, 1.0, 1.0), 1.0) - c) / c for x, c in zip(verify._TA_GRID, closed))
+    (result, _) = verify._check_t_a_closed_form()
+    assert result.measured.hex() == worst.hex()
 
 
 def test_denominator_grid_matches_the_double_loop():

@@ -331,4 +331,15 @@ class TestVerifyCommand:
         assert len(exits) == 5
         for name in exits:
             assert report[name]["status"] == "fail" and report[name]["measured"] is None
+            assert report[name]["headroom"] is None
         assert report["seed_p2_enters_pink"]["measured"] > 0.0
+
+    def test_headroom_is_measured_over_tolerance(self, tmp_path, capsys):
+        run_cli(capsys, "verify", "--out", str(tmp_path))
+        text = (tmp_path / "verification_report.json").read_text()
+        report = {entry["check"]: entry for entry in json.loads(text)}
+        for result in verify.run_all():
+            expected = result.measured / result.tolerance if result.tolerance else None
+            assert report[result.name]["headroom"] == expected, result.name
+        assert report["sign_theorem_xi1"]["headroom"] is None  # held to tolerance 0
+        assert 0.0 < report["t_a_closed_form_grid"]["headroom"] < 1.0

@@ -337,9 +337,17 @@ class TestTAClosed:
                 assert t_a((x, s, s), 1.0) == pytest.approx(t_a_closed(x, s), rel=1e-12)
 
     def test_domain_error(self):
-        for x, s in ((4.0, 1.0), (-0.1, 1.0), (0.5, math.inf), (math.inf, 1.0), (math.nan, 1.0)):
+        grid = np.array([0.5, 0.6])
+        for x, s in ((4.0, 1.0), (-0.1, 1.0), (0.5, math.inf), (math.inf, 1.0), (math.nan, 1.0),
+                     (np.array([0.5, 4.0]), 1.0), (np.array([0.5, math.nan]), 1.0), (np.array([-0.1, 0.5]), 1.0),
+                     (grid, np.array([1.0, math.inf])), (grid, np.array([1.0, 0.1])), (0.5, np.array([1.0, math.nan]))):
             with pytest.raises(DomainError):
                 t_a_closed(x, s)
+
+    def test_arrays_give_the_scalar_bits(self):
+        xs = np.array(_TA_GRID)
+        assert [c.hex() for c in t_a_closed(xs, 1.0).tolist()] == [t_a_closed(x, 1.0).hex() for x in _TA_GRID]
+        assert [c.hex() for c in t_a_closed(0.2, xs[5:]).tolist()] == [t_a_closed(0.2, x).hex() for x in _TA_GRID[5:]]
 
 
 class TestInverseSlice:
@@ -362,9 +370,108 @@ class TestInverseSlice:
         assert a_tilde_inverse_slice(0.5, 1.0)[0, 0] == pytest.approx(4.0 / 7.0, rel=1e-15)
 
     def test_domain_errors(self):
-        for x, s in ((1.0, 1.0), (4.0, 1.0), (0.5, math.inf), (math.nan, 1.0)):
+        for x, s in ((1.0, 1.0), (4.0, 1.0), (0.5, math.inf), (math.nan, 1.0),
+                     (np.array([0.5, 1.0]), 1.0), (np.array([0.5, math.nan]), 1.0), (0.5, np.array([1.0, -1.0]))):
             with pytest.raises(DomainError):
                 a_tilde_inverse_slice(x, s)
+
+    def test_arrays_give_the_scalar_bits(self):
+        # NumPy's array ** differs from Python's in the last bit on some
+        # hosts (x**3 at 25 of the 399 points k/100 on one AVX-512 machine)
+        rng = np.random.default_rng(9)
+        xs = np.concatenate([np.array(_TA_GRID), rng.uniform(0.01, 3.99, 2000)])
+        for x, s in ((xs, 1.0), (xs, 1.2345), (0.6123, xs + 0.1), (xs, xs * 1.3 + 0.01)):
+            stack = a_tilde_inverse_slice(x, s)
+            scalar = [a_tilde_inverse_slice(a, b) for a, b in np.broadcast(x, s)]
+            assert stack.shape == (len(scalar), 3, 3) and stack.flags.c_contiguous
+            assert [v.hex() for v in stack.ravel().tolist()] == [v.hex() for m in scalar for v in m.ravel().tolist()]
+
+
+def hexes(values):
+    return [v.hex() for v in np.ravel(values).tolist()]
+
+
+def scalar_rows(stack, xi):
+    """sigma, t_A and A~ of each row by the scalar functions (the reference)."""
+    rows = np.asarray(stack, dtype=float).tolist()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # A~ outside D_sigma
+        return ([sigma(s) for s in rows], [t_a(s, xi) for s in rows], [a_tilde(s) for s in rows])
+
+
+def assert_rows_match(stack, xi):
+    sig, ta, at = scalar_rows(stack, xi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert hexes(cone._sigma_rows(stack)) == hexes(sig)
+        assert hexes(cone._t_a_rows(stack, xi)) == hexes(ta)
+        assert hexes(cone._a_tilde_rows(stack)) == hexes(at)
+
+
+class TestRowwise:
+    """The row-wise kernels give each row the bits of the scalar call, on the
+    rows they evaluate as arrays and on those they hand to the scalar path."""
+
+    @pytest.mark.parametrize("xi", [1.0, 0.7, 0.3])
+    def test_ta_grid(self, xi):
+        assert_rows_match([(x, 1.0, 1.0) for x in _TA_GRID], xi)
+
+    def test_seeded_omega_sigma(self):
+        rng = np.random.default_rng(14)
+        stack = np.exp(rng.uniform(math.log(0.3), math.log(3.0), (27000, 3)))
+        stack = stack[[sigma(s) > 0.0 for s in stack.tolist()]]
+        assert len(stack) >= 20000
+        for xi, part in zip((0.3, 0.7, 1.0), np.array_split(stack, 3)):
+            assert_rows_match(part, xi)
+
+    def test_near_cancellation(self):
+        # sigma's terms cancel to 1e-17 .. 1e-1 relative: its exact branch, on both sides of sigma = 0
+        rng = np.random.default_rng(15)
+        stack = np.array(near_cancellation_triples(rng, 2000)) * np.exp(rng.uniform(-5.0, 5.0, (2000, 1)))
+        for xi in (1.0, 0.4):
+            assert_rows_match(stack, xi)
+
+    def test_both_sides_of_the_round_diagonal(self):
+        rtol = cone.ROUND_DIAGONAL_RTOL
+        stack = [(c * (1.0 + k * rtol / 8 * d0), c * (1.0 + k * rtol / 8 * d1), c)
+                 for c in (1.0, 1.9999, 3.7e-5) for k in range(0, 40) for d0, d1 in ((1.0, -1.0), (0.3, 0.8))]
+        round_rows = [cone.is_round_diagonal(s) for s in stack]
+        assert any(round_rows) and not all(round_rows)
+        for xi in (1.0, 0.6):
+            assert_rows_match(stack, xi)
+
+    def test_exact_fraction_scale(self):
+        # max/min >= 2^1022: the scalar path computes in Fraction
+        rng = np.random.default_rng(16)
+        stack = [*SPREAD, *((1e-160 * a, 1e160 * b, 1e160 * c) for a, b, c in rng.uniform(0.5, 2.0, (20, 3)).tolist())]
+        assert_rows_match(stack, 0.8)
+
+    @pytest.mark.parametrize("stack", [
+        [1.0, 1.0, 1.0], [[1.0, 1.0]], [[[1.0], [1.0], [1.0]]], [[1.0, 1.0, 1.0], [1.0, 1.0]],
+        [["a", "b", "c"]], [[1.0, 0.0, 1.0]], [[1.0, -1.0, 1.0]], [[1.0, math.nan, 1.0]],
+        [[1.0, 1.0, math.inf]]])
+    def test_malformed_stacks(self, stack):
+        for rows in (cone._sigma_rows, lambda s: cone._t_a_rows(s, 0.5), cone._a_tilde_rows):
+            with pytest.raises(ValueError):
+                rows(stack)
+
+
+def test_t_a_stays_within_its_ulp_bound():
+    # t_a is not correctly rounded; a reordering of `_t_a` that loses digits
+    # moves these distances to the exact Fraction value
+    rng = np.random.default_rng(28)
+    points = []
+    while len(points) < 1500:
+        s = tuple(rng.uniform(0.3, 3.0, 3).tolist())
+        if sigma(s) > 0.0:
+            points.append((s, float(rng.uniform(0.05, 1.0))))
+    points += [((float(rng.uniform(0.8, 1.0)), *(1.0 + rng.uniform(-1e-3, 1e-3, 2)).tolist()),
+                float(rng.uniform(0.5, 1.0))) for _ in range(200)]
+    distances = []
+    for s, xi in points:
+        exact = cone._t_a(*(Fraction(c) for c in s), Fraction(xi))
+        distances.append(float(abs(Fraction(t_a(s, xi)) - exact) / Fraction(math.ulp(float(exact)))))
+    assert np.median(distances) <= 2.0 and max(distances) <= 32.0
 
 
 class TestClassifiers:
