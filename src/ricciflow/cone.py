@@ -257,7 +257,7 @@ def _rowwise(kernel, s, scalar) -> np.ndarray:
     scaled = rows / scale[:, None]
     with np.errstate(all="ignore"):  # the rows that take `scalar` may divide by zero
         out = kernel(scaled.T, scale)
-        fallback = ((np.ptp(scaled, axis=1) <= 8 * ROUND_DIAGONAL_RTOL)  # round: ptp <= 2 RTOL mean
+        fallback = ((np.ptp(scaled, axis=1) <= 8 * ROUND_DIAGONAL_RTOL)  # round: <= 2 RTOL mean < 4 RTOL
                     | (15 * _sigma(*scaled.T) < np.square(scaled.sum(axis=1))))  # 16 sigma < sum**2
     for i in np.flatnonzero(fallback):
         out[i] = scalar(rows[i].tolist())

@@ -339,15 +339,16 @@ class TestTAClosed:
     def test_domain_error(self):
         grid = np.array([0.5, 0.6])
         for x, s in ((4.0, 1.0), (-0.1, 1.0), (0.5, math.inf), (math.inf, 1.0), (math.nan, 1.0),
-                     (np.array([0.5, 4.0]), 1.0), (np.array([0.5, math.nan]), 1.0), (np.array([-0.1, 0.5]), 1.0),
-                     (grid, np.array([1.0, math.inf])), (grid, np.array([1.0, 0.1])), (0.5, np.array([1.0, math.nan]))):
+                     (np.array([0.5, 4.0]), 1.0), (np.array([0.5, math.nan]), 1.0),
+                     (np.array([-0.1, 0.5]), 1.0), (grid, np.array([1.0, math.inf])),
+                     (grid, np.array([1.0, 0.1])), (0.5, np.array([1.0, math.nan]))):
             with pytest.raises(DomainError):
                 t_a_closed(x, s)
 
     def test_arrays_give_the_scalar_bits(self):
         xs = np.array(_TA_GRID)
-        assert [c.hex() for c in t_a_closed(xs, 1.0).tolist()] == [t_a_closed(x, 1.0).hex() for x in _TA_GRID]
-        assert [c.hex() for c in t_a_closed(0.2, xs[5:]).tolist()] == [t_a_closed(0.2, x).hex() for x in _TA_GRID[5:]]
+        assert hexes(t_a_closed(xs, 1.0)) == hexes([t_a_closed(x, 1.0) for x in _TA_GRID])
+        assert hexes(t_a_closed(0.2, xs[5:])) == hexes([t_a_closed(0.2, x) for x in _TA_GRID[5:]])
 
 
 class TestInverseSlice:
@@ -370,8 +371,8 @@ class TestInverseSlice:
         assert a_tilde_inverse_slice(0.5, 1.0)[0, 0] == pytest.approx(4.0 / 7.0, rel=1e-15)
 
     def test_domain_errors(self):
-        for x, s in ((1.0, 1.0), (4.0, 1.0), (0.5, math.inf), (math.nan, 1.0),
-                     (np.array([0.5, 1.0]), 1.0), (np.array([0.5, math.nan]), 1.0), (0.5, np.array([1.0, -1.0]))):
+        for x, s in ((1.0, 1.0), (4.0, 1.0), (0.5, math.inf), (math.nan, 1.0), (np.array([0.5, 1.0]), 1.0),
+                     (np.array([0.5, math.nan]), 1.0), (0.5, np.array([1.0, -1.0]))):
             with pytest.raises(DomainError):
                 a_tilde_inverse_slice(x, s)
 
@@ -384,28 +385,21 @@ class TestInverseSlice:
             stack = a_tilde_inverse_slice(x, s)
             scalar = [a_tilde_inverse_slice(a, b) for a, b in np.broadcast(x, s)]
             assert stack.shape == (len(scalar), 3, 3) and stack.flags.c_contiguous
-            assert [v.hex() for v in stack.ravel().tolist()] == [v.hex() for m in scalar for v in m.ravel().tolist()]
+            assert hexes(stack) == hexes(scalar)
 
 
 def hexes(values):
     return [v.hex() for v in np.ravel(values).tolist()]
 
 
-def scalar_rows(stack, xi):
-    """sigma, t_A and A~ of each row by the scalar functions (the reference)."""
+def assert_rows_match(stack, xi):
+    """Each row-wise kernel against its scalar function on every row, bit for bit."""
     rows = np.asarray(stack, dtype=float).tolist()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # A~ outside D_sigma
-        return ([sigma(s) for s in rows], [t_a(s, xi) for s in rows], [a_tilde(s) for s in rows])
-
-
-def assert_rows_match(stack, xi):
-    sig, ta, at = scalar_rows(stack, xi)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert hexes(cone._sigma_rows(stack)) == hexes(sig)
-        assert hexes(cone._t_a_rows(stack, xi)) == hexes(ta)
-        assert hexes(cone._a_tilde_rows(stack)) == hexes(at)
+        assert hexes(cone._sigma_rows(stack)) == hexes([sigma(s) for s in rows])
+        assert hexes(cone._t_a_rows(stack, xi)) == hexes([t_a(s, xi) for s in rows])
+        assert hexes(cone._a_tilde_rows(stack)) == hexes([a_tilde(s) for s in rows])
 
 
 class TestRowwise:
@@ -443,7 +437,8 @@ class TestRowwise:
     def test_exact_fraction_scale(self):
         # max/min >= 2^1022: the scalar path computes in Fraction
         rng = np.random.default_rng(16)
-        stack = [*SPREAD, *((1e-160 * a, 1e160 * b, 1e160 * c) for a, b, c in rng.uniform(0.5, 2.0, (20, 3)).tolist())]
+        stack = [*SPREAD, *((1e-160 * a, 1e160 * b, 1e160 * c)
+                            for a, b, c in rng.uniform(0.5, 2.0, (20, 3)).tolist())]
         assert_rows_match(stack, 0.8)
 
     @pytest.mark.parametrize("stack", [
