@@ -264,10 +264,6 @@ def _rowwise(kernel, s, scalar) -> np.ndarray:
     return out
 
 
-def _sigma_rows(s) -> np.ndarray:
-    return _rowwise(lambda c, scale: _sigma(*c) * scale * scale, s, sigma)
-
-
 def _t_a_rows(s, xi) -> np.ndarray:
     return _rowwise(lambda c, scale: _t_a(*c, xi_value(xi)) * scale, s, lambda row: t_a(row, xi))
 
@@ -345,6 +341,7 @@ def classify_aw_slice(state, xi) -> ConeVerdict:
     t, s0, s1, s2 = (float(c) for c in state)
     if not all(0.0 < c < math.inf for c in (t, s0, s1, s2)):  # NaN too
         raise ValueError(f"state must be strictly positive and finite, got {state}")
+    xi = xi_value(xi)
     s_mean = 0.5 * (s1 + s2)
     if abs(s1 - s2) > SLICE_RTOL * s_mean or s0 >= s_mean:
         return ConeVerdict(ConeClass.UNKNOWN, 0.0)

@@ -73,22 +73,25 @@ def d_roots() -> np.ndarray:
     return np.sort(np.concatenate([cubic, [-2.0, 0.0]]))
 
 
+def _check_x(x) -> None:  # x, or every entry of an array x, in (0, 1); nan is not
+    if not cone._all((0.0 < x) & (x < 1.0)):
+        raise DomainError(f"x must lie in (0, 1), got {x}")
+
+
 def f1_prime0(x):
     """Boundary derivative at xi = 1: quartic(x) / (3x(4 - x)).
 
     Equals D(x)/(3 t x) at the anchor tuple; negative on (lambda4, 1).
     A numpy array of x gives each point the bits of a scalar call.
     """
-    if not (np.all(0.0 < x) and np.all(x < 1.0)):
-        raise DomainError(f"x must lie in (0, 1), got {x}")
+    _check_x(x)
     return _quartic(x) / (3.0 * x * (4.0 - x))
 
 
 def gradient_anchor(x: float) -> np.ndarray:
     """Anchor tuple (x(4-x)/3, x, 1, 1) at which the closed forms below
     are the exact gradient data, for every xi."""
-    if not 0.0 < x < 1.0:
-        raise DomainError(f"x must lie in (0, 1), got {x}")
+    _check_x(x)
     return np.array([cone.t_a_closed(x, 1.0), x, 1.0, 1.0])
 
 
@@ -108,8 +111,7 @@ def grad_f(x: float, xi) -> np.ndarray:
     """Gradient (d_t, d_s0, d_s1, d_s2) of F(t, s, xi) = t_A(s, xi)/t at
     the anchor tuple; d_t < 0 there."""
     xi = xi_value(xi)
-    if not 0.0 < x < 1.0:
-        raise DomainError(f"x must lie in (0, 1), got {x}")
+    _check_x(x)
     g = xi * xi + xi + 1.0
     r = _r_factor(x, xi)
     d_t = -48.0 * g / (x * (x - 4.0) * r)
@@ -169,10 +171,9 @@ def f_xi_prime0(xi, x):
     x may be a numpy array, as in `f1_prime0`.
     """
     xi = xi_value(xi)
-    if not (np.all(0.0 < x) and np.all(x < 1.0)):
-        raise DomainError(f"x must lie in (0, 1), got {x}")
     if xi == 1.0:
         return f1_prime0(x)
+    _check_x(x)
     return k_polynomial(xi, x) / _f_denominator(x, xi)
 
 

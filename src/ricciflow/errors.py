@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["RicciFlowError", "DomainError", "StepSizeUnderflow", "NonPositiveState", "NoExitWithinHorizon"]
+
 
 class RicciFlowError(Exception):
     """Base class for all package-specific errors."""

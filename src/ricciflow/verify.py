@@ -98,7 +98,7 @@ def _check_d_roots():
     ]
 
 
-# --- criterion 4: closed-form boundary scale against the linear solve ---
+# --- criterion 4: general t_A against the slice closed form, A~ against its inverse ---
 
 def _check_t_a_closed_form():
     slice_s = np.array([(x, 1.0, 1.0) for x in _TA_GRID])

@@ -6,7 +6,8 @@ irrational roots of the derivative quintic do not contain the true roots
 -7.489652155... and 2.697788435... (the root values themselves are verified
 by the exact-pair and residual checks); see the verification report notes.
 The module also checks that each package module's `__all__` matches what
-the module defines.
+the module defines, and that the package exports exactly the names in the
+`__all__` of its library modules.
 """
 
 import importlib
@@ -16,7 +17,7 @@ import pkgutil
 import pytest
 
 import ricciflow
-from ricciflow import NoExitWithinHorizon, flow, verify
+from ricciflow import NoExitWithinHorizon, cone, derivatives, errors, flow, spaces, verify
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +46,12 @@ def test_all_lists_the_public_definitions(mod):
               if inspect.isfunction(getattr(mod, name)) or inspect.isclass(getattr(mod, name))}
     assert listed == defined
     assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+def test_package_namespace_is_the_union_of_the_library_all_lists():
+    exported = {name for name, value in vars(ricciflow).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert exported == {name for mod in (spaces, cone, flow, derivatives, errors) for name in mod.__all__}
 
 
 @pytest.mark.parametrize("name", [result.name for result in verify.run_all()])
