@@ -14,7 +14,8 @@ eigenvalues are
 All eigenvalues are homogeneous of degree -1 in the metric coefficients.
 `ricci_from_structure` recomputes the same eigenvalues from the structure
 constants [ijk] of the isotropy decomposition and serves as an independent
-cross-check of the closed forms.
+cross-check of the closed forms: a 4-tuple for one metric (t, s0, s1, s2),
+an (N, 4) array for an (N, 4) stack, each row with the bits of its 4-tuple.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ _B_COEFF = 12.0
 _MODULE_DIMS = (1.0, 2.0, 2.0, 2.0)
 
 
-def ricci_from_structure(k1: int, k2: int, coeffs) -> tuple[float, float, float, float]:
+def ricci_from_structure(k1: int, k2: int, coeffs):
     """Eigenvalues (r0, r1, r2, r3) of the metric `coeffs` = (t, s0, s1, s2)
     from the general structure-constant formula.
 
@@ -131,16 +132,20 @@ def ricci_from_structure(k1: int, k2: int, coeffs) -> tuple[float, float, float,
 
     with b_i = 12, d = (1, 2, 2, 2) and x = (t, s0, s1, s2).  Independent of
     the closed forms in `aw_eigenvalue_tuple`; sums are compensated so the
-    two paths agree to ~1e-13 relative.  The four coefficients must be
-    positive and finite.
+    two paths agree to ~1e-13 relative.  The coefficients must be positive
+    and finite.  Four of them give the 4-tuple; an (N, 4) stack gives an
+    (N, 4) array, each row with the bits of its 4-tuple (the terms run on
+    columns in the same operations, and each `math.fsum` stays per row).
     """
     c = _family_values(k1, k2)
-    x = [float(v) for v in coeffs]
-    if len(x) != 4 or not all(0.0 < v < math.inf for v in x):  # NaN too
-        raise ValueError(f"need four positive finite coefficients (t, s0, s1, s2), got {coeffs}")
+    x = np.asarray(coeffs, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != 4 or not np.all((0.0 < x) & (x < math.inf)):  # NaN too
+        raise ValueError(f"need positive finite (t, s0, s1, s2) or an (N, 4) stack of them, got {coeffs!r}")
+    cols = np.atleast_2d(x).T
     r = []
-    for x_i, d, brackets in zip(x, _MODULE_DIMS, _BRACKETS_BY_I):
-        first = math.fsum([c[f] * x[j] / (x_i * x[k]) for f, j, k in brackets])
-        second = math.fsum([c[f] * x_i / (x[j] * x[k]) for f, j, k in brackets])
-        r.append(math.fsum([_B_COEFF / (2.0 * x_i), -first / (2.0 * d), second / (4.0 * d)]))
-    return tuple(r)
+    for x_i, d, brackets in zip(cols, _MODULE_DIMS, _BRACKETS_BY_I):
+        first = np.transpose([c[f] * cols[j] / (x_i * cols[k]) for f, j, k in brackets]).tolist()
+        second = np.transpose([c[f] * x_i / (cols[j] * cols[k]) for f, j, k in brackets]).tolist()
+        r.append([math.fsum([b, -math.fsum(p) / (2.0 * d), math.fsum(q) / (4.0 * d)])
+                  for b, p, q in zip((_B_COEFF / (2.0 * x_i)).tolist(), first, second)])
+    return np.array(r).T if x.ndim == 2 else tuple(row[0] for row in r)

@@ -2,9 +2,10 @@
 
 Each check produces a CheckResult with the measured worst-case value and the
 tolerance it is held to; `run_all` evaluates the full battery, the single
-source for the CLI `verify` command and the acceptance tests.  The grids
-run on numpy arrays in the operations of the scalar functions they sample,
-so every grid point has the bits of a scalar call (the t_A and A~ grid uses
+source for the CLI `verify` command and the acceptance tests.  The grids,
+the gradient's finite differences and the structure-constant eigenvalue
+oracle run on numpy arrays in the operations of the scalar functions they
+sample, so every point has the bits of a scalar call (t_A and A~ use
 `cone`'s row-wise kernels, which evaluate `**` per element: NumPy's array
 `**` need not give Python's bits).
 
@@ -46,7 +47,7 @@ def _grid(start_hundredths: int, stop_hundredths: int) -> list[float]:
 
 
 _TA_GRID = _grid(1, 100) + _grid(101, 399)
-_GRAD_GRID = [(x, xi) for x in (0.85, 0.9, 0.95) for xi in (0.4, 0.7, 1.0)]
+_GRAD_X, _GRAD_XI = (0.85, 0.9, 0.95), (0.4, 0.7, 1.0)
 
 
 # --- criterion 1: round-metric derivative of the two-parameter family ---
@@ -121,23 +122,21 @@ def _f_value(t, s, xi):
 
 def _check_gradient_oracle():
     h = 1e-6
-    worst_fd = 0.0
-    worst_asm = 0.0
-    for x, xi in _GRAD_GRID:
-        anchor = derivatives.gradient_anchor(x)
-        t0, s = anchor[0], anchor[1:]
-        grad = derivatives.grad_f(x, xi)
-        fd = np.empty(4)
-        fd[0] = (_f_value(t0 + h, s, xi) - _f_value(t0 - h, s, xi)) / (2.0 * h)
-        for i in range(3):
-            sp, sm = s.copy(), s.copy()
-            sp[i] += h
-            sm[i] -= h
-            fd[i + 1] = (_f_value(t0, sp, xi) - _f_value(t0, sm, xi)) / (2.0 * h)
-        worst_fd = max(worst_fd, float(np.max(np.abs(fd - grad) / np.abs(grad))))
-        assembled = float(grad @ derivatives.initial_velocity(x, xi))
-        target = derivatives.f_xi_prime0(xi, x)
-        worst_asm = max(worst_asm, abs(assembled - target) / abs(target))
+    # t_A at each anchor s, then at s + h e_i and s - h e_i; the t +- h differences reuse t_A(s)
+    offsets = np.vstack([np.zeros(3), h * np.eye(3), -h * np.eye(3)])
+    worst_fd = worst_asm = 0.0
+    for xi in _GRAD_XI:
+        anchors = np.array([derivatives.gradient_anchor(x) for x in _GRAD_X])
+        t0 = anchors[:, :1]
+        t_a = cone._t_a_rows((anchors[:, None, 1:] + offsets).reshape(-1, 3), xi).reshape(len(_GRAD_X), 7)
+        f_s = t_a / t0
+        fd = np.hstack([t_a[:, :1] / (t0 + h) - t_a[:, :1] / (t0 - h), f_s[:, 1:4] - f_s[:, 4:]]) / (2.0 * h)
+        grads = [derivatives.grad_f(x, xi) for x in _GRAD_X]
+        worst_fd = max(worst_fd, float(np.max(np.abs(fd - grads) / np.abs(grads))))
+        for x, grad in zip(_GRAD_X, grads):
+            assembled = float(grad @ derivatives.initial_velocity(x, xi))
+            target = derivatives.f_xi_prime0(xi, x)
+            worst_asm = max(worst_asm, abs(assembled - target) / abs(target))
     return [
         CheckResult("gradient_finite_difference", worst_fd <= 1e-6, worst_fd, 1e-6,
                     "central differences of t_A/t at the anchor tuple, h = 1e-6"),
@@ -281,10 +280,10 @@ def _check_eigenvalue_oracle():
     rng = np.random.default_rng(20240810)
     worst = 0.0
     for k1, k2 in ((1, 1), (1, 2), (2, 3), (1, 10)):
-        for coeffs in rng.uniform(0.5, 2.0, size=(100, 4)).tolist():
-            closed = aw_eigenvalue_tuple(*coeffs, k1 / k2)
-            general = ricci_from_structure(k1, k2, coeffs)
-            worst = max(worst, *(abs(c - g) / abs(g) for c, g in zip(closed, general)))
+        coeffs = rng.uniform(0.5, 2.0, size=(100, 4))
+        closed = np.transpose(aw_eigenvalue_tuple(*coeffs.T, k1 / k2))
+        general = ricci_from_structure(k1, k2, coeffs)
+        worst = max(worst, float(np.max(np.abs(closed - general) / np.abs(general))))
     return [CheckResult("eigenvalue_oracle_randomized", worst <= 1e-12, worst, 1e-12,
                         "100 metrics in U(0.5, 2)^4 per (k1, k2) pair, seeded")]
 

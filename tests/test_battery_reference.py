@@ -3,12 +3,13 @@ they replace, bit for bit.
 
 Each reference below is the per-point form the check used before: the
 4x4x4 table scan of `ricci_from_structure`, one `rng.uniform(size=4)` draw
-per metric, one `@` per grid point, one `t_a`, `a_tilde` and
-`a_tilde_inverse_slice` call per point of the t_A grid, and the double and
-single loops over the K-denominator and f'(0) grids.  Values are compared
-through `float.hex`, so even a sign of zero counts.  The stacked `@` goes through
-BLAS; run this file again under e.g. OPENBLAS_CORETYPE=Haswell to check a
-second kernel set.
+and one scalar call of each eigenvalue form per metric, one `t_a` call per
+finite-difference point of the gradient check, one `@` per grid point, one
+`t_a`, `a_tilde` and `a_tilde_inverse_slice` call per point of the t_A
+grid, and the double and single loops over the K-denominator and f'(0)
+grids.  Values are compared through `float.hex`, so even a sign of zero
+counts.  The stacked `@` goes through BLAS; run this file again under e.g.
+OPENBLAS_CORETYPE=Haswell to check a second kernel set.
 """
 
 import math
@@ -45,13 +46,29 @@ def table_scan_ricci(k1, k2, coeffs):
     return tuple(r)
 
 
+def scan_metrics(k1, k2):
+    rng = np.random.default_rng(k1 * 100 + k2)
+    return np.concatenate([rng.uniform(0.5, 2.0, size=(50, 4)),
+                           np.exp(rng.uniform(-30.0, 30.0, size=(50, 4)))])
+
+
 @pytest.mark.parametrize("k1,k2", PAIRS + ((3, 7), (5, 8)))
 def test_ricci_from_structure_matches_the_table_scan(k1, k2):
-    rng = np.random.default_rng(k1 * 100 + k2)
-    metrics = np.concatenate([rng.uniform(0.5, 2.0, size=(50, 4)),
-                              np.exp(rng.uniform(-30.0, 30.0, size=(50, 4)))])
-    for coeffs in metrics:
+    for coeffs in scan_metrics(k1, k2):
         assert bits(ricci_from_structure(k1, k2, coeffs)) == bits(table_scan_ricci(k1, k2, coeffs))
+
+
+@pytest.mark.parametrize("k1,k2", PAIRS + ((3, 7), (5, 8)))
+def test_ricci_from_structure_stack_matches_the_row_calls(k1, k2):
+    metrics = scan_metrics(k1, k2)
+    rows = [ricci_from_structure(k1, k2, coeffs) for coeffs in metrics.tolist()]
+    assert all(type(r) is tuple and all(type(v) is float for v in r) for r in rows)
+    stacked = ricci_from_structure(k1, k2, metrics)
+    assert stacked.shape == (100, 4)
+    assert bits(stacked) == bits(rows)
+    for i in (0, 99):  # an N = 1 stack, in the uniform and the exp(+-30) half
+        one = ricci_from_structure(k1, k2, metrics[i:i + 1])
+        assert one.shape == (1, 4) and bits(one) == bits(rows[i])
 
 
 def test_oracle_draws_the_per_metric_stream():
@@ -73,9 +90,60 @@ def scalar_eigenvalue_oracle():
     return worst
 
 
+def per_metric_eigenvalue_oracle():
+    """`_check_eigenvalue_oracle` as one scalar call of each form per metric."""
+    rng = np.random.default_rng(20240810)
+    worst = 0.0
+    for k1, k2 in PAIRS:
+        for coeffs in rng.uniform(0.5, 2.0, size=(100, 4)).tolist():
+            closed = aw_eigenvalue_tuple(*coeffs, k1 / k2)
+            general = ricci_from_structure(k1, k2, coeffs)
+            worst = max(worst, *(abs(c - g) / abs(g) for c, g in zip(closed, general)))
+    return worst
+
+
 def test_eigenvalue_oracle_matches_the_scalar_loop():
     (result,) = verify._check_eigenvalue_oracle()
     assert result.measured.hex() == scalar_eigenvalue_oracle().hex()
+    assert result.measured.hex() == per_metric_eigenvalue_oracle().hex()
+
+
+def per_point_gradient_oracle():
+    """`_check_gradient_oracle` as one scalar `t_a` call per finite-difference point."""
+    h = 1e-6
+    worst_fd = worst_asm = 0.0
+    for x in verify._GRAD_X:
+        for xi in verify._GRAD_XI:
+            anchor = derivatives.gradient_anchor(x)
+            t0, s = anchor[0], anchor[1:]
+            grad = derivatives.grad_f(x, xi)
+            fd = np.empty(4)
+            fd[0] = (verify._f_value(t0 + h, s, xi) - verify._f_value(t0 - h, s, xi)) / (2.0 * h)
+            for i in range(3):
+                sp, sm = s.copy(), s.copy()
+                sp[i] += h
+                sm[i] -= h
+                fd[i + 1] = (verify._f_value(t0, sp, xi) - verify._f_value(t0, sm, xi)) / (2.0 * h)
+            worst_fd = max(worst_fd, float(np.max(np.abs(fd - grad) / np.abs(grad))))
+            assembled = float(grad @ derivatives.initial_velocity(x, xi))
+            target = derivatives.f_xi_prime0(xi, x)
+            worst_asm = max(worst_asm, abs(assembled - target) / abs(target))
+    return worst_fd, worst_asm
+
+
+def test_gradient_oracle_matches_the_per_point_loop(monkeypatch):
+    # the stacked rows are neither round nor on sigma's exact branch, so none
+    # falls back to the scalar t_a
+    scalar_calls = []
+
+    def counted_t_a(s, xi, t_a=cone.t_a):
+        scalar_calls.append(s)
+        return t_a(s, xi)
+
+    monkeypatch.setattr(cone, "t_a", counted_t_a)
+    fd, asm = verify._check_gradient_oracle()
+    assert scalar_calls == []
+    assert (fd.measured.hex(), asm.measured.hex()) == tuple(v.hex() for v in per_point_gradient_oracle())
 
 
 def test_stacked_products_match_the_per_point_products():

@@ -66,6 +66,20 @@ class TestMetricTypes:
         with pytest.raises(ValueError):
             ricci_from_structure(1, 1, (1.0, 1.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.inf, math.nan])
+    @pytest.mark.parametrize("row", range(3))
+    @pytest.mark.parametrize("column", range(4))
+    def test_positive_required_in_every_row_of_a_stack(self, bad, row, column):
+        stack = np.ones((3, 4))
+        stack[row, column] = bad
+        with pytest.raises(ValueError, match=r"\(t, s0, s1, s2\)"):
+            ricci_from_structure(1, 2, stack)
+
+    @pytest.mark.parametrize("shape", [(5, 3), (1, 5), (2, 5, 4), (1, 1, 4), ()])
+    def test_stacks_of_four_columns_required(self, shape):
+        with pytest.raises(ValueError, match=r"\(t, s0, s1, s2\)"):
+            ricci_from_structure(1, 2, np.ones(shape))
+
 
 class TestAWEigenvalues:
     def test_round_metric(self):
