@@ -30,10 +30,6 @@ EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _emit(obj) -> None:
     print(json.dumps(obj, indent=2))
 
@@ -42,9 +38,9 @@ def _parse_floats(text: str, name: str) -> list[float]:
     try:
         values = [float(part) for part in text.split(",")]
     except ValueError as exc:
-        raise ConfigError(f"--{name}: expected comma-separated floats, got {text!r}") from exc
+        raise ValueError(f"--{name}: expected comma-separated floats, got {text!r}") from exc
     if not all(0.0 < v < math.inf for v in values):
-        raise ConfigError(f"--{name}: metric coefficients must be positive and finite, got {text!r}")
+        raise ValueError(f"--{name}: metric coefficients must be positive and finite, got {text!r}")
     return values
 
 
@@ -53,7 +49,7 @@ def _resolve_xi(args) -> float:
         try:
             k1, k2 = (int(part) for part in args.k.split(","))
         except ValueError as exc:  # also a count other than two
-            raise ConfigError(f"--k: expected two integers k1,k2, got {args.k!r}") from exc
+            raise ValueError(f"--k: expected two integers k1,k2, got {args.k!r}") from exc
         return xi_from_integers(k1, k2)
     return 1.0 if args.xi is None else args.xi
 
@@ -109,12 +105,12 @@ def _parse_grid(text: str):
         s0, s1, ns = s_part.split(":")
         parsed = (float(x0), float(x1), int(nx), float(s0), float(s1), int(ns))
     except ValueError as exc:
-        raise ConfigError(f"--grid: expected x0:x1:nx,s0:s1:ns, got {text!r}") from exc
+        raise ValueError(f"--grid: expected x0:x1:nx,s0:s1:ns, got {text!r}") from exc
     x0, x1, nx, s0, s1, ns = parsed
     if nx < 2 or ns < 2:
-        raise ConfigError("--grid: counts must be >= 2")
+        raise ValueError("--grid: counts must be >= 2")
     if not (0.0 < x0 < x1 and 0.0 < s0 < s1):
-        raise ConfigError("--grid: ranges must be positive and ordered")
+        raise ValueError("--grid: ranges must be positive and ordered")
     return np.linspace(x0, x1, nx), np.linspace(s0, s1, ns)
 
 
@@ -128,10 +124,10 @@ def _load_seeds(path: str | None):
             continue
         values = _parse_floats(line, f"seeds (line {lineno})")
         if len(values) != 2:
-            raise ConfigError(f"--seeds: line {lineno} needs two components, got {len(values)}")
+            raise ValueError(f"--seeds: line {lineno} needs two components, got {len(values)}")
         seeds.append(np.array(values))
     if not seeds:
-        raise ConfigError(f"--seeds: no seeds found in {path}")
+        raise ValueError(f"--seeds: no seeds found in {path}")
     return seeds
 
 
@@ -282,7 +278,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # ConfigError and the library's input errors
+    except ValueError as exc:  # configuration and the library's input errors
         _emit({"status": "error", "code": EXIT_CONFIG, "error": str(exc)})
         return EXIT_CONFIG
     except RicciFlowError as exc:

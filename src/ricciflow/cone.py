@@ -51,7 +51,6 @@ __all__ = [
     "in_omega_sigma",
     "in_d_sigma",
     "a_tilde",
-    "v_vector",
     "t_a",
     "t_a_closed",
     "a_tilde_inverse_slice",
@@ -167,16 +166,6 @@ def _a_tilde(s0, s1, s2, sig):  # the rows of A~, elementwise on arrays
     b = [-sig / prod + (arr[j - 1] - arr[j] + arr[(j + 1) % 3]) / (arr[j - 1] * arr[(j + 1) % 3])
          for j in range(3)]
     return [[4 / s0, b[2], b[1]], [b[2], 4 / s1, b[0]], [b[1], b[0], 4 / s2]]
-
-
-def v_vector(s, xi) -> np.ndarray:
-    """Direction vector v(s, xi) entering the boundary scale t_A."""
-    arr = np.array(_s_floats(s))
-    x = xi_value(xi)
-    den = np.sqrt(2.0 * (x * x + x + 1.0))
-    return np.array([-(1.0 + x) / (arr[0] * den),
-                     x / (arr[1] * den),
-                     1.0 / (arr[2] * den)])
 
 
 def _t_a(s0, s1, s2, x):

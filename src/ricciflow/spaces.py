@@ -31,7 +31,6 @@ __all__ = [
     "xi_from_integers",
     "aw_eigenvalue_tuple",
     "berger_eigenvalue_tuple",
-    "bracket_constants",
     "ricci_from_structure",
 ]
 
@@ -61,16 +60,17 @@ def aw_eigenvalue_tuple(t, s0, s1, s2, xi):
     """Raw (r0, r1, r2, r3) for coefficients known to be positive.
 
     The four expressions are written in strictly parallel form so that
-    r2 == r3 bit-for-bit whenever s1 == s2 and xi == 1.
+    r2 == r3 bit-for-bit whenever s1 == s2 and xi == 1.  The literals are
+    integers, so `Fraction` coefficients give exact `Fraction` values.
     """
-    g = xi * xi + xi + 1.0
-    c0 = (xi + 1.0) * (xi + 1.0)
+    g = xi * xi + xi + 1
+    c0 = (xi + 1) * (xi + 1)
     c1 = xi * xi
-    c2 = 1.0
-    r0 = 3.0 * t / (2.0 * g) * (c0 / (s0 * s0) + c1 / (s1 * s1) + c2 / (s2 * s2))
-    r1 = 6.0 / s0 - 3.0 * c0 * t / (2.0 * g * s0 * s0) + (s0 / (s1 * s2) - s1 / (s0 * s2) - s2 / (s0 * s1))
-    r2 = 6.0 / s1 - 3.0 * c1 * t / (2.0 * g * s1 * s1) + (s1 / (s0 * s2) - s0 / (s1 * s2) - s2 / (s0 * s1))
-    r3 = 6.0 / s2 - 3.0 * c2 * t / (2.0 * g * s2 * s2) + (s2 / (s0 * s1) - s0 / (s1 * s2) - s1 / (s0 * s2))
+    c2 = 1
+    r0 = 3 * t / (2 * g) * (c0 / (s0 * s0) + c1 / (s1 * s1) + c2 / (s2 * s2))
+    r1 = 6 / s0 - 3 * c0 * t / (2 * g * s0 * s0) + (s0 / (s1 * s2) - s1 / (s0 * s2) - s2 / (s0 * s1))
+    r2 = 6 / s1 - 3 * c1 * t / (2 * g * s1 * s1) + (s1 / (s0 * s2) - s0 / (s1 * s2) - s2 / (s0 * s1))
+    r3 = 6 / s2 - 3 * c2 * t / (2 * g * s2 * s2) + (s2 / (s0 * s1) - s0 / (s1 * s2) - s1 / (s0 * s2))
     return r0, r1, r2, r3
 
 
@@ -80,8 +80,8 @@ def berger_eigenvalue_tuple(x1, x2):
     The x2 = 1 slice is r1 = (8 + x1^2)/x1, r2 = 5(8 - x1)/4; general x2
     follows from degree -1 homogeneity: r_i(x1, x2) = r_i(x1/x2, 1)/x2.
     """
-    r1 = (8.0 * x2 * x2 + x1 * x1) / (x1 * x2 * x2)
-    r2 = 5.0 * (8.0 * x2 - x1) / (4.0 * x2 * x2)
+    r1 = (8 * x2 * x2 + x1 * x1) / (x1 * x2 * x2)
+    r2 = 5 * (8 * x2 - x1) / (4 * x2 * x2)
     return r1, r2
 
 
@@ -96,25 +96,6 @@ def _family_values(k1: int, k2: int) -> tuple[float, float, float, float]:
     _check_pair(k1, k2)
     gamma = k1 * k1 + k2 * k2 + k1 * k2
     return (6.0 * (k1 + k2) ** 2 / gamma, 6.0 * k1 * k1 / gamma, 6.0 * k2 * k2 / gamma, 4.0)
-
-
-def bracket_constants(k1: int, k2: int) -> np.ndarray:
-    """Structure constants [ijk] of W^7_{k1,k2} as a symmetric 4x4x4 array.
-
-    Index 0 is the one-dimensional module scaled by t, indices 1..3 the
-    two-dimensional modules scaled by s0, s1, s2.  With
-    Gamma = k1^2 + k2^2 + k1 k2 the nonzero families are
-
-        [110] = 6(k1+k2)^2 / Gamma    [220] = 6 k1^2 / Gamma
-        [330] = 6 k2^2 / Gamma        [123] = 4
-
-    together with all permutations; every other entry vanishes.
-    """
-    table = np.zeros((4, 4, 4))
-    for perms, value in zip(_FAMILIES, _family_values(k1, k2)):
-        for index in perms:
-            table[index] = value
-    return table
 
 
 # Killing-form coefficient of su(3) relative to <X,Y> = -tr(XY)/2, and the
@@ -138,8 +119,11 @@ def ricci_from_structure(k1: int, k2: int, coeffs):
     columns in the same operations, and each `math.fsum` stays per row).
     """
     c = _family_values(k1, k2)
-    x = np.asarray(coeffs, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != 4 or not np.all((0.0 < x) & (x < math.inf)):  # NaN too
+    try:
+        x = np.asarray(coeffs, dtype=float)
+    except (TypeError, ValueError):  # a ragged stack, a non-number
+        x = None
+    if x is None or x.ndim not in (1, 2) or x.shape[-1] != 4 or not np.all((0.0 < x) & (x < math.inf)):  # NaN too
         raise ValueError(f"need positive finite (t, s0, s1, s2) or an (N, 4) stack of them, got {coeffs!r}")
     cols = np.atleast_2d(x).T
     r = []

@@ -1,15 +1,16 @@
 """The battery's array and table-free evaluations against the scalar loops
 they replace, bit for bit.
 
-Each reference below is the per-point form the check used before: the
-4x4x4 table scan of `ricci_from_structure`, one `rng.uniform(size=4)` draw
-and one scalar call of each eigenvalue form per metric, one `t_a` call per
-finite-difference point of the gradient check, one `@` per grid point, one
-`t_a`, `a_tilde` and `a_tilde_inverse_slice` call per point of the t_A
-grid, and the double and single loops over the K-denominator and f'(0)
-grids.  Values are compared through `float.hex`, so even a sign of zero
-counts.  The stacked `@` goes through BLAS; run this file again under e.g.
-OPENBLAS_CORETYPE=Haswell to check a second kernel set.
+Each reference below is the per-point form the check used before: a scan
+of the 4x4x4 table of `ricci_from_structure` (derived from su(3) matrices
+in `homogeneous`), one `rng.uniform(size=4)` draw and one scalar call of
+each eigenvalue form per metric, one `t_a` call per finite-difference point
+of the gradient check, one `@` per grid point, one `t_a`, `a_tilde` and
+`a_tilde_inverse_slice` call per point of the t_A grid, and the double and
+single loops over the K-denominator and f'(0) grids.  Values are compared
+through `float.hex`, so even a sign of zero counts.  The stacked `@` goes
+through BLAS; run this file again under e.g. OPENBLAS_CORETYPE=Haswell to
+check a second kernel set.
 """
 
 import math
@@ -18,7 +19,8 @@ import numpy as np
 import pytest
 
 from ricciflow import cone, derivatives, verify
-from ricciflow.spaces import aw_eigenvalue_tuple, bracket_constants, ricci_from_structure
+from ricciflow.spaces import aw_eigenvalue_tuple, ricci_from_structure
+from homogeneous import aloff_wallach_constants
 
 PAIRS = ((1, 1), (1, 2), (2, 3), (1, 10))
 
@@ -28,8 +30,9 @@ def bits(values):
 
 
 def table_scan_ricci(k1, k2, coeffs):
-    """`ricci_from_structure` as a scan of all 64 entries of the table."""
-    table = bracket_constants(k1, k2)
+    """`ricci_from_structure` as a scan of all 64 entries of the table
+    derived from su(3) matrices."""
+    table = aloff_wallach_constants(k1, k2).astype(float)
     x = [float(c) for c in coeffs]
     r = []
     for i in range(4):

@@ -98,6 +98,12 @@ class TestFlowCommand:
         assert code == 2
         assert "positive and finite" in out["error"]
 
+    def test_non_float_init_is_config_error(self, tmp_path, capsys):
+        code, out = run_cli(capsys, "flow", "--system", "aw3", "--init", "0.9,a,1",
+                            "--out", str(tmp_path))
+        assert code == 2
+        assert "expected comma-separated floats" in out["error"]
+
     @pytest.mark.parametrize("system,init", [("normalized", "1e-120,1"), ("normalized", "1e70,1"),
                                              ("berger", "1e200,1e-200")])
     def test_non_finite_initial_rhs_is_numerical_failure(self, tmp_path, capsys, system, init):
@@ -185,6 +191,23 @@ class TestPortraitCommand:
         code, out = run_cli(capsys, "portrait", "--grid", "1:2:1,1:2:4",
                             "--out", str(tmp_path))
         assert code == 2
+
+    @pytest.mark.parametrize("grid, match", [("1:2:4", "expected x0:x1:nx"), ("1:2:a,1:2:4", "expected x0:x1:nx"),
+                                             ("2:1:4,1:2:4", "positive and ordered")])
+    def test_malformed_or_unordered_grid_is_config_error(self, tmp_path, capsys, grid, match):
+        code, out = run_cli(capsys, "portrait", "--grid", grid, "--out", str(tmp_path))
+        assert code == 2
+        assert match in out["error"]
+
+    @pytest.mark.parametrize("text, match", [("0.87,1.1,1\n", "line 1 needs two components, got 3"),
+                                             ("# only a comment\n\n", "no seeds found")])
+    def test_bad_seed_file_is_config_error(self, tmp_path, capsys, text, match):
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text(text)
+        code, out = run_cli(capsys, "portrait", "--grid", "0.5:1.5:3,0.5:1.5:3", "--seeds", str(seeds),
+                            "--out", str(tmp_path / "p"))
+        assert code == 2
+        assert match in out["error"]
 
     def test_determinism(self, tmp_path, capsys):
         for sub in ("p1", "p2"):

@@ -24,11 +24,11 @@ from ricciflow import (
     sigma,
     t_a,
     t_a_closed,
-    v_vector,
 )
 from ricciflow import cone
 from ricciflow.verify import _TA_GRID
 from ricciflow.cone import in_d_sigma, in_omega_sigma
+from homogeneous import v_vector
 
 triple = st.tuples(*[st.floats(min_value=0.3, max_value=2.0)] * 3)
 coefficient = st.floats(min_value=0.1, max_value=3.0)

@@ -21,8 +21,9 @@ from ricciflow import (
     two_param_ratio_derivative,
 )
 from ricciflow import classify_2param, ConeClass, derivatives
-from ricciflow.cone import a_tilde, v_vector
+from ricciflow.cone import a_tilde
 from ricciflow.flow import aw2_rhs, aw_rhs, berger_rhs
+from homogeneous import v_vector
 
 GRID = [(x, xi) for x in (0.85, 0.9, 0.95) for xi in (0.4, 0.7, 1.0)]
 

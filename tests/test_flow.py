@@ -168,7 +168,7 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("field,value", [
         ("max_time", math.inf), ("max_time", 0.0), ("max_time", math.nan), ("max_step", 0.0),
-        ("rel_tol", math.inf), ("abs_tol", math.inf)])
+        ("rel_tol", math.inf), ("abs_tol", math.inf), ("direction", "up")])
     def test_config_rejects(self, field, value):
         # an infinite horizon is never reached by the stepper
         with pytest.raises(ValueError):
@@ -272,6 +272,11 @@ class TestEvents:
         hit = traj.first_event("cone_exit")
         assert hit is not None and hit.time > 0.0
 
+    @pytest.mark.parametrize("make, kind", [(boundary_event, "normalized"), (window_event, "aw2")])
+    def test_rejects_a_family_without_the_event(self, make, kind):
+        with pytest.raises(ValueError, match=repr(kind)):
+            make(kind)
+
     def test_event_state_on_boundary(self):
         init = (t_a_closed(0.9, 1.0) - 1e-4, 0.9, 1.0)
         traj = integrate(make_system("aw3"), init, TIGHT, [boundary_event("aw3")])
@@ -318,6 +323,14 @@ class TestConeExit:
     def test_rejects_mismatched_four_tuple(self):
         with pytest.raises(ValueError):
             cone_exit("aw2", (0.9, 0.8, 1.0, 1.0), TIGHT)
+
+    @pytest.mark.parametrize("family, init, config, match", [
+        ("aw3", (0.9, 1.0), TIGHT, "3 or 4 components"),
+        ("aw5", (0.99, 1.0), TIGHT, "unknown cone-exit family"),
+        ("aw2", (0.99, 1.0), IntegratorConfig(direction="backward"), "integrates forward")])
+    def test_rejects_bad_arguments(self, family, init, config, match):
+        with pytest.raises(ValueError, match=match):
+            cone_exit(family, init, config)
 
     @pytest.mark.parametrize("family, init", [("aw2", (0.99, 1.0)), ("berger", (1.99, 1.0))])
     def test_rejects_unused_xi(self, family, init):
@@ -385,6 +398,12 @@ def test_aw4_cone_events_survive_collapsing_runs():
 def test_aw4_gap_is_infinite_at_a_zero_coefficient():
     # exactly at collapse the boundary gap is inf, past the collapse floor
     assert flow._aw4_gap(np.array([1.0, 0.0, 1.0, 1.0]), 0.9) == math.inf
+
+
+def test_aw4_gap_raises_on_a_non_finite_coefficient():
+    # only a coefficient <= 0 is past the collapse floor; nan is an error
+    with pytest.raises(ValueError, match="positive and finite"):
+        flow._aw4_gap([1.0, math.nan, 1.0, 1.0], 0.9)
 
 
 @pytest.mark.parametrize("xi, rhs, classifier", [(1.0, "aw3_rhs", "classify_3param"),

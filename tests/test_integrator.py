@@ -20,7 +20,7 @@ from scipy.integrate import solve_ivp  # noqa: E402
 from scipy.optimize import brentq as scipy_brentq  # noqa: E402
 
 from ricciflow import EventSpec, IntegratorConfig, StepSizeUnderflow, integrate, make_system  # noqa: E402
-from ricciflow._rk45 import brentq  # noqa: E402
+from ricciflow._rk45 import EPS, brentq  # noqa: E402
 from ricciflow.flow import COLLAPSE_FLOOR, FlowSystem, cone_events  # noqa: E402
 
 STARTS = {
@@ -161,6 +161,24 @@ def test_random_runs_match_solve_ivp(seed):
         assert_same_run(*random_run(seed))
 
 
+def test_tiny_rel_tol_is_clamped_like_solve_ivp():
+    # both raise rtol below 100 eps to 100 eps, with a warning
+    cfg = IntegratorConfig(rel_tol=1e-20, max_time=0.05)
+    with pytest.warns(UserWarning) as record:  # solve_ivp's and the port's
+        traj = assert_same_run("aw3", STARTS["aw3"], cfg, cone_events("aw3"))
+    assert f"rtol is too small, using rtol = {100 * EPS}" in [str(w.message) for w in record]
+    clamped = integrate(make_system("aw3"), STARTS["aw3"], dataclasses.replace(cfg, rel_tol=100 * EPS),
+                        cone_events("aw3"))
+    assert clamped.states.tobytes() == traj.states.tobytes()
+
+
+def test_zero_rhs_first_step_matches_solve_ivp():
+    # f = 0: both Euler error estimates are 0, and the first step is 1e-6
+    still = FlowSystem("still", 2, lambda y: [0.0, 0.0])
+    traj = assert_same_run(still, [1.0, 2.0], IntegratorConfig(max_time=1.0), [])
+    assert traj.times[1] == 1e-6
+
+
 @pytest.mark.parametrize("y0", [1.0, 1e150])
 def test_blowup_matches_solve_ivp(y0):
     # y' = y^2 blows up at l = 1/y0.  From 1 the step size underflows after
@@ -218,6 +236,9 @@ def test_brentq_port_matches_scipy(f, a, b):
 
 
 def test_brentq_port_failures_match_scipy():
+    for solver in (scipy_brentq, brentq):
+        with pytest.raises(ValueError, match="is NaN; solver cannot continue"):
+            solver(lambda x: math.nan, 0.0, 1.0)
     with pytest.raises(ValueError, match="different signs"):
         scipy_brentq(lambda x: 1e-200, 0.0, 1.0)
     with pytest.raises(ValueError, match="different signs"):

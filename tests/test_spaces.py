@@ -2,6 +2,8 @@
 structure-constant oracle."""
 
 import math
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,11 +12,12 @@ from hypothesis import example, given, strategies as st
 from ricciflow import (
     aw_eigenvalue_tuple,
     berger_eigenvalue_tuple,
-    bracket_constants,
     ricci_from_structure,
+    spaces,
     xi_from_integers,
     xi_value,
 )
+from homogeneous import aloff_wallach_constants, aloff_wallach_modules, wang_ziller_ricci
 
 positive = st.floats(min_value=0.1, max_value=5.0, allow_nan=False)
 scale = st.floats(min_value=0.1, max_value=10.0, allow_nan=False)
@@ -63,8 +66,10 @@ class TestMetricTypes:
                 ricci_from_structure(1, 1, (1.0, bad, 1.0, 1.0))
 
     def test_four_coefficients_required(self):
-        with pytest.raises(ValueError):
-            ricci_from_structure(1, 1, (1.0, 1.0, 1.0))
+        # a short tuple, a ragged stack and a non-number get the package's message
+        for bad in ((1.0, 1.0, 1.0), [(1, 1, 1, 1), (1, 1, 1)], (1, "x", 1, 1)):
+            with pytest.raises(ValueError, match=r"\(t, s0, s1, s2\)"):
+                ricci_from_structure(1, 1, bad)
 
     @pytest.mark.parametrize("bad", [-1.0, 0.0, math.inf, math.nan])
     @pytest.mark.parametrize("row", range(3))
@@ -133,37 +138,44 @@ class TestAWEigenvalues:
 
 
 class TestBracketConstants:
+    """The [ijk] derived from su(3) matrices in `homogeneous` against the
+    families the package types in (`spaces._family_values`)."""
+
     def test_w11_values(self):
-        b = bracket_constants(1, 1)
-        assert b[1, 2, 3] == 4.0
-        assert b[1, 1, 0] == 8.0
-        assert b[2, 2, 0] == 2.0
-        assert b[3, 3, 0] == 2.0
+        b = aloff_wallach_constants(1, 1)
+        assert (b[1, 2, 3], b[1, 1, 0], b[2, 2, 0], b[3, 3, 0]) == (4, 8, 2, 2)
 
     def test_w12_values(self):
-        b = bracket_constants(1, 2)
-        assert b[1, 1, 0] == pytest.approx(54.0 / 7.0, rel=1e-15)
-        assert b[2, 2, 0] == pytest.approx(6.0 / 7.0, rel=1e-15)
-        assert b[3, 3, 0] == pytest.approx(24.0 / 7.0, rel=1e-15)
-        assert b[1, 2, 3] == 4.0
+        b = aloff_wallach_constants(1, 2)
+        assert b[1, 1, 0] == Fraction(54, 7)
+        assert b[2, 2, 0] == Fraction(6, 7)
+        assert b[3, 3, 0] == Fraction(24, 7)
+        assert b[1, 2, 3] == 4
 
     @pytest.mark.parametrize("k1,k2", [(1, 1), (1, 2), (2, 3)])
     def test_zero_families_and_symmetry(self, k1, k2):
-        b = bracket_constants(k1, k2)
+        b = aloff_wallach_constants(k1, k2)
         for i in (1, 2, 3):
-            assert b[0, 0, i] == 0.0
+            assert b[0, 0, i] == 0
             for j in (1, 2, 3):
-                assert b[i, i, j] == 0.0
+                assert b[i, i, j] == 0
                 if i != j:
-                    assert b[i, j, 0] == 0.0
+                    assert b[i, j, 0] == 0
         assert np.array_equal(b, b.transpose(1, 0, 2))
         assert np.array_equal(b, b.transpose(0, 2, 1))
 
+    @pytest.mark.parametrize("k1,k2", [(1, 1), (1, 2), (2, 3), (1, 10), (3, 7), (5, 8)])
+    def test_derived_table_matches_the_package_families(self, k1, k2):
+        package = dict.fromkeys(product(range(4), repeat=3), 0.0)
+        for perms, value in zip(spaces._FAMILIES, spaces._family_values(k1, k2)):
+            package.update(dict.fromkeys(perms, value))
+        derived = aloff_wallach_constants(k1, k2)
+        assert {index: float(derived[index]) for index in package} == package
+
     def test_rejects_invalid(self):
-        with pytest.raises(ValueError):
-            bracket_constants(2, 4)
-        with pytest.raises(ValueError):
-            bracket_constants(3, 2)
+        for k1, k2 in ((2, 4), (3, 2)):
+            with pytest.raises(ValueError, match="k1"):
+                ricci_from_structure(k1, k2, (1.0, 1.0, 1.0, 1.0))
 
 
 class TestStructureOracle:
@@ -175,6 +187,18 @@ class TestStructureOracle:
             closed = np.array(aw_eigenvalue_tuple(*m, k1 / k2))
             general = np.array(ricci_from_structure(k1, k2, m))
             np.testing.assert_allclose(general, closed, rtol=1e-12)
+
+    @pytest.mark.parametrize("k1,k2", [(1, 1), (1, 2), (2, 3), (1, 10), (3, 7), (5, 8)])
+    def test_derived_table_gives_the_closed_forms_exactly(self, k1, k2):
+        # Wang-Ziller with -B = 12 Q on su(3) and the module dimensions
+        dims = [len(module) for module in aloff_wallach_modules(k1, k2)]
+        table = aloff_wallach_constants(k1, k2)
+        rng = np.random.default_rng(31 * k1 + k2)
+        for _ in range(20):
+            x = [Fraction(int(p), int(q)) for p, q in rng.integers(1, 50, size=(4, 2))]
+            closed = aw_eigenvalue_tuple(*x, Fraction(k1, k2))
+            assert all(type(r) is Fraction for r in closed)
+            assert wang_ziller_ricci(table, dims, 12, x) == closed
 
     def test_round_metric(self):
         r = ricci_from_structure(1, 1, (1, 1, 1, 1))
