@@ -9,7 +9,8 @@ norm's x.dot(x), K^T P, Q (x, .., x^4)) run in numpy, on solve_ivp's
 operands, since OpenBLAS sums them with fused multiply-adds in its own order;
 the state is a list of Python floats, on which the elementwise work rounds as
 in numpy but costs less.  Event signs are tested at step ends; a sign change is
-refined by Brent's method on that step's interpolant, only built on such steps.
+refined by Brent's method on that step's interpolant, only built on such steps;
+`solve` returns lists of floats, and `flow.integrate` builds the arrays once.
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ TOL = 4 * EPS   # Brent's xtol and rtol, as in solve_ivp's event location
 SAFETY, MIN_FACTOR, MAX_FACTOR, EXPONENT = 0.9, 0.2, 10.0, -1 / 5
 UNDERFLOW = "Required step size is less than spacing between numbers."
 
-A = np.array([
-    [0, 0, 0, 0, 0],
-    [1/5, 0, 0, 0, 0],
-    [3/40, 9/40, 0, 0, 0],
-    [44/45, -56/15, 32/9, 0, 0],
-    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
-    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+A_ROWS = [np.array(row) for row in (   # the coefficients of stages 1..5
+    [1/5],
+    [3/40, 9/40],
+    [44/45, -56/15, 32/9],
+    [19372/6561, -25360/2187, 64448/6561, -212/729],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656])]
 B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
 E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
 P = np.array([
@@ -120,9 +120,9 @@ def solve(fun, y0: list, t_bound: float, rtol: float, atol: float,
     y0 and every state passed to `fun` and to the events is a list of floats.
     `events` are (g, terminal, direction) triples with g(t, y) a scalar; a root
     is recorded where g changes sign in `direction` (0: either), and the first
-    terminal root in time ends the run.  Returns the step ends `t`, `y`, the
-    roots `t_events`/`y_events` per event (states as ndarrays), `status` (0 at
-    t_bound, 1 terminal event, -1 step-size underflow), and `stats`.
+    terminal root in time ends the run.  Returns lists, each state a list of
+    floats: the step ends `t`, `y` and the roots `t_events`/`y_events` per event;
+    `status` (0 at t_bound, 1 terminal event, -1 step-size underflow); `stats`.
     """
     if rtol < 100 * EPS:
         warnings.warn(f"rtol is too small, using rtol = {100 * EPS}", stacklevel=3)
@@ -132,7 +132,7 @@ def solve(fun, y0: list, t_bound: float, rtol: float, atol: float,
     t, y, f = 0.0, y0, fun(y0)
     h_abs = _initial_step(fun, y, f, t_bound, direction, rtol, atol, max_step)
     K = np.empty((7, len(y)))
-    stages = [(K[:s].T, A[s, :s]) for s in range(1, 6)]
+    stages = [(K[:s].T, a) for s, a in enumerate(A_ROWS, start=1)]
     K_B, K_T = K[:-1].T, K.T
     ts, ys = [t], [y]
     g = [float(ev(t, y)) for ev, _, _ in events]
@@ -180,10 +180,11 @@ def solve(fun, y0: list, t_bound: float, rtol: float, atol: float,
 
             def sol(tt):
                 x = (tt - t_old) / dt
-                q = Q.dot([x, x * x, x * x * x, x * x * x * x]).tolist()
-                return [dt * qi + yi for qi, yi in zip(q, y_old)]
+                x2 = x * x
+                x3 = x2 * x   # x2 * x and x3 * x round as x * x * x and x * x * x * x
+                return [dt * qi + yi for qi, yi in zip(Q.dot((x, x2, x3, x3 * x)).tolist(), y_old)]
 
-            hits = [(i, brentq(lambda tt: events[i][0](tt, sol(tt)), t_old, t)) for i in active]
+            hits = [(i, brentq(lambda tt, ev=events[i][0]: ev(tt, sol(tt)), t_old, t)) for i in active]
             if any(events[i][1] for i in active):
                 hits.sort(key=lambda hit: direction * hit[1])
                 hits = hits[:1 + next(k for k, (i, _) in enumerate(hits) if events[i][1])]
@@ -199,5 +200,4 @@ def solve(fun, y0: list, t_bound: float, rtol: float, atol: float,
             ys.append(y)
     # six RHS calls per step attempt, plus f(y0) and the initial-step probe
     stats = {"n_steps": n_steps, "n_rejected": n_rejected, "nfev": 2 + 6 * (n_steps + n_rejected)}
-    return {"t": np.array(ts), "y": np.array(ys), "t_events": t_events, "status": status, "stats": stats,
-            "y_events": [[np.array(ye) for ye in roots] for roots in y_events]}
+    return {"t": ts, "y": ys, "t_events": t_events, "y_events": y_events, "status": status, "stats": stats}

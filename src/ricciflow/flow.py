@@ -54,6 +54,7 @@ __all__ = [
 
 # A state component below this value ends an integration as "singular".
 COLLAPSE_FLOOR = 1e-12
+_FLOOR_EVENT = (lambda _l, y: min(y) - COLLAPSE_FLOOR, True, 0.0)   # the solver's event 0
 
 
 def _on_floats(kernel):
@@ -207,6 +208,9 @@ class IntegratorConfig:
             raise ValueError(f"direction must be 'forward' or 'backward', got {self.direction!r}")
 
 
+_DEFAULT_CONFIG = IntegratorConfig()   # frozen, so one instance serves every call
+
+
 @dataclass(frozen=True)
 class EventSpec:
     """Scalar event g(l, state) of a state list of floats; a recorded zero crossing of g.
@@ -264,34 +268,30 @@ def integrate(system: FlowSystem, init, config: IntegratorConfig | None = None,
     solver stalls and NonPositiveState for nonpositive initial or sampled
     states.
     """
-    cfg = config or IntegratorConfig()
+    cfg = config or _DEFAULT_CONFIG
     y0 = np.asarray(init, dtype=float)
     if y0.shape != (system.dim,):
         raise ValueError(f"system {system.kind!r} needs {system.dim} components, got {y0.shape}")
-    if not all(0.0 < c < math.inf for c in y0.tolist()):
+    y = y0.tolist()
+    if not all(0.0 < c < math.inf for c in y):
         raise NonPositiveState(f"initial state must be positive and finite, got {y0}")
 
     sign = 1.0 if cfg.direction == "forward" else -1.0
-    floor = (lambda _l, y: min(y) - COLLAPSE_FLOOR, True, 0.0)
-    sol = _rk45.solve(system.rhs, y0.tolist(), sign * cfg.max_time, cfg.rel_tol, cfg.abs_tol, cfg.max_step,
-                      [floor, *((spec.fn, spec.terminal, spec.direction) for spec in events)])
+    sol = _rk45.solve(system.rhs, y, sign * cfg.max_time, cfg.rel_tol, cfg.abs_tol, cfg.max_step,
+                      [_FLOOR_EVENT, *((spec.fn, spec.terminal, spec.direction) for spec in events)])
 
     names = ["singular", *(spec.name for spec in events)]
-    recorded = [FlowEvent(float(te), names[i], ye) for i in [*range(1, len(names)), 0]
+    recorded = [FlowEvent(te, names[i], np.array(ye)) for i in [*range(1, len(names)), 0]
                 for te, ye in zip(sol["t_events"][i], sol["y_events"][i])]
-    recorded.sort(key=lambda ev: abs(ev.time))
-
-    times, states, stats = sol["t"], sol["y"], sol["stats"]
+    if len(recorded) > 1:
+        recorded.sort(key=lambda ev: abs(ev.time))
+    status = "singular" if sol["t_events"][0] else {0: "horizon", 1: "event", -1: "singular"}[sol["status"]]
+    traj = Trajectory(np.array(sol["t"]), np.array(sol["y"]), recorded, status, sol["stats"])
     if sol["status"] == -1:
-        raise StepSizeUnderflow(_rk45.UNDERFLOW,
-                                trajectory=Trajectory(times, states, recorded, "singular", stats))
-    if np.any(states <= 0.0):
+        raise StepSizeUnderflow(_rk45.UNDERFLOW, trajectory=traj)
+    if any(c <= 0.0 for state in sol["y"] for c in state):   # a NaN component passes, as in numpy
         raise NonPositiveState("integrator produced a nonpositive state sample")
-    if sol["status"] == 1:
-        status = "singular" if sol["t_events"][0] else "event"
-    else:
-        status = "horizon"
-    return Trajectory(times, states, recorded, status, stats)
+    return traj
 
 
 def boundary_event(family: str, xi: float = 1.0) -> EventSpec:
@@ -323,23 +323,23 @@ def _resolve(family: str, xi) -> tuple[str, Family, float]:
     return kind, FAMILIES[kind], x
 
 
-def _initial_state(kind: str, fam: Family, init) -> np.ndarray:
+def _initial_state(kind: str, fam: Family, init) -> list[float]:
     """The family's state from `init`, given as that state, as the reduced
     slice state (aw4), or as the four coefficients (t, s0, s1, s2)."""
     arr = np.asarray(init, dtype=float)
     if fam.coords is None:
         if arr.shape != (fam.dim,):
             raise ValueError(f"{kind} initial state must have {fam.dim} components, got {arr.shape}")
-        return arr
-    first = [fam.coords.index(k) for k in range(fam.coords[-1] + 1)]
+        return arr.tolist()
     if arr.shape == (4,):
+        first = [fam.coords.index(k) for k in range(fam.coords[-1] + 1)]
         if not np.array_equal(arr[first][list(fam.coords)], arr):
             form = ", ".join("abc"[k] for k in fam.coords)
             raise ValueError(f"{kind} needs (t, s0, s1, s2) of the form ({form}), got {arr}")
         arr = arr[first]
-    elif arr.shape != (len(first),):
-        raise ValueError(f"{kind} initial state must have {len(first)} or 4 components, got {arr.shape}")
-    return arr[list(fam.coords)] if fam.dim == len(fam.coords) else arr
+    elif arr.shape != (fam.coords[-1] + 1,):   # the reduced state
+        raise ValueError(f"{kind} initial state must have {fam.coords[-1] + 1} or 4 components, got {arr.shape}")
+    return (arr[list(fam.coords)] if fam.dim == len(fam.coords) else arr).tolist()
 
 
 def cone_events(kind: str, xi: float = 1.0) -> list[EventSpec]:
@@ -362,7 +362,7 @@ def cone_exit(family: str, init, config: IntegratorConfig | None = None,
     boundary is not reached (including collapse or leaving the certified
     window first).
     """
-    cfg = config or IntegratorConfig()
+    cfg = config or _DEFAULT_CONFIG
     kind, fam, xi = _resolve(family, xi)
     system = make_system(kind, xi)
     state = _initial_state(kind, fam, init)

@@ -97,6 +97,14 @@ class TestMakeSystem:
             make_system("berger", 0.5)
 
 
+def assert_float64_arrays(traj, dim):
+    """Times, states and every event state are float64 ndarrays; event times are floats."""
+    n = len(traj.times)
+    for value, shape in [(traj.times, (n,)), (traj.states, (n, dim))] + [(ev.state, (dim,)) for ev in traj.events]:
+        assert type(value) is np.ndarray and value.dtype == np.float64 and value.shape == shape
+    assert all(type(ev.time) is float for ev in traj.events)
+
+
 class TestIntegrate:
     def test_round_ratio_derivative(self):
         # d/dl (t/s) at the round two-parameter metric equals 3
@@ -195,6 +203,28 @@ class TestIntegrate:
         back = integrate(make_system("aw3"), fwd,
                          IntegratorConfig(max_time=0.05, direction="backward")).final_state
         np.testing.assert_allclose(back, init, rtol=1e-8)
+
+    def test_backward_events_listed_by_distance_in_time(self):
+        # the terminal event is listed first but crosses second, at larger |l|
+        late = EventSpec("late", lambda _l, y: y[0] - 0.95)
+        early = EventSpec("early", lambda _l, y: y[0] - 0.85, terminal=False)
+        traj = integrate(make_system("aw3"), (0.8, 0.9, 1.0),
+                         IntegratorConfig(max_time=0.05, direction="backward"), [late, early])
+        assert traj.status == "event"
+        assert [ev.name for ev in traj.events] == ["early", "late"]
+        assert 0.0 > traj.events[0].time > traj.events[1].time == traj.final_time
+        assert_float64_arrays(traj, 3)
+
+    def test_underflow_trajectory_holds_arrays(self):
+        # y' = y^2 from 1 passes y = 2 at l = 1/2 and blows up at l = 1
+        blowup = FlowSystem("blowup", 1, lambda y: [v * v for v in y])
+        past_two = EventSpec("past_two", lambda _l, y: y[0] - 2.0, terminal=False)
+        with pytest.raises(StepSizeUnderflow) as info:
+            integrate(blowup, [1.0], IntegratorConfig(max_time=2.0), [past_two])
+        traj = info.value.trajectory
+        assert [ev.name for ev in traj.events] == ["past_two"]
+        assert traj.events[0].time == pytest.approx(0.5, rel=1e-9)
+        assert_float64_arrays(traj, 1)
 
     def test_custom_event_recorded(self):
         crossed = EventSpec("t_below_08", lambda _l, y: y[0] - 0.8, terminal=False)

@@ -2,9 +2,10 @@
 
 `flow.integrate` is a port of `solve_ivp(method="RK45", dense_output=True,
 events=...)`: run on the same inputs, both give the same steps, states and
-event roots.  Skipped where scipy is not installed.  Which BLAS kernels
-numpy picks changes the bits of both runs alike; to check the port on
-another kernel set, run this file again under e.g. OPENBLAS_CORETYPE=Haswell.
+event roots, and `flow.cone_exit` returns the first cone-boundary root.
+Skipped where scipy is not installed.  Which BLAS kernels numpy picks
+changes the bits of both runs alike; to check the port on another kernel
+set, run this file again under e.g. OPENBLAS_CORETYPE=Haswell.
 """
 
 import dataclasses
@@ -19,7 +20,17 @@ pytest.importorskip("scipy")
 from scipy.integrate import solve_ivp  # noqa: E402
 from scipy.optimize import brentq as scipy_brentq  # noqa: E402
 
-from ricciflow import EventSpec, IntegratorConfig, StepSizeUnderflow, integrate, make_system  # noqa: E402
+from ricciflow import (  # noqa: E402
+    EventSpec,
+    IntegratorConfig,
+    NoExitWithinHorizon,
+    StepSizeUnderflow,
+    cone_exit,
+    integrate,
+    make_system,
+    t_a,
+    t_a_closed,
+)
 from ricciflow._rk45 import EPS, brentq  # noqa: E402
 from ricciflow.flow import COLLAPSE_FLOOR, FlowSystem, cone_events  # noqa: E402
 
@@ -73,6 +84,52 @@ def assert_same_run(kind, init, cfg, events, xi=None):
     assert len(traj.events) == sum(len(t_ev) for t_ev in ref.t_events)
     assert traj.stats["nfev"] == ref.nfev
     return traj
+
+
+def cone_start(kind, seed):
+    """(family, xi, init, integrated state) of a seeded start inside the cone:
+    t a factor 1 - m below the boundary, m log-uniform in [1e-4, 1e-2]; aw4 is
+    aw3 off xi = 1, integrated on (t, x, s, s)."""
+    rng = random.Random(seed)
+    m, x, xi = 10.0 ** rng.uniform(-4.0, -2.0), rng.uniform(0.8, 0.99), rng.uniform(0.5, 0.99)
+    init = {"aw2": (1.0 - m, 1.0), "berger": (2.0 * (1.0 - m), 1.0),
+            "aw3": ((1.0 - m) * t_a_closed(x, 1.0), x, 1.0),
+            "aw4": ((1.0 - m) * t_a((x, 1.0, 1.0), xi), x, 1.0)}[kind]
+    if kind == "aw4":
+        return "aw3", xi, init, (*init, 1.0)
+    return kind, 1.0, init, init
+
+
+def assert_cone_exit_as_solve_ivp(family, init, cfg, kind, xi, state):
+    """`cone_exit` returns, bit for bit, the first cone-boundary root of the
+    same run in `solve_ivp`, and raises where that run has none or leaves the
+    certified window first."""
+    ref = scipy_integrate(make_system(kind, xi), state, cfg, cone_events(kind, xi))
+    exits, windows = ref.t_events[1], (ref.t_events[2] if len(ref.t_events) > 2 else [])
+    if len(exits) == 0 or (len(windows) and windows[0] < exits[0]):
+        match = "certified window" if len(exits) else "no cone exit"
+        with pytest.raises(NoExitWithinHorizon, match=match) as info:
+            cone_exit(family, init, cfg, xi=xi)
+        if len(exits):
+            assert f"l = {float(windows[0])!r} " in str(info.value)
+        return None
+    time, exit_state = cone_exit(family, init, cfg, xi=xi)
+    assert float.hex(time) == float.hex(float(exits[0]))
+    assert [float.hex(c) for c in exit_state.tolist()] == [float.hex(c) for c in ref.y_events[1][0].tolist()]
+    return time
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("kind", ["aw2", "aw3", "berger", "aw4"])
+def test_cone_exit_matches_solve_ivp(kind, seed):
+    family, xi, init, state = cone_start(kind, seed)
+    assert_cone_exit_as_solve_ivp(family, init, IntegratorConfig(), kind, xi, state)
+
+
+def test_cone_exit_after_leaving_the_window_raises_as_solve_ivp():
+    # from (0.2, 0.99, 1) the ratio x/s crosses 1 before the boundary
+    init = (0.2, 0.99, 1.0)
+    assert assert_cone_exit_as_solve_ivp("aw3", init, IntegratorConfig(max_time=2.0), "aw3", 1.0, init) is None
 
 
 @pytest.mark.parametrize("max_step", [math.inf, 0.01])
