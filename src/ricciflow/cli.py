@@ -4,7 +4,9 @@ Subcommands: flow (integrate one system, optional cone event), portrait
 (region grid + normalized-flow seed trajectories + Einstein points), verify
 (run the acceptance battery), roots (quintic roots + sign chart), cone-exit
 (first boundary crossing).  Every command prints a single JSON object to
-stdout; files use the deterministic formats of `serialize`.
+stdout: each `cmd_*` returns its exit code and payload, and `main` prints the
+payload under {"status": "ok", "command": ...} (a payload may override the
+status), or the error.  Files use the deterministic formats of `serialize`.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 verification failure.
@@ -30,10 +32,6 @@ EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
 
 
-def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2))
-
-
 def _parse_floats(text: str, name: str) -> list[float]:
     try:
         values = [float(part) for part in text.split(",")]
@@ -55,13 +53,8 @@ def _resolve_xi(args) -> float:
 
 
 def _config_from(args) -> flow.IntegratorConfig:
-    return flow.IntegratorConfig(
-        rel_tol=args.rel_tol,
-        abs_tol=args.abs_tol,
-        max_step=args.max_step,
-        max_time=args.horizon,
-        direction=getattr(args, "direction", "forward"),
-    )
+    return flow.IntegratorConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol, max_step=args.max_step,
+                                 max_time=args.horizon, direction=getattr(args, "direction", "forward"))
 
 
 def _out_dir(args) -> Path:
@@ -70,7 +63,7 @@ def _out_dir(args) -> Path:
     return out
 
 
-def cmd_flow(args) -> int:
+def cmd_flow(args) -> tuple[int, dict]:
     xi = _resolve_xi(args)
     init = _parse_floats(args.init, "init")
     system = flow.make_system(args.system, xi)
@@ -81,9 +74,7 @@ def cmd_flow(args) -> int:
     csv_path = serialize.write_trajectory_csv(out / "trajectory.csv", traj)
     events_path = serialize.write_events_json(out / "events.json", traj)
     hit = traj.first_event("cone_exit")
-    _emit({
-        "status": "ok",
-        "command": "flow",
+    return EXIT_OK, {
         "system": args.system,
         "xi": xi,
         "rows": int(traj.times.size),
@@ -94,8 +85,7 @@ def cmd_flow(args) -> int:
         "exit_time": hit.time if hit else None,
         "stats": traj.stats,
         "files": {"trajectory": str(csv_path), "events": str(events_path)},
-    })
-    return EXIT_OK
+    }
 
 
 def _parse_grid(text: str):
@@ -103,10 +93,9 @@ def _parse_grid(text: str):
         x_part, s_part = text.split(",")
         x0, x1, nx = x_part.split(":")
         s0, s1, ns = s_part.split(":")
-        parsed = (float(x0), float(x1), int(nx), float(s0), float(s1), int(ns))
+        x0, x1, nx, s0, s1, ns = float(x0), float(x1), int(nx), float(s0), float(s1), int(ns)
     except ValueError as exc:
         raise ValueError(f"--grid: expected x0:x1:nx,s0:s1:ns, got {text!r}") from exc
-    x0, x1, nx, s0, s1, ns = parsed
     if nx < 2 or ns < 2:
         raise ValueError("--grid: counts must be >= 2")
     if not (0.0 < x0 < x1 and 0.0 < s0 < s1):
@@ -131,14 +120,13 @@ def _load_seeds(path: str | None):
     return seeds
 
 
-def cmd_portrait(args) -> int:
+def cmd_portrait(args) -> tuple[int, dict]:
     xs, ss = _parse_grid(args.grid)
     seeds = _load_seeds(args.seeds)
     cfg = _config_from(args)
     out = _out_dir(args)
 
-    rows = [(float(x), float(s), cone.normalized_region(float(x), float(s)))
-            for x in xs for s in ss]
+    rows = [(x, s, cone.normalized_region(x, s)) for x in xs.tolist() for s in ss.tolist()]
     region_path = serialize.write_region_csv(out / "regions.csv", rows)
 
     system = flow.make_system("normalized")
@@ -147,78 +135,59 @@ def cmd_portrait(args) -> int:
         traj = flow.integrate(system, seed, cfg)
         seed_files.append(str(serialize.write_trajectory_csv(out / f"seed_{i:03d}.csv", traj)))
 
-    e_plus, e_minus = derivatives.einstein_points()
     def einstein_entry(point):
         verdict = cone.classify_2param(point[0], point[1])
         return {"x": float(point[0]), "s": float(point[1]),
                 "verdict": verdict.classification.value, "margin": verdict.margin}
-    einstein_path = serialize.write_json(out / "einstein.json", {
-        "E_plus": einstein_entry(e_plus),
-        "E_minus": einstein_entry(e_minus),
-    })
+    einstein = dict(zip(("E_plus", "E_minus"), map(einstein_entry, derivatives.einstein_points())))
+    einstein_path = serialize.write_json(out / "einstein.json", einstein)
 
-    _emit({
-        "status": "ok",
-        "command": "portrait",
+    return EXIT_OK, {
         "grid_points": len(rows),
         "seeds": len(seeds),
         "files": {"regions": str(region_path), "seeds": seed_files,
                   "einstein": str(einstein_path)},
-    })
-    return EXIT_OK
+    }
 
 
-def cmd_verify(args) -> int:
+def _json_real(value):
+    """JSON has no nan or inf: a value without a finite measurement reports null."""
+    return value if value is not None and math.isfinite(value) else None
+
+
+def cmd_verify(args) -> tuple[int, dict]:
     results = verify.run_all()
-    # JSON has no nan: a check without a measurement reports null
-    report = [{"check": r.name, "status": "pass" if r.passed else "fail",
-               "measured": r.measured if math.isfinite(r.measured) else None, "tolerance": r.tolerance,
-               "headroom": r.measured / r.tolerance if math.isfinite(r.measured) and r.tolerance else None}
-              for r in results]
+    report = [{"check": r.name, "status": "pass" if r.passed else "fail", "measured": _json_real(r.measured),
+               "tolerance": r.tolerance, "headroom": _json_real(r.headroom)} for r in results]
     out = _out_dir(args)
     path = serialize.write_json(out / "verification_report.json", report)
     failed = [r.name for r in results if not r.passed]
-    _emit({
-        "status": "ok" if not failed else "failed",
-        "command": "verify",
-        "checks": len(results),
-        "failed": failed,
-        "report": str(path),
-    })
-    return EXIT_OK if not failed else EXIT_VERIFY
+    payload = {"checks": len(results), "failed": failed, "report": str(path)}
+    return (EXIT_VERIFY, {"status": "failed", **payload}) if failed else (EXIT_OK, payload)
 
 
-def cmd_roots(_args) -> int:
+def cmd_roots(_args) -> tuple[int, dict]:
     roots = derivatives.d_roots()
-    chart = []
-    for a, b in zip(roots[:-1], roots[1:]):
-        mid = 0.5 * (a + b)
-        chart.append({
-            "interval": [float(a), float(b)],
-            "sign": "positive" if derivatives.d_polynomial(mid) > 0 else "negative",
-        })
-    _emit({"status": "ok", "command": "roots",
-           "roots": [float(r) for r in roots], "sign_chart": chart})
-    return EXIT_OK
+    chart = [{"interval": [float(a), float(b)],
+              "sign": "positive" if derivatives.d_polynomial(0.5 * (a + b)) > 0 else "negative"}
+             for a, b in zip(roots[:-1], roots[1:])]
+    return EXIT_OK, {"roots": [float(r) for r in roots], "sign_chart": chart}
 
 
-def cmd_cone_exit(args) -> int:
+def cmd_cone_exit(args) -> tuple[int, dict]:
     xi = _resolve_xi(args)
     init = _parse_floats(args.init, "init")
     cfg = _config_from(args)
     exit_time, exit_state = flow.cone_exit(args.family, init, cfg, xi=xi)
     verdict = flow.post_exit_verdict(args.family, exit_state, xi)
-    _emit({
-        "status": "ok",
-        "command": "cone-exit",
+    return EXIT_OK, {
         "family": args.family,
         "xi": xi,
         "exit_time": exit_time,
         "exit_state": [float(c) for c in exit_state],
         "verdict_after": {"classification": verdict.classification.value,
                           "margin": verdict.margin},
-    })
-    return EXIT_OK
+    }
 
 
 def _add_tolerance_flags(parser, horizon_default):
@@ -274,17 +243,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, payload = args.func(args)
+        reply = {"status": "ok", "command": args.command, **payload}
     except ValueError as exc:  # configuration and the library's input errors
-        _emit({"status": "error", "code": EXIT_CONFIG, "error": str(exc)})
-        return EXIT_CONFIG
+        code, reply = EXIT_CONFIG, {"status": "error", "code": EXIT_CONFIG, "error": str(exc)}
     except RicciFlowError as exc:
-        _emit({"status": "error", "code": EXIT_NUMERICAL,
-               "error": f"{type(exc).__name__}: {exc}"})
-        return EXIT_NUMERICAL
+        code, reply = EXIT_NUMERICAL, {"status": "error", "code": EXIT_NUMERICAL,
+                                       "error": f"{type(exc).__name__}: {exc}"}
+    print(json.dumps(reply, indent=2))
+    return code
 
 
 if __name__ == "__main__":

@@ -37,6 +37,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -68,23 +69,34 @@ SLICE_RTOL = 0.05
 
 
 def _real(c) -> float:
-    """float(c); an array of one element, which NumPy < 2.4 converts, is not a real."""
-    if getattr(c, "ndim", 0):
+    """c as a strictly positive finite float.  A string has no `__float__`, and an
+    array of one element, which NumPy < 2.4 converts, is not a real."""
+    if type(c) is not int and getattr(c, "ndim", 0):   # an int skips the failing lookup
         raise TypeError
-    return float(c)
+    if not 0.0 < (c := c.__float__()) < math.inf:   # NaN too
+        raise ValueError
+    return c
 
 
-def _s_floats(s) -> list[float]:
+def _reals(values, count: int) -> Sequence[float]:
+    """The guard of every coefficient tuple: `count` strictly positive finite floats
+    from a sequence of reals, else ValueError.  A list or tuple of such floats comes back as is."""
     try:
-        # a string iterates as its characters and an array of shape (3, 1) as
-        # one-element rows: neither is a triple
-        if type(s) is not list and (isinstance(s, (str, bytes)) or getattr(s, "shape", (3,)) != (3,)):
+        # a string iterates as its characters and an (n, 1) array as one-element rows
+        if type(values) not in (list, tuple) and (isinstance(values, (str, bytes))
+                                                 or getattr(values, "shape", (count,)) != (count,)):
             raise TypeError
-        s0, s1, s2 = values = [c if type(c) is float else _real(c) for c in s]
-    except (TypeError, ValueError):   # not iterable, not three items, or an item not a real
-        raise ValueError(f"expected a triple of reals, got {s!r}") from None
-    if not (0.0 < s0 < math.inf and 0.0 < s1 < math.inf and 0.0 < s2 < math.inf):  # NaN too
-        raise ValueError(f"scale factors must be strictly positive and finite, got {values}")
+        for c in values:
+            if type(c) is not float or not 0.0 < c < math.inf:
+                values = [c if type(c) is float and 0.0 < c < math.inf else _real(c) for c in values]
+                break
+        if len(values) != count:
+            raise TypeError
+    except (TypeError, AttributeError, OverflowError):   # not a sequence of `count` reals
+        what = ("a pair", "a triple", "a 4-tuple")[count - 2]
+        raise ValueError(f"expected {what} of reals, got {values!r}") from None
+    except ValueError:
+        raise ValueError(f"coefficients must be strictly positive and finite, got {values!r}") from None
     return values
 
 
@@ -96,7 +108,7 @@ def _scaled(s) -> tuple[float, float, float, float]:
     (max(s)/min(s) >= 2^1022), s itself comes back as exact Fractions with
     scale 1: the kernels compute in the number type of s, so they are exact
     there, and `_rounded` rounds their result once."""
-    s0, s1, s2 = _s_floats(s)
+    s0, s1, s2 = _reals(s, 3)
     scale = 2.0 ** (math.frexp(max(s0, s1, s2))[1] - 1)
     if min(s0, s1, s2) < scale * sys.float_info.min:
         return Fraction(s0), Fraction(s1), Fraction(s2), 1
@@ -292,8 +304,7 @@ def _verdict_from_margin(margin: float) -> ConeVerdict:
 
 def classify_2param(t: float, s: float) -> ConeVerdict:
     """Metrics (t, t, s, s) on W^7_{1,1}: positively curved iff t < s."""
-    if not (0.0 < t < math.inf and 0.0 < s < math.inf):
-        raise ValueError(f"need finite t, s > 0, got ({t}, {s})")
+    t, s = _reals([t, s], 2)
     return _verdict_from_margin(s - t)
 
 
@@ -304,8 +315,7 @@ def classify_3param(t: float, x: float, s: float) -> ConeVerdict:
     is t < t_A against t >= t_A (boundary included on the non-positive
     side).  For x >= s nothing is certified and the verdict is Unknown.
     """
-    if not (0.0 < t < math.inf and 0.0 < x < math.inf and 0.0 < s < math.inf):
-        raise ValueError(f"need finite t, x, s > 0, got ({t}, {x}, {s})")
+    t, x, s = _reals([t, x, s], 3)
     t_hat, x_hat = t / s, x / s
     if x_hat >= 1.0:
         return ConeVerdict(ConeClass.UNKNOWN, 0.0)
@@ -314,8 +324,7 @@ def classify_3param(t: float, x: float, s: float) -> ConeVerdict:
 
 def classify_berger(x1: float, x2: float) -> ConeVerdict:
     """Berger metrics (x1, x2): positively curved iff x1 < 2 x2."""
-    if not (0.0 < x1 < math.inf and 0.0 < x2 < math.inf):
-        raise ValueError(f"need finite x1, x2 > 0, got ({x1}, {x2})")
+    x1, x2 = _reals([x1, x2], 2)
     return _verdict_from_margin(2.0 * x2 - x1)
 
 
@@ -327,9 +336,7 @@ def classify_aw_slice(state, xi) -> ConeVerdict:
     |s1 - s2| / mean.  Off-slice beyond that, or with s0 outside (0, mean),
     the verdict is Unknown.
     """
-    t, s0, s1, s2 = (float(c) for c in state)
-    if not all(0.0 < c < math.inf for c in (t, s0, s1, s2)):  # NaN too
-        raise ValueError(f"state must be strictly positive and finite, got {state}")
+    t, s0, s1, s2 = _reals(state, 4)
     xi = xi_value(xi)
     s_mean = 0.5 * (s1 + s2)
     if abs(s1 - s2) > SLICE_RTOL * s_mean or s0 >= s_mean:
@@ -339,10 +346,15 @@ def classify_aw_slice(state, xi) -> ConeVerdict:
 
 def normalized_region(x: float, s: float) -> str:
     """Region of the unit-volume plane: G (sec > 0), P (non-positive plane),
-    W (undetermined).  Ties 4x^3 s^4 - x^4 s^3 = 3 belong to P."""
-    if not (0.0 < x < math.inf and 0.0 < s < math.inf):
-        raise ValueError(f"need finite x, s > 0, got ({x}, {s})")
-    q = 4.0 * x**3 * s**4 - x**4 * s**3
+    W (undetermined).  Ties 4x^3 s^4 - x^4 s^3 = 3 belong to P.  Where the
+    float value overflows, the exact value in Fraction decides."""
+    x, s = _reals([x, s], 2)
+    try:
+        q = 4.0 * x**3 * s**4 - x**4 * s**3
+    except OverflowError:
+        q = math.inf
+    if not abs(q) < math.inf:   # an overflow (NaN where both terms overflow): decide on the exact value
+        q = 4 * Fraction(x) ** 3 * Fraction(s) ** 4 - Fraction(x) ** 4 * Fraction(s) ** 3
     if 3.0 >= q:
         return "P"
     return "G" if x < s else "W"

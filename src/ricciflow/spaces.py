@@ -53,7 +53,7 @@ def _check_pair(k1: int, k2: int) -> None:
 def xi_from_integers(k1: int, k2: int) -> float:
     """xi = k1/k2 of W^7_{k1,k2}, for coprime integers 0 < k1 <= k2."""
     _check_pair(k1, k2)
-    return k1 / k2
+    return xi_value(k1 / k2)   # k1/k2 underflows to 0.0 for k2 > 2^1074 k1
 
 
 def aw_eigenvalue_tuple(t, s0, s1, s2, xi):

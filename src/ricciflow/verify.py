@@ -1,8 +1,10 @@
 """Acceptance checks: every headline quantity re-derived and measured.
 
 Each check produces a CheckResult with the measured worst-case value and the
-tolerance it is held to; `run_all` evaluates the full battery, the single
-source for the CLI `verify` command and the acceptance tests.  The grids,
+tolerance it is held to; a row that bounds a deviation (`_bound`) also gives its
+headroom, deviation/tolerance.  `run_all` evaluates the full battery, every
+`_check_*` group of this module in definition order: the single source for the
+CLI `verify` command and the acceptance tests.  The grids,
 the gradient's finite differences and the structure-constant eigenvalue
 oracle run on numpy arrays in the operations of the scalar functions they
 sample, so every point has the bits of a scalar call (t_A and A~ use
@@ -35,11 +37,21 @@ __all__ = ["CheckResult", "run_all"]
 
 @dataclass(frozen=True)
 class CheckResult:
+    """`headroom` is measured/tolerance on a row held to measured <= tolerance, else None."""
+
     name: str
     passed: bool
     measured: float
     tolerance: float
     detail: str = ""
+    headroom: float | None = None
+
+
+def _bound(name, deviation, tolerance, detail="", holds=True) -> CheckResult:
+    """The row of a deviation held to `deviation <= tolerance` (and to `holds`)."""
+    deviation = float(deviation)
+    return CheckResult(name, bool(holds) and deviation <= tolerance, deviation, tolerance, detail,
+                       deviation / tolerance)
 
 
 def _grid(start_hundredths: int, stop_hundredths: int) -> list[float]:
@@ -52,27 +64,26 @@ _GRAD_X, _GRAD_XI = (0.85, 0.9, 0.95), (0.4, 0.7, 1.0)
 
 # --- criterion 1: round-metric derivative of the two-parameter family ---
 
+def _derivative_row(name, derivative, *at):
+    """A ratio derivative whose value at `at` is 3: exactly in Fraction, to 1e-12 in floats."""
+    exact, measured = derivative(*map(Fraction, at)), derivative(*at)
+    return CheckResult(name, exact == 3 and abs(measured - 3.0) <= 1e-12, measured, 1e-12,
+                       "target 3, exact in rational arithmetic")
+
+
 def _check_two_param_derivative():
-    exact = derivatives.two_param_ratio_derivative(Fraction(1), Fraction(1))
-    measured = derivatives.two_param_ratio_derivative(1.0, 1.0)
-    return [CheckResult("two_param_derivative_at_round",
-                        exact == Fraction(3) and abs(measured - 3.0) <= 1e-12,
-                        measured, 1e-12, "target 3, exact in rational arithmetic")]
+    return [_derivative_row("two_param_derivative_at_round", derivatives.two_param_ratio_derivative,
+                            1.0, 1.0)]
 
 
 # --- criterion 2: Berger derivative and eigenvalues at (2, 1) ---
 
 def _check_berger_boundary():
-    exact = derivatives.berger_ratio_derivative(Fraction(2), Fraction(1))
-    measured = derivatives.berger_ratio_derivative(2.0, 1.0)
     r1, r2 = berger_eigenvalue_tuple(2.0, 1.0)
     eig_dev = max(abs(r1 - 6.0), abs(r2 - 7.5))
     return [
-        CheckResult("berger_derivative_at_boundary",
-                    exact == Fraction(3) and abs(measured - 3.0) <= 1e-12, measured, 1e-12,
-                    "target 3, exact in rational arithmetic"),
-        CheckResult("berger_eigenvalues_at_boundary", eig_dev <= 1e-12, eig_dev, 1e-12,
-                    f"r1 = {r1}, r2 = {r2}, targets (6, 7.5)"),
+        _derivative_row("berger_derivative_at_boundary", derivatives.berger_ratio_derivative, 2.0, 1.0),
+        _bound("berger_eigenvalues_at_boundary", eig_dev, 1e-12, f"r1 = {r1}, r2 = {r2}, targets (6, 7.5)"),
     ]
 
 
@@ -86,8 +97,8 @@ def _check_d_roots():
     xs = np.arange(l4 + 1e-3, l5 - 1e-3, 1e-3)
     worst_d = float(np.max(derivatives.d_polynomial(xs)))
     return [
-        CheckResult("d_roots_exact_pair", exact_dev <= 1e-12, exact_dev, 1e-12),
-        CheckResult("d_roots_residuals", residual <= 1e-9, residual, 1e-9),
+        _bound("d_roots_exact_pair", exact_dev, 1e-12),
+        _bound("d_roots_residuals", residual, 1e-9),
         CheckResult("d_roots_lambda1_bracket", -7.485 <= l1 <= -7.475, float(l1), 0.005,
                     "reference bracket [-7.485, -7.475]"),
         CheckResult("d_roots_lambda4_bracket", 0.785 <= l4 <= 0.795, float(l4), 0.005,
@@ -108,9 +119,9 @@ def _check_t_a_closed_form():
     prods = cone._a_tilde_rows(slice_s) @ cone.a_tilde_inverse_slice(slice_s[:, 0], 1.0)
     worst_inv = float(np.max(np.abs(prods - np.eye(3))))
     return [
-        CheckResult("t_a_closed_form_grid", worst <= 1e-12, worst, 1e-12,
-                    "relative deviation over the 1e-2 grid of (0,1) and (1,3.99)"),
-        CheckResult("a_tilde_inverse_identity_grid", worst_inv <= 1e-10, worst_inv, 1e-10),
+        _bound("t_a_closed_form_grid", worst, 1e-12,
+               "relative deviation over the 1e-2 grid of (0,1) and (1,3.99)"),
+        _bound("a_tilde_inverse_identity_grid", worst_inv, 1e-10),
     ]
 
 
@@ -138,10 +149,9 @@ def _check_gradient_oracle():
             target = derivatives.f_xi_prime0(xi, x)
             worst_asm = max(worst_asm, abs(assembled - target) / abs(target))
     return [
-        CheckResult("gradient_finite_difference", worst_fd <= 1e-6, worst_fd, 1e-6,
-                    "central differences of t_A/t at the anchor tuple, h = 1e-6"),
-        CheckResult("gradient_assembly", worst_asm <= 1e-9, worst_asm, 1e-9,
-                    "<grad F, initial velocity> against f_xi_prime0"),
+        _bound("gradient_finite_difference", worst_fd, 1e-6,
+               "central differences of t_A/t at the anchor tuple, h = 1e-6"),
+        _bound("gradient_assembly", worst_asm, 1e-9, "<grad F, initial velocity> against f_xi_prime0"),
     ]
 
 
@@ -157,8 +167,7 @@ def _check_k_polynomial():
     min_den = float(np.min(derivatives._f_denominator(np.array(_grid(1, 100))[:, None],
                                                       np.array(_grid(1, 101)))))
     return [
-        CheckResult("k_limit_x1", worst <= 1e-9, worst, 1e-9,
-                    "|K(xi, 1) + 432(xi^2-1)^2| / (1 + 432(xi^2-1)^2)"),
+        _bound("k_limit_x1", worst, 1e-9, "|K(xi, 1) + 432(xi^2-1)^2| / (1 + 432(xi^2-1)^2)"),
         CheckResult("f_xi_denominator_positive", min_den > 0.0, float(min_den), 0.0,
                     "min of x(x-4)(x-1)R^2 on the 1e-2 grid of (0,1) x (0,1]"),
     ]
@@ -187,13 +196,12 @@ def _check_flow_oracle():
     system = flow.make_system("aw4", xi)
     cfg = flow.IntegratorConfig(max_time=h)
     fwd = flow.integrate(system, anchor, cfg).final_state
-    bwd = flow.integrate(system, anchor,
-                         flow.IntegratorConfig(max_time=h, direction="backward")).final_state
+    bwd = flow.integrate(system, anchor, flow.IntegratorConfig(max_time=h, direction="backward")).final_state
     fd = (_f_value(fwd[0], fwd[1:], xi) - _f_value(bwd[0], bwd[1:], xi)) / (2.0 * h)
     target = derivatives.f1_prime0(x)
     dev = abs(fd - target) / abs(target)
-    return [CheckResult("flow_oracle_sign", dev <= 1e-4 and fd < 0.0, dev, 1e-4,
-                        f"finite difference {fd:.8f} vs closed form {target:.8f}")]
+    return [_bound("flow_oracle_sign", dev, 1e-4, f"finite difference {fd:.8f} vs closed form {target:.8f}",
+                   fd < 0.0)]
 
 
 # --- criterion 9: cone exits for all four families ---
@@ -213,8 +221,7 @@ def _exit_check(name, family, init, xi=1.0):
 def _check_cone_exits():
     results = [
         _exit_check("cone_exit_aw2", "aw2", (0.99, 0.99, 1.0, 1.0)),
-        _exit_check("cone_exit_aw3", "aw3",
-                    (cone.t_a_closed(0.9, 1.0) - 1e-3, 0.9, 1.0)),
+        _exit_check("cone_exit_aw3", "aw3", (cone.t_a_closed(0.9, 1.0) - 1e-3, 0.9, 1.0)),
         _exit_check("cone_exit_berger", "berger", (1.99, 1.0)),
     ]
     for xi in (0.9, 0.95):
@@ -239,12 +246,10 @@ def _check_subfamily_invariance():
     dev_two = max(_pair_deviation(traj2.states[:, 0], traj2.states[:, 1]),
                   _pair_deviation(traj2.states[:, 2], traj2.states[:, 3]))
     return [
-        CheckResult("subfamily_invariance_slice",
-                    traj.status == "horizon" and dev_slice <= 1e-9, dev_slice, 1e-9,
-                    "s1 = s2 preserved over horizon 0.5 from (4, 4.4, 4, 4)"),
-        CheckResult("subfamily_invariance_two_param",
-                    traj2.status == "horizon" and dev_two <= 1e-9, dev_two, 1e-9,
-                    "t = s0 and s1 = s2 preserved over horizon 0.5 from (4, 4, 5, 5)"),
+        _bound("subfamily_invariance_slice", dev_slice, 1e-9,
+               "s1 = s2 preserved over horizon 0.5 from (4, 4.4, 4, 4)", traj.status == "horizon"),
+        _bound("subfamily_invariance_two_param", dev_two, 1e-9,
+               "t = s0 and s1 = s2 preserved over horizon 0.5 from (4, 4, 5, 5)", traj2.status == "horizon"),
     ]
 
 
@@ -264,10 +269,9 @@ def _check_einstein():
     entry = next((float(t) for t, st in zip(traj2.times, traj2.states)
                   if cone.normalized_region(st[0], st[1]) == "P"), None)
     return [
-        CheckResult("einstein_equilibria", residual <= 1e-9, residual, 1e-9),
-        CheckResult("seed_p1_stays_on_curve", drift <= 1e-6, drift, 1e-6,
-                    "|x^3 s^4 - 1| along the p1 trajectory, horizon 10"),
-        CheckResult("seed_p1_terminal_near_e_minus", terminal_dist <= 1e-3, terminal_dist, 1e-3),
+        _bound("einstein_equilibria", residual, 1e-9),
+        _bound("seed_p1_stays_on_curve", drift, 1e-6, "|x^3 s^4 - 1| along the p1 trajectory, horizon 10"),
+        _bound("seed_p1_terminal_near_e_minus", terminal_dist, 1e-3),
         CheckResult("seed_p2_enters_pink", entry is not None,
                     entry if entry is not None else float("nan"), 10.0,
                     "first sample of the p2 trajectory inside region P"),
@@ -284,32 +288,15 @@ def _check_eigenvalue_oracle():
         closed = np.transpose(aw_eigenvalue_tuple(*coeffs.T, k1 / k2))
         general = ricci_from_structure(k1, k2, coeffs)
         worst = max(worst, float(np.max(np.abs(closed - general) / np.abs(general))))
-    return [CheckResult("eigenvalue_oracle_randomized", worst <= 1e-12, worst, 1e-12,
-                        "100 metrics in U(0.5, 2)^4 per (k1, k2) pair, seeded")]
-
-
-_GROUPS = (
-    _check_two_param_derivative,
-    _check_berger_boundary,
-    _check_d_roots,
-    _check_t_a_closed_form,
-    _check_gradient_oracle,
-    _check_k_polynomial,
-    _check_sign_theorem,
-    _check_flow_oracle,
-    _check_cone_exits,
-    _check_subfamily_invariance,
-    _check_einstein,
-    _check_eigenvalue_oracle,
-)
+    return [_bound("eigenvalue_oracle_randomized", worst, 1e-12,
+                   "100 metrics in U(0.5, 2)^4 per (k1, k2) pair, seeded")]
 
 
 @lru_cache(maxsize=1)
 def _run_all_cached() -> tuple[CheckResult, ...]:
-    results = []
-    for group in _GROUPS:
-        results.extend(group())
-    return tuple(results)
+    # the battery is every `_check_*` group of this module, in definition order
+    return tuple(result for name, group in list(globals().items()) if name.startswith("_check_")
+                 for result in group())
 
 
 def run_all() -> list[CheckResult]:

@@ -14,6 +14,7 @@ import importlib
 import inspect
 import pkgutil
 
+import numpy as np
 import pytest
 
 import ricciflow
@@ -28,6 +29,39 @@ def results():
 def test_registry_complete():
     names = [result.name for result in verify.run_all()]
     assert len(set(names)) == len(names) == 30
+
+
+def test_registry_is_every_check_group_in_definition_order(monkeypatch):
+    groups = [name for name in vars(verify) if name.startswith("_check_")]
+    assert len(groups) == 12 and groups[0] == "_check_two_param_derivative"
+    extra = verify.CheckResult("extra_check", True, 0.0, 1.0)
+    monkeypatch.setattr(verify, "_check_zz_extra", lambda: [extra], raising=False)
+    verify._run_all_cached.cache_clear()
+    try:
+        rows = verify.run_all()
+    finally:
+        monkeypatch.undo()
+        verify._run_all_cached.cache_clear()
+    assert len(rows) == 31 and rows[-1] is extra
+
+
+def test_rows_store_floats_and_bounds_give_headroom(results):
+    bounds = {name for name, r in results.items() if r.headroom is not None}
+    assert len(bounds) == 15
+    assert {"flow_oracle_sign", "subfamily_invariance_slice", "d_roots_exact_pair"} <= bounds
+    for r in results.values():
+        assert type(r.measured) is float, r.name
+        if r.headroom is not None:
+            assert r.headroom == r.measured / r.tolerance and r.passed == (r.headroom <= 1.0), r.name
+
+
+def test_bound_fails_where_the_side_condition_fails():
+    assert verify._bound("row", 0.5, 1.0).passed
+    assert not verify._bound("row", 0.5, 1.0, holds=False).passed
+    assert not verify._bound("row", 2.0, 1.0).passed
+    assert not verify._bound("row", float("nan"), 1.0).passed
+    row = verify._bound("row", np.float64(0.25), 0.5, "detail")
+    assert (type(row.measured), row.measured, row.headroom, row.detail) == (float, 0.25, 0.5, "detail")
 
 
 _MODULES = [importlib.import_module(f"ricciflow.{info.name}")

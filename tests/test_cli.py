@@ -209,6 +209,15 @@ class TestPortraitCommand:
         assert code == 2
         assert match in out["error"]
 
+    def test_huge_grid(self, tmp_path, capsys):
+        # 4 x^3 s^4 overflows a float there: the region comes from the exact value (P at x > 4s)
+        code, out = run_cli(capsys, "portrait", "--grid", "1e100:1e101:2,1e100:1e101:2",
+                            "--horizon", "0.2", "--out", str(tmp_path))
+        assert code == 0 and out["grid_points"] == 4
+        regions = {(float(row["x"]), float(row["s"])): row["region"]
+                   for row in read_csv(tmp_path / "regions.csv")}
+        assert regions == {(1e100, 1e100): "W", (1e100, 1e101): "G", (1e101, 1e100): "P", (1e101, 1e101): "W"}
+
     def test_determinism(self, tmp_path, capsys):
         for sub in ("p1", "p2"):
             run_cli(capsys, "portrait", "--grid", "0.5:1.5:4,0.5:1.5:4",
@@ -275,6 +284,17 @@ def test_infinite_tolerance_is_config_error(tmp_path, capsys, monkeypatch, flag)
                         "--horizon", "10", flag, "inf", "--out", str(tmp_path))
     assert code == 2
     assert "positive and finite" in out["error"]
+
+
+def test_every_reply_opens_with_status_and_command(tmp_path, capsys):
+    # main wraps each command's payload; verify's payload overrides the status in place
+    replies = {"roots": ["roots", "sign_chart"],
+               "verify": ["checks", "failed", "report"]}
+    for command, keys in replies.items():
+        main([command, "--out", str(tmp_path)] if command == "verify" else [command])
+        out = json.loads(capsys.readouterr().out)
+        assert list(out) == ["status", "command", *keys]
+        assert out["status"] == ("failed" if command == "verify" else "ok") and out["command"] == command
 
 
 class TestRootsCommand:
@@ -358,11 +378,17 @@ class TestVerifyCommand:
         assert report["seed_p2_enters_pink"]["measured"] > 0.0
 
     def test_headroom_is_measured_over_tolerance(self, tmp_path, capsys):
+        # only a row held to measured <= tolerance has a headroom; the derivative,
+        # bracket, sign, exit and p2-entry rows report null
         run_cli(capsys, "verify", "--out", str(tmp_path))
         text = (tmp_path / "verification_report.json").read_text()
         report = {entry["check"]: entry for entry in json.loads(text)}
         for result in verify.run_all():
-            expected = result.measured / result.tolerance if result.tolerance else None
+            expected = None if result.headroom is None else result.measured / result.tolerance
             assert report[result.name]["headroom"] == expected, result.name
-        assert report["sign_theorem_xi1"]["headroom"] is None  # held to tolerance 0
+        assert all(0.0 <= entry["headroom"] <= 1.0 for entry in report.values()
+                   if entry["status"] == "pass" and entry["headroom"] is not None)
+        for name in ("two_param_derivative_at_round", "d_roots_lambda1_bracket", "d_roots_lambda4_bracket",
+                     "sign_theorem_xi1", "cone_exit_aw2", "seed_p2_enters_pink"):
+            assert report[name]["headroom"] is None, name
         assert 0.0 < report["t_a_closed_form_grid"]["headroom"] < 1.0

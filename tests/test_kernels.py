@@ -131,7 +131,7 @@ def test_t_a_matches_numpy_scalars(monkeypatch):
     triples = random_states(3)
     xis = rng.uniform(0.05, 1.0, size=len(triples)).tolist()
     with monkeypatch.context() as patch:
-        patch.setattr(cone, "_s_floats", lambda s: list(np.asarray(s, dtype=float)))
+        patch.setattr(cone, "_reals", lambda s, _count: list(np.asarray(s, dtype=float)))
         expected = [bits(cone.t_a(s, xi)) for s, xi in zip(triples, xis)]
     for s, xi, want in zip(triples, xis, expected):
         for form, value in input_forms(s).items():

@@ -56,6 +56,12 @@ class TestXiParam:
         with pytest.raises(ValueError):
             xi_from_integers(k1, k2)
 
+    def test_from_integers_rejects_a_ratio_that_rounds_to_zero(self):
+        # 1/10^400 is a valid pair but rounds to 0.0, outside (0, 1]
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            xi_from_integers(1, 10**400)
+        assert xi_from_integers(10**400, 10**401 + 1) == 10**400 / (10**401 + 1)
+
 
 class TestMetricTypes:
     """Metrics are coefficient tuples, checked where they are used."""
