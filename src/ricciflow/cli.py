@@ -43,6 +43,8 @@ def _parse_floats(text: str, name: str) -> list[float]:
 
 
 def _resolve_xi(args) -> float:
+    if args.k is not None and args.xi is not None:
+        raise ValueError("--xi and --k are alternatives: give one of them")
     if args.k:
         try:
             k1, k2 = (int(part) for part in args.k.split(","))

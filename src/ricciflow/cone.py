@@ -26,15 +26,17 @@ differences s_j - s_k, so nothing cancels near the round diagonal.  There
 the limit of t_A depends on the direction of approach (1 along the s1 = s2
 slice, about 1.3288 along (0, 1, -0.7)); on the round diagonal itself `t_a`
 returns 0 by convention.  At xi = 1, t_A(x, s, s) = x(4s - x)/(3s).
-The Berger cone is simply x1 < 2 x2.
+The Berger cone is simply x1 < 2 x2.  `_CONES` writes each family's cone once.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -121,6 +123,21 @@ def _rounded(value) -> float:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+def _on_floats(kernel):
+    """`kernel(*state, *args)` as `f(state, *args)` on Python floats (a list is
+    taken to hold them): the bits of numpy float64 scalars at half the cost.
+    Where float `**` or `/` raises and numpy gives inf or nan, the kernel runs
+    again on numpy scalars, so a stage that overflows is rejected, not raised."""
+    @functools.wraps(kernel)
+    def f(state, *args):
+        state = state if type(state) is list else np.asarray(state, dtype=float).tolist()
+        try:
+            return kernel(*state, *args)
+        except (OverflowError, ZeroDivisionError):
+            return kernel(*np.array(state, dtype=float), *args)
+    return f
 
 
 def _sigma(s0: float, s1: float, s2: float) -> float:
@@ -215,28 +232,60 @@ def t_a(s, xi) -> float:
 def t_a_closed(x: float, s: float) -> float:
     """Closed form t_A(x, s, s) = x(4s - x)/(3s) on the s1 = s2 slice at xi = 1.
 
-    Only certified where sigma(x, s, s) = x(4s - x) > 0, i.e. x < 4s.
+    Only certified where sigma(x, s, s) = x(4s - x) > 0, i.e. x < 4s.  Evaluated
+    as in `_float_or_exact`, so it has a value at any scale.
     """
     if not (_all((0.0 < x) & (x < math.inf)) and _all((0.0 < s) & (s < math.inf))):
         raise DomainError(f"need finite x > 0 and s > 0, got ({x}, {s})")
     if not _all(x < 4.0 * s):
         raise DomainError(f"x = {x} >= 4s = {4 * s}: sigma <= 0, closed form not certified")
-    return x * (4.0 * s - x) / (3.0 * s)
+    return _float_or_exact(lambda x, s: x * (4 * s - x) / (3 * s), x, s)
 
 
 def a_tilde_inverse_slice(x: float, s: float) -> np.ndarray:
-    """Closed-form inverse of A~(x, s, s), prefactor 1/((s-x)^2 (4s-x)); a stack (..., 3, 3) on arrays."""
+    """Closed-form inverse of A~(x, s, s), prefactor 1/((s-x)^2 (4s-x)); a stack (..., 3, 3) on arrays.
+    Evaluated as in `_float_or_exact` (an entry may be 0, at x = 3s)."""
     if not (_all((0.0 < x) & (x < math.inf)) and _all((0.0 < s) & (s < math.inf))):
         raise DomainError(f"need finite x > 0 and s > 0, got ({x}, {s})")
-    denom = _pow(s - x, 2) * (4.0 * s - x)
-    if not _all(denom != 0.0):
+    if not _all((x != s) & (x != 4.0 * s)):
         raise DomainError(f"inverse prefactor vanishes at (x, s) = ({x}, {s})")
+    return _float_or_exact(_inverse_slice, x, s, lambda inv: np.where(inv == 0.0, inv[..., :1, :1], inv))
+
+
+def _inverse_slice(x, s):
+    denom = _pow(s - x, 2) * (4 * s - x)
     diag0 = _pow(s, 3) * x
-    off0 = s * s * x * (3.0 * s - x) / 2.0
-    diag = s * (16.0 * _pow(s, 3) - 9.0 * s * s * x + 6.0 * s * x * x - _pow(x, 3)) / 12.0
-    off = s * (8.0 * _pow(s, 3) + 9.0 * s * s * x - 6.0 * s * x * x + _pow(x, 3)) / 12.0
+    off0 = s * s * x * (3 * s - x) / 2
+    diag = s * (16 * _pow(s, 3) - 9 * s * s * x + 6 * s * x * x - _pow(x, 3)) / 12
+    off = s * (8 * _pow(s, 3) + 9 * s * s * x - 6 * s * x * x + _pow(x, 3)) / 12
     inv = np.array([[diag0, off0, off0], [off0, diag, off], [off0, off, diag]]) / denom
     return np.moveaxis(inv, (0, 1), (-2, -1)).copy() if inv.ndim > 2 else inv
+
+
+def _float_or_exact(form, x, s, probe=lambda value: value):
+    """form(x, s) for a closed form written with integer literals, so that Fraction
+    inputs give its exact value.  On floats, elementwise on arrays, it keeps the bits
+    of the float evaluation wherever `probe` of that value is finite and normal;
+    where an intermediate over- or underflows (the evaluation raises, or the probe is
+    0, subnormal, inf or nan), it gives the exact value at the float inputs, rounded
+    once.  An array where any point fails is evaluated point by point."""
+    if isinstance(x, Fraction) or isinstance(s, Fraction):
+        return form(x, s)
+    try:
+        with np.errstate(all="ignore"):
+            value = form(x, s)
+        size = abs(probe(value))
+        if _all((sys.float_info.min <= size) & (size < math.inf)):
+            return value
+    except (OverflowError, ZeroDivisionError):
+        pass
+    if isinstance(x, np.ndarray) or isinstance(s, np.ndarray):
+        points = [_float_or_exact(form, a, b, probe) for a, b in np.broadcast(x, s)]
+        return np.reshape(points, np.broadcast(x, s).shape + np.shape(points[0]))
+    if not (abs(x) < math.inf and abs(s) < math.inf):
+        raise DomainError(f"need finite arguments, got ({x}, {s})")
+    exact = form(Fraction(x), Fraction(s))
+    return np.vectorize(_rounded, otypes=[float])(exact) if isinstance(exact, np.ndarray) else _rounded(exact)
 
 
 def _all(cond) -> bool:  # a comparison of floats or arrays holds everywhere; np.all is slow on a scalar
@@ -296,36 +345,64 @@ class ConeVerdict:
             raise ValueError("Unknown carries margin 0 by convention")
 
 
-def _verdict_from_margin(margin: float) -> ConeVerdict:
-    if margin > 0.0:
-        return ConeVerdict(ConeClass.POSITIVELY_CURVED, margin)
-    return ConeVerdict(ConeClass.HAS_NONPOSITIVE_PLANE, margin)
+def _aw4_gap(y, xi) -> float:
+    """t_A(s, xi) - t, or inf where a coefficient of s is <= 0."""
+    try:
+        return t_a(y[1:], xi) - float(y[0])
+    except ValueError:  # in a flow such a step end is past the collapse floor, whose root ends the run
+        if any(c <= 0.0 for c in y[1:]):
+            return math.inf
+        raise
+
+
+# Each family's cone, for its classifier and the flow's events alike:
+# `gap(state, xi)` is positive strictly inside it and `window(state)` positive
+# where the classifier certifies a verdict (None: everywhere).  Both have
+# degree 1 and integer literals, so a Fraction state gives the exact value.
+_Cone = namedtuple("_Cone", "gap window")
+_CONES = {
+    "aw2": _Cone(_on_floats(lambda t, s, _xi: s - t), None),
+    "aw3": _Cone(_on_floats(lambda t, x, s, _xi: x * (4 * s - x) / (3 * s) - t),
+                 _on_floats(lambda t, x, s: s - x)),
+    "aw4": _Cone(_aw4_gap, _on_floats(lambda t, x, s1, s2: (s1 + s2) / 2 - x)),
+    "berger": _Cone(_on_floats(lambda x1, x2, _xi: 2 * x2 - x1), None),
+}
+
+
+def _classify(family: str, y: Sequence[float], xi: float = 1.0) -> ConeVerdict:
+    """Unknown where `family`'s window is <= 0 at the checked state `y`, else
+    the sign of its gap, with the gap as margin.  The kernels run on y scaled
+    as in `_scaled`: the margin has a value at any scale, and the bits of the
+    flow's event wherever that neither over- nor underflows."""
+    gap, window = _CONES[family]
+    scale = 2.0 ** (math.frexp(max(y))[1] - 1)
+    exact = min(y) < scale * sys.float_info.min
+    y = [*map(Fraction, y)] if exact else [c / scale for c in y]
+    if window is not None and not window(y) > 0:
+        return ConeVerdict(ConeClass.UNKNOWN, 0.0)
+    margin = _rounded(gap(y, xi)) if exact else gap(y, xi) * scale
+    return ConeVerdict(ConeClass.POSITIVELY_CURVED if margin > 0.0 else ConeClass.HAS_NONPOSITIVE_PLANE,
+                       margin)
 
 
 def classify_2param(t: float, s: float) -> ConeVerdict:
     """Metrics (t, t, s, s) on W^7_{1,1}: positively curved iff t < s."""
-    t, s = _reals([t, s], 2)
-    return _verdict_from_margin(s - t)
+    return _classify("aw2", _reals((t, s), 2))
 
 
 def classify_3param(t: float, x: float, s: float) -> ConeVerdict:
     """Metrics (t, x, s, s) on W^7_{1,1}.
 
-    After rescaling to s = 1: certified for x in (0, 1), where the verdict
-    is t < t_A against t >= t_A (boundary included on the non-positive
-    side).  For x >= s nothing is certified and the verdict is Unknown.
+    Certified for x in (0, s), where the verdict is t < t_A = x(4s - x)/(3s)
+    against t >= t_A (boundary included on the non-positive side), with the
+    margin t_A - t.  For x >= s nothing is certified and the verdict is Unknown.
     """
-    t, x, s = _reals([t, x, s], 3)
-    t_hat, x_hat = t / s, x / s
-    if x_hat >= 1.0:
-        return ConeVerdict(ConeClass.UNKNOWN, 0.0)
-    return _verdict_from_margin(t_a_closed(x_hat, 1.0) - t_hat)
+    return _classify("aw3", _reals((t, x, s), 3))
 
 
 def classify_berger(x1: float, x2: float) -> ConeVerdict:
     """Berger metrics (x1, x2): positively curved iff x1 < 2 x2."""
-    x1, x2 = _reals([x1, x2], 2)
-    return _verdict_from_margin(2.0 * x2 - x1)
+    return _classify("berger", _reals((x1, x2), 2))
 
 
 def classify_aw_slice(state, xi) -> ConeVerdict:
@@ -336,12 +413,11 @@ def classify_aw_slice(state, xi) -> ConeVerdict:
     |s1 - s2| / mean.  Off-slice beyond that, or with s0 outside (0, mean),
     the verdict is Unknown.
     """
-    t, s0, s1, s2 = _reals(state, 4)
+    y = _reals(state, 4)
     xi = xi_value(xi)
-    s_mean = 0.5 * (s1 + s2)
-    if abs(s1 - s2) > SLICE_RTOL * s_mean or s0 >= s_mean:
+    if abs(y[2] - y[3]) > SLICE_RTOL * (0.5 * y[2] + 0.5 * y[3]):   # the mean, without overflow
         return ConeVerdict(ConeClass.UNKNOWN, 0.0)
-    return _verdict_from_margin(t_a((s0, s1, s2), xi) - t)
+    return _classify("aw4", y, xi)
 
 
 def normalized_region(x: float, s: float) -> str:

@@ -18,7 +18,6 @@ Each system kind is described once, in SYSTEMS; rows with a classifier are FAMIL
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -57,29 +56,14 @@ COLLAPSE_FLOOR = 1e-12
 _FLOOR_EVENT = (lambda _l, y: min(y) - COLLAPSE_FLOOR, True, 0.0)   # the solver's event 0
 
 
-def _on_floats(kernel):
-    """`kernel(*state, *args)` as `f(state, *args)` on Python floats (a list is
-    taken to hold them): the bits of numpy float64 scalars at half the cost.
-    Where float `**` or `/` raises and numpy gives inf or nan, the kernel runs
-    again on numpy scalars, so a stage that overflows is rejected, not raised."""
-    @functools.wraps(kernel)
-    def f(state, *args):
-        state = state if type(state) is list else np.asarray(state, dtype=float).tolist()
-        try:
-            return kernel(*state, *args)
-        except (OverflowError, ZeroDivisionError):
-            return kernel(*np.array(state, dtype=float), *args)
-    return f
-
-
-@_on_floats
+@cone._on_floats
 def aw_rhs(t, s0, s1, s2, xi) -> tuple:
     """Four-parameter Aloff-Wallach flow: (t', s0', s1', s2') = -2 r_i * state."""
     r0, r1, r2, r3 = aw_eigenvalue_tuple(t, s0, s1, s2, xi_value(xi))
     return -2.0 * r0 * t, -2.0 * r1 * s0, -2.0 * r2 * s1, -2.0 * r3 * s2
 
 
-@_on_floats
+@cone._on_floats
 def aw3_rhs(t, x, s) -> tuple:
     """Three-parameter slice (t, x, s) at xi = 1, eigenvalues in reduced form."""
     r0 = t * (2.0 * s * s + x * x) / (x * x * s * s)
@@ -88,7 +72,7 @@ def aw3_rhs(t, x, s) -> tuple:
     return -2.0 * r0 * t, -2.0 * r1 * x, -2.0 * r2 * s
 
 
-@_on_floats
+@cone._on_floats
 def aw2_rhs(t, s) -> tuple:
     """Two-parameter slice (t, s) at xi = 1: r0 = (2s^2+t^2)/(ts^2),
     r2 = 3(4s-t)/(2s^2)."""
@@ -97,14 +81,14 @@ def aw2_rhs(t, s) -> tuple:
     return -2.0 * r0 * t, -2.0 * r2 * s
 
 
-@_on_floats
+@cone._on_floats
 def berger_rhs(x1, x2) -> tuple:
     """Berger flow (x1', x2') = (-2 r1 x1, -2 r2 x2)."""
     r1, r2 = berger_eigenvalue_tuple(x1, x2)
     return -2.0 * r1 * x1, -2.0 * r2 * x2
 
 
-@_on_floats
+@cone._on_floats
 def normalized_rhs(x, s) -> tuple:
     """Volume-one planar flow of the three-parameter family (t = x^-2 s^-4)."""
     x2, x3, x4, x5 = x**2, x**3, x**4, x**5
@@ -114,51 +98,28 @@ def normalized_rhs(x, s) -> tuple:
     return xp, sp
 
 
-def _aw4_gap(y, xi) -> float:
-    """t_A(s, xi) - t, or inf where a coefficient of s is <= 0."""
-    try:
-        return cone.t_a(y[1:], xi) - float(y[0])
-    except ValueError:  # such a step end is past the collapse floor, whose root ends the run
-        if any(c <= 0.0 for c in y[1:]):
-            return math.inf
-        raise
-
-
 @dataclass(frozen=True)
 class Family:
-    """Everything specific to one system kind.
+    """Everything specific to one system kind but its cone (`cone` holds that).
 
     `rhs` names this module's right-hand side and `classify` calls
     `cone.classify_*` by name, so a rebinding of either is seen at each use.
     `coords` maps (t, s0, s1, s2) onto the reduced state (equal indices mark
     equal coefficients; aw4 integrates the expanded (t, x, s, s)).
-    `boundary(state, xi)` is positive strictly inside the cone and crosses
-    zero on exit; `window(state)` turns negative on leaving x < s.
     """
 
     dim: int
     rhs: str
     takes_xi: bool   # varies with xi; all others accept only xi = 1
     coords: tuple[int, ...] | None = None   # None: the state is taken as given
-    boundary: Callable[[list[float], float], float] | None = None
-    window: Callable[[list[float]], float] | None = None
     classify: Callable[[Sequence[float], float], cone.ConeVerdict] | None = None
 
 
 SYSTEMS = {
-    "aw2": Family(2, "aw2_rhs", False, (0, 0, 1, 1),
-                  _on_floats(lambda t, s, _xi: s - t), None,
-                  lambda y, _xi: cone.classify_2param(*y)),
-    "aw3": Family(3, "aw3_rhs", False, (0, 1, 2, 2),
-                  _on_floats(lambda t, x, s, _xi: x * (4.0 * s - x) / (3.0 * s) - t),
-                  _on_floats(lambda t, x, s: s - x),
-                  lambda y, _xi: cone.classify_3param(*y)),
-    "aw4": Family(4, "aw_rhs", True, (0, 1, 2, 2), _aw4_gap,
-                  _on_floats(lambda t, x, s1, s2: 0.5 * (s1 + s2) - x),
-                  lambda y, xi: cone.classify_aw_slice(y, xi)),
-    "berger": Family(2, "berger_rhs", False, None,
-                     _on_floats(lambda x1, x2, _xi: 2.0 * x2 - x1), None,
-                     lambda y, _xi: cone.classify_berger(*y)),
+    "aw2": Family(2, "aw2_rhs", False, (0, 0, 1, 1), lambda y, _xi: cone.classify_2param(*y)),
+    "aw3": Family(3, "aw3_rhs", False, (0, 1, 2, 2), lambda y, _xi: cone.classify_3param(*y)),
+    "aw4": Family(4, "aw_rhs", True, (0, 1, 2, 2), lambda y, xi: cone.classify_aw_slice(y, xi)),
+    "berger": Family(2, "berger_rhs", False, None, lambda y, _xi: cone.classify_berger(*y)),
     "normalized": Family(2, "normalized_rhs", False),
 }
 SYSTEM_KINDS = tuple(SYSTEMS)
@@ -295,9 +256,9 @@ def integrate(system: FlowSystem, init, config: IntegratorConfig | None = None,
 
 
 def boundary_event(family: str, xi: float = 1.0) -> EventSpec:
-    """Terminal event on the family's `boundary` gap, falling through zero
+    """Terminal event on the family's cone gap (`cone`), falling through zero
     where the flow leaves the cone."""
-    gap = getattr(SYSTEMS.get(family), "boundary", None)
+    gap = getattr(cone._CONES.get(family), "gap", None)
     if gap is None:
         raise ValueError(f"no cone boundary event for family {family!r}")
     x = xi_value(xi)
@@ -305,9 +266,9 @@ def boundary_event(family: str, xi: float = 1.0) -> EventSpec:
 
 
 def window_event(kind: str) -> EventSpec:
-    """Monitor for leaving the certified slice window x < s (aw3, aw4);
+    """Monitor for leaving the family's certified window x < s (aw3, aw4);
     non-terminal, recorded as "window_exit"."""
-    gap = getattr(SYSTEMS.get(kind), "window", None)
+    gap = getattr(cone._CONES.get(kind), "window", None)
     if gap is None:
         raise ValueError(f"no certified window for system {kind!r}")
     return EventSpec("window_exit", lambda _l, y: gap(y), terminal=False, direction=-1.0)
@@ -346,7 +307,7 @@ def cone_events(kind: str, xi: float = 1.0) -> list[EventSpec]:
     """The cone-boundary event of system `kind`, followed by the
     certified-window monitor where the family has one."""
     events = [boundary_event(kind, xi)]
-    if SYSTEMS[kind].window is not None:
+    if cone._CONES[kind].window is not None:
         events.append(window_event(kind))
     return events
 

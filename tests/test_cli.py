@@ -252,6 +252,20 @@ def test_xi_outside_unit_interval_is_config_error(tmp_path, capsys, argv, xi):
     assert "xi must lie in (0, 1]" in out["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("flow", "--system", "aw2", "--init", "0.9,1"),
+    ("flow", "--system", "aw4", "--init", "0.9,0.9,1,1"),
+    ("cone-exit", "--family", "aw2", "--init", "0.99,1"),
+    ("cone-exit", "--family", "aw3", "--init", "0.9,0.9,1"),
+])
+def test_xi_next_to_k_is_config_error(tmp_path, capsys, argv):
+    # --xi and --k are alternatives: whichever xi each gives, neither is dropped unseen
+    out_flag = ("--out", str(tmp_path)) if argv[0] == "flow" else ()
+    code, out = run_cli(capsys, *argv, "--xi", "0.5", "--k", "1,1", *out_flag)
+    assert code == 2
+    assert out["status"] == "error" and "--xi and --k" in out["error"]
+
+
 @pytest.mark.parametrize("k", ["1", "1,2,3", "a,2", "2,1"])
 def test_malformed_k_is_config_error(capsys, k):
     code, out = run_cli(capsys, "cone-exit", "--family", "aw3", "--init", "0.9,0.9,1", "--k", k)

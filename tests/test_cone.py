@@ -347,6 +347,23 @@ class TestTAClosed:
             with pytest.raises(DomainError):
                 t_a_closed(x, s)
 
+    @pytest.mark.parametrize("x, s", [(1e300, 1e300), (1e-170, 1e-170), (1e-300, 1e10), (3e307, 1e308)])
+    def test_extreme_scales_get_the_rounded_exact_value(self, x, s):
+        # the float formula overflows to inf or underflows to 0 at the first two
+        exact = Fraction(x) * (4 * Fraction(s) - Fraction(x)) / (3 * Fraction(s))
+        assert t_a_closed(x, s) == float(exact)
+        stack = t_a_closed(np.array([x, 0.5]), np.array([s, 1.0]))
+        assert hexes(stack) == hexes([float(exact), t_a_closed(0.5, 1.0)])
+        assert t_a_closed(Fraction(x), Fraction(s)) == exact
+
+    def test_keeps_the_bits_of_the_float_formula(self):
+        # wherever the float formula is finite and normal, its bits are kept
+        rng = np.random.default_rng(5)
+        xs = np.concatenate([np.array(_TA_GRID), rng.uniform(0.01, 3.99, 2000)])
+        for s in (1.0, 1.2345, 1e-100, 3e150):
+            x = xs * s
+            assert hexes(t_a_closed(x, s)) == hexes(x * (4.0 * s - x) / (3.0 * s))
+
     def test_arrays_give_the_scalar_bits(self):
         xs = np.array(_TA_GRID)
         assert hexes(t_a_closed(xs, 1.0)) == hexes([t_a_closed(x, 1.0) for x in _TA_GRID])
@@ -377,6 +394,33 @@ class TestInverseSlice:
                      (np.array([0.5, math.nan]), 1.0), (0.5, np.array([1.0, -1.0]))):
             with pytest.raises(DomainError):
                 a_tilde_inverse_slice(x, s)
+
+    @pytest.mark.parametrize("x, s", [(1.0, 1e200), (1e-170, 2e-170), (1e100, 3e100), (3.0, 1.0)])
+    def test_extreme_scales_get_the_rounded_exact_inverse(self, x, s):
+        # (1, 1e200) overflows in a float **, (1e-170, 2e-170) underflows to a
+        # vanishing prefactor and (1e100, 3e100) to inf / inf; at x = 3s an entry is 0
+        exact = a_tilde_inverse_slice(Fraction(x), Fraction(s))
+        sig = cone._sigma(Fraction(x), Fraction(s), Fraction(s))
+        assert (np.array(cone._a_tilde(Fraction(x), Fraction(s), Fraction(s), sig)) @ exact == np.eye(3)).all()
+        assert hexes(a_tilde_inverse_slice(x, s)) == hexes([float(e) for e in exact.ravel()])
+        stack = a_tilde_inverse_slice(np.array([x, 0.5]), np.array([s, 1.0]))
+        assert hexes(stack) == hexes([a_tilde_inverse_slice(x, s), a_tilde_inverse_slice(0.5, 1.0)])
+
+    def test_keeps_the_bits_of_the_float_formula(self):
+        # the formula as written in floats, kept wherever its entries are finite and normal
+        def float_inverse(x, s):
+            denom = (s - x) ** 2 * (4.0 * s - x)
+            diag0, off0 = s ** 3 * x, s * s * x * (3.0 * s - x) / 2.0
+            diag = s * (16.0 * s ** 3 - 9.0 * s * s * x + 6.0 * s * x * x - x ** 3) / 12.0
+            off = s * (8.0 * s ** 3 + 9.0 * s * s * x - 6.0 * s * x * x + x ** 3) / 12.0
+            return np.array([[diag0, off0, off0], [off0, diag, off], [off0, off, diag]]) / denom
+
+        rng = np.random.default_rng(6)
+        xs = np.concatenate([np.array(_TA_GRID), rng.uniform(0.01, 3.99, 500)])
+        for s in (1.0, 1.2345, 1e-50, 1e60):
+            points = [(x * s, s) for x in xs.tolist() if x != 1.0]
+            assert hexes(a_tilde_inverse_slice(np.array([x for x, _ in points]), s)) == hexes(
+                [float_inverse(x, s) for x, s in points])
 
     def test_arrays_give_the_scalar_bits(self):
         # NumPy's array ** differs from Python's in the last bit on some
@@ -491,9 +535,12 @@ class TestClassifiers:
     @given(t=coefficient, x=coefficient, s=coefficient, k=st.integers(min_value=-4, max_value=4))
     @example(t=1.0, x=0.1, s=0.10000000000000002, k=3)
     def test_three_param_scale_invariance(self, t, x, s, k):
-        # scaling by a power of two commutes with every rounding: the whole verdict is equal
+        # scaling by a power of two commutes with every rounding: the verdict is equal
+        # and the margin, in units of t, scales by exactly lam
         lam = 2.0 ** k
-        assert classify_3param(lam * t, lam * x, lam * s) == classify_3param(t, x, s)
+        base = classify_3param(t, x, s)
+        scaled = classify_3param(lam * t, lam * x, lam * s)
+        assert scaled == ConeVerdict(base.classification, lam * base.margin)
 
     @settings(max_examples=50, deadline=None)
     @given(t=coefficient, x=coefficient, s=coefficient, lam=st.floats(min_value=0.1, max_value=10.0))
@@ -512,6 +559,23 @@ class TestClassifiers:
         t, s = u * 1.3, 1.3
         assert classify_2param(t, s).classification is ConeClass.POSITIVELY_CURVED
         assert classify_3param(t, t, s).classification is ConeClass.POSITIVELY_CURVED
+
+    @pytest.mark.parametrize("classify, state", [
+        (classify_3param, (1e300, 0.9e300, 1e300)),          # the unscaled gap overflows to inf
+        (classify_3param, (0.92e-170, 0.9e-170, 1e-170)),    # ... and underflows to -t
+        (classify_3param, (1.7e308, 3.0, 1.7e308)),          # max/min >= 2^1022: exact
+        (classify_2param, (5e-324, 1e308)), (classify_berger, (1e308, 1e308)),
+        (classify_berger, (1.0, 1e-300))])
+    def test_margin_is_the_gap_at_any_scale(self, classify, state):
+        # the margin is the gap in the units of the state, also where the
+        # gap's float value over- or underflows on the state itself
+        q = [Fraction(c) for c in state]
+        gap = {classify_3param: lambda t, x, s: x * (4 * s - x) / (3 * s) - t,
+               classify_2param: lambda t, s: s - t, classify_berger: lambda x1, x2: 2 * x2 - x1}[classify]
+        exact, verdict = gap(*q), classify(*state)
+        positive = verdict.classification is ConeClass.POSITIVELY_CURVED
+        assert positive == (exact > 0) and verdict.classification is not ConeClass.UNKNOWN
+        assert verdict.margin == pytest.approx(float(exact), rel=1e-15)
 
     def test_berger(self):
         assert classify_berger(1.9, 1.0).classification is ConeClass.POSITIVELY_CURVED

@@ -176,7 +176,7 @@ def test_aw3_boundary_gap_is_the_slice_t_a(derived):
     # the gap's inline t_A is t_a_closed's x(4s - x)/(3s), which is the
     # Schur form on (x, s, s) at xi = 1
     t, x, s = derived["t"], derived["x"], derived["s"][1]
-    gap = flow.SYSTEMS["aw3"].boundary.__wrapped__
+    gap = cone._CONES["aw3"].gap.__wrapped__
     assert integral_literals(gap)
     closed = x * (4 * s - x) / (3 * s)
     assert gap(t, x, s, 1) == closed - t

@@ -1,5 +1,6 @@
 """Closed-form derivative machinery against exact and numerical oracles."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -291,6 +292,27 @@ class TestRatioDerivatives:
     def test_berger_exact(self):
         assert berger_ratio_derivative(Fraction(2), Fraction(1)) == 3
         assert berger_ratio_derivative(0.0, 1.0) == -8.0
+
+    @pytest.mark.parametrize("derivative, t, s, value", [
+        (two_param_ratio_derivative, 1.0, 1e200, -4e-200), (berger_ratio_derivative, 1.0, 1e200, -8e-200),
+        (two_param_ratio_derivative, 1e-200, 1e-200, 3e200),
+        (berger_ratio_derivative, 1e-120, 1e-120, -2.5e119)])
+    def test_extreme_scales_get_the_rounded_exact_value(self, derivative, t, s, value):
+        # a float ** overflows at the first two, an s**3 underflows to 0 at the others
+        exact = derivative(Fraction(t), Fraction(s))
+        assert derivative(t, s) == float(exact) == pytest.approx(value, rel=1e-15)
+
+    def test_keeps_the_bits_of_the_float_formula(self):
+        rng = np.random.default_rng(7)
+        for t, s in np.exp(rng.uniform(-50.0, 50.0, size=(2000, 2))).tolist() + [(1.0, 1.0), (2.0, 1.0)]:
+            assert two_param_ratio_derivative(t, s) == (-4.0 * s * s - 5.0 * t * t + 12.0 * t * s) / s**3
+            assert berger_ratio_derivative(t, s) == (-9.0 * t * t - 32.0 * s * s + 40.0 * t * s) / (4.0 * s**3)
+
+    def test_non_finite_input_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            two_param_ratio_derivative(math.inf, 1.0)
+        with pytest.raises(DomainError):
+            berger_ratio_derivative(1.0, math.nan)
 
     @pytest.mark.parametrize("a,b", [(0.7, 1.3), (1.5, 1.3), (1.3, 0.6), (2.9, 1.7)])
     def test_two_param_quotient_rule(self, a, b):

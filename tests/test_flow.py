@@ -3,6 +3,7 @@
 import collections
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -350,6 +351,12 @@ class TestConeExit:
         with pytest.raises(ValueError):
             cone_exit("aw2", (1.5, 1.0), TIGHT)
 
+    def test_rejects_a_start_the_boundary_event_puts_on_the_boundary(self):
+        # the boundary event's gap is exactly 0.0 here: the start is on the boundary,
+        # not inside the cone, however the classifier rounds
+        with pytest.raises(ValueError, match="not positively curved"):
+            cone_exit("aw3", (0.16434543517149297, 0.15604810080674877, 0.18566433578077873))
+
     def test_rejects_mismatched_four_tuple(self):
         with pytest.raises(ValueError):
             cone_exit("aw2", (0.9, 0.8, 1.0, 1.0), TIGHT)
@@ -412,6 +419,30 @@ def test_every_family_exits_into_nonpositive_planes(kind):
     assert verdict.classification is ConeClass.HAS_NONPOSITIVE_PLANE
 
 
+def _near_boundary(family, xi, rng):
+    """A state of `family` within 64 ulps of its cone boundary, at a scale s
+    log-uniform in [0.1, 10] and with x/s uniform in (0.01, 0.99)."""
+    s = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+    x = rng.uniform(0.01, 0.99) * s
+    on = {"aw2": (s, s), "berger": (2.0 * s, s), "aw3": (x * (4.0 * s - x) / (3.0 * s), x, s),
+          "aw4": (t_a((x, s, s), xi), x, s, s)}[family]
+    return [on[0] + rng.randint(-64, 64) * math.ulp(on[0]), *on[1:]]
+
+
+@pytest.mark.parametrize("family, xi", [("aw2", 1.0), ("aw3", 1.0), ("berger", 1.0),
+                                        ("aw4", 0.3), ("aw4", 0.7), ("aw4", 0.95)])
+def test_classifier_and_boundary_event_share_one_cone(family, xi):
+    # cone_exit accepts a start by the classifier and finds its exit by the
+    # boundary event: next to the boundary the two must read the same gap
+    rng = random.Random(20240611)
+    event = boundary_event(family, xi).fn
+    for _ in range(2000):
+        state = _near_boundary(family, xi, rng)
+        verdict, gap = FAMILIES[family].classify(state, xi), event(0.0, state)
+        assert (verdict.classification is ConeClass.POSITIVELY_CURVED) == (gap > 0.0), state
+        assert verdict.margin.hex() == gap.hex(), state
+
+
 def test_aw4_cone_events_survive_collapsing_runs():
     # a collapsing run meets the aw4 boundary event at a step end with a
     # coefficient below zero; it must end "singular", not raise
@@ -427,13 +458,13 @@ def test_aw4_cone_events_survive_collapsing_runs():
 
 def test_aw4_gap_is_infinite_at_a_zero_coefficient():
     # exactly at collapse the boundary gap is inf, past the collapse floor
-    assert flow._aw4_gap(np.array([1.0, 0.0, 1.0, 1.0]), 0.9) == math.inf
+    assert cone._aw4_gap(np.array([1.0, 0.0, 1.0, 1.0]), 0.9) == math.inf
 
 
 def test_aw4_gap_raises_on_a_non_finite_coefficient():
     # only a coefficient <= 0 is past the collapse floor; nan is an error
     with pytest.raises(ValueError, match="positive and finite"):
-        flow._aw4_gap([1.0, math.nan, 1.0, 1.0], 0.9)
+        cone._aw4_gap([1.0, math.nan, 1.0, 1.0], 0.9)
 
 
 @pytest.mark.parametrize("xi, rhs, classifier", [(1.0, "aw3_rhs", "classify_3param"),
