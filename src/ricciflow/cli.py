@@ -207,8 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_flow = sub.add_parser("flow", help="integrate one flow system")
-    p_flow.add_argument("--system", required=True,
-                        choices=flow.SYSTEM_KINDS)
+    p_flow.add_argument("--system", required=True, choices=list(flow.SYSTEMS))
     p_flow.add_argument("--init", required=True, help="comma-separated initial state")
     p_flow.add_argument("--xi", type=float, default=None)
     p_flow.add_argument("--k", default=None, help="k1,k2 as an alternative to --xi")

@@ -102,19 +102,21 @@ def _reals(values, count: int) -> Sequence[float]:
     return values
 
 
-def _scaled(s) -> tuple[float, float, float, float]:
-    """s divided by the power of two `scale` that brings max(s) into [1, 2),
-    and `scale`.  A kernel of degree d on the scaled s, times scale**d, has no
-    intermediate over- or underflow and the bits of the kernel on s itself.
-    Where a scaled component would be subnormal and lose digits
-    (max(s)/min(s) >= 2^1022), s itself comes back as exact Fractions with
-    scale 1: the kernels compute in the number type of s, so they are exact
-    there, and `_rounded` rounds their result once."""
-    s0, s1, s2 = _reals(s, 3)
-    scale = 2.0 ** (math.frexp(max(s0, s1, s2))[1] - 1)
-    if min(s0, s1, s2) < scale * sys.float_info.min:
-        return Fraction(s0), Fraction(s1), Fraction(s2), 1
-    return s0 / scale, s1 / scale, s2 / scale, scale
+def _scaled(s: Sequence[float]) -> tuple[list, float]:
+    """The guarded floats s as a list divided by a power of two `scale`, and `scale`.
+    A kernel of degree d on the scaled s, times scale**d, has no intermediate over- or
+    underflow and the bits of the kernel on s itself.  Inside [2^-64, 2^64) s itself
+    has neither, so scale is 1; else scale brings max(s) into [1, 2).  Where a scaled
+    component would be subnormal (max(s)/min(s) >= 2^1022), s comes back as exact
+    Fractions with scale 1: the kernels compute in the number type of s, so they are
+    exact there, and `_rounded` rounds their result once."""
+    lo, hi = min(s), max(s)
+    if 2.0 ** -64 <= lo and hi < 2.0 ** 64:
+        return [*s], 1.0
+    scale = 2.0 ** (math.frexp(hi)[1] - 1)
+    if lo < scale * sys.float_info.min:
+        return [*map(Fraction, s)], 1
+    return [c / scale for c in s], scale
 
 
 def _rounded(value) -> float:
@@ -158,7 +160,7 @@ def _sigma(s0: float, s1: float, s2: float) -> float:
 def sigma(s) -> float:
     """Quadratic sigma(s) = 2s1s2 + 2s0s2 + 2s0s1 - s0^2 - s1^2 - s2^2,
     correctly rounded where its terms nearly cancel; inf where it overflows."""
-    s0, s1, s2, scale = _scaled(s)
+    (s0, s1, s2), scale = _scaled(_reals(s, 3))
     return _rounded(_sigma(s0, s1, s2) * scale * scale)
 
 
@@ -168,11 +170,11 @@ def _is_round(s0: float, s1: float, s2: float) -> bool:
 
 
 def is_round_diagonal(s) -> bool:
-    return _is_round(*_scaled(s)[:3])
+    return _is_round(*_scaled(_reals(s, 3))[0])
 
 
 def in_omega_sigma(s) -> bool:
-    return _sigma(*_scaled(s)[:3]) > 0.0
+    return _sigma(*_scaled(_reals(s, 3))[0]) > 0.0
 
 
 def in_d_sigma(s) -> bool:
@@ -182,7 +184,7 @@ def in_d_sigma(s) -> bool:
 def a_tilde(s) -> np.ndarray:
     """Symmetric 3x3 matrix A~(s); warns when s is outside D_sigma.  A~ has
     degree -1 and is evaluated on s scaled as in `_scaled`."""
-    s0, s1, s2, scale = _scaled(s)
+    (s0, s1, s2), scale = _scaled(_reals(s, 3))
     sig = _sigma(s0, s1, s2)
     if sig <= 0.0 or _is_round(s0, s1, s2):
         warnings.warn("A~ evaluated outside D_sigma; matrix may be singular",
@@ -222,7 +224,7 @@ def t_a(s, xi) -> float:
     1.4 ulps, and up to 120 where sigma is small, from the exact `_t_a` in `Fraction`,
     so interval work must evaluate `_t_a` itself.
     """
-    s0, s1, s2, scale = _scaled(s)
+    (s0, s1, s2), scale = _scaled(_reals(s, 3))
     x = type(s0)(xi_value(xi))
     if _is_round(s0, s1, s2):
         return 0.0
@@ -235,20 +237,22 @@ def t_a_closed(x: float, s: float) -> float:
     Only certified where sigma(x, s, s) = x(4s - x) > 0, i.e. x < 4s.  Evaluated
     as in `_float_or_exact`, so it has a value at any scale.
     """
-    if not (_all((0.0 < x) & (x < math.inf)) and _all((0.0 < s) & (s < math.inf))):
-        raise DomainError(f"need finite x > 0 and s > 0, got ({x}, {s})")
-    if not _all(x < 4.0 * s):
-        raise DomainError(f"x = {x} >= 4s = {4 * s}: sigma <= 0, closed form not certified")
+    with np.errstate(over="ignore"):   # 4s = inf where s > max/4, which still orders right
+        if not (_all((0.0 < x) & (x < math.inf)) and _all((0.0 < s) & (s < math.inf))):
+            raise DomainError(f"need finite x > 0 and s > 0, got ({x}, {s})")
+        if not _all(x < 4.0 * s):
+            raise DomainError(f"x = {x} >= 4s = {4 * s}: sigma <= 0, closed form not certified")
     return _float_or_exact(lambda x, s: x * (4 * s - x) / (3 * s), x, s)
 
 
 def a_tilde_inverse_slice(x: float, s: float) -> np.ndarray:
     """Closed-form inverse of A~(x, s, s), prefactor 1/((s-x)^2 (4s-x)); a stack (..., 3, 3) on arrays.
     Evaluated as in `_float_or_exact` (an entry may be 0, at x = 3s)."""
-    if not (_all((0.0 < x) & (x < math.inf)) and _all((0.0 < s) & (s < math.inf))):
-        raise DomainError(f"need finite x > 0 and s > 0, got ({x}, {s})")
-    if not _all((x != s) & (x != 4.0 * s)):
-        raise DomainError(f"inverse prefactor vanishes at (x, s) = ({x}, {s})")
+    with np.errstate(over="ignore"):   # as in `t_a_closed`
+        if not (_all((0.0 < x) & (x < math.inf)) and _all((0.0 < s) & (s < math.inf))):
+            raise DomainError(f"need finite x > 0 and s > 0, got ({x}, {s})")
+        if not _all((x != s) & (x != 4.0 * s)):
+            raise DomainError(f"inverse prefactor vanishes at (x, s) = ({x}, {s})")
     return _float_or_exact(_inverse_slice, x, s, lambda inv: np.where(inv == 0.0, inv[..., :1, :1], inv))
 
 
@@ -297,9 +301,9 @@ def _pow(c, k):  # c ** k, per element on an array: NumPy's array `**` need not 
 
 
 def _rowwise(kernel, s, scalar) -> np.ndarray:
-    """`kernel(columns, scale)` on an (N, 3) stack scaled as in `_scaled`, and `scalar(row)` on
-    supersets of the rows where the scalar path branches; rows with max/min >= 2^1022 (exact
-    Fraction scale) have sigma <= 4 min max and so lie in `_sigma`'s exact branch."""
+    """`kernel(columns, scale)` on an (N, 3) stack, each row brought into [1, 2) as `_scaled` does
+    outside its band (the same bits), and `scalar(row)` on supersets of the rows where the scalar
+    path branches; rows with max/min >= 2^1022 have sigma <= 4 min max, in `_sigma`'s exact branch."""
     rows = np.asarray(s, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != 3 or not np.all((0.0 < rows) & (rows < math.inf)):
         raise ValueError(f"expected an (N, 3) stack of positive finite reals, got {s!r}")
@@ -375,12 +379,10 @@ def _classify(family: str, y: Sequence[float], xi: float = 1.0) -> ConeVerdict:
     as in `_scaled`: the margin has a value at any scale, and the bits of the
     flow's event wherever that neither over- nor underflows."""
     gap, window = _CONES[family]
-    scale = 2.0 ** (math.frexp(max(y))[1] - 1)
-    exact = min(y) < scale * sys.float_info.min
-    y = [*map(Fraction, y)] if exact else [c / scale for c in y]
+    y, scale = _scaled(y)
     if window is not None and not window(y) > 0:
         return ConeVerdict(ConeClass.UNKNOWN, 0.0)
-    margin = _rounded(gap(y, xi)) if exact else gap(y, xi) * scale
+    margin = _rounded(gap(y, xi) * scale)
     return ConeVerdict(ConeClass.POSITIVELY_CURVED if margin > 0.0 else ConeClass.HAS_NONPOSITIVE_PLANE,
                        margin)
 

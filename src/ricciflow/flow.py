@@ -13,7 +13,8 @@ Termination modes of `integrate`:
   * "singular" - a state component fell below COLLAPSE_FLOOR (the flow is
                  collapsing); the trajectory is truncated there and a
                  "singular" event is recorded.
-Each system kind is described once, in SYSTEMS; rows with a classifier are FAMILIES.
+Each system kind is described once, in SYSTEMS (rows with a classifier are FAMILIES), and
+every entry point resolves a kind and its xi by the one lookup `_row`: only aw4 takes xi != 1.
 """
 
 from __future__ import annotations
@@ -122,7 +123,6 @@ SYSTEMS = {
     "berger": Family(2, "berger_rhs", False, None, lambda y, _xi: cone.classify_berger(*y)),
     "normalized": Family(2, "normalized_rhs", False),
 }
-SYSTEM_KINDS = tuple(SYSTEMS)
 FAMILIES = {kind: fam for kind, fam in SYSTEMS.items() if fam.classify is not None}
 
 
@@ -135,17 +135,21 @@ class FlowSystem:
     rhs: Callable[[list[float]], Sequence[float]]
 
 
-def make_system(kind: str, xi: float | None = None) -> FlowSystem:
-    """Build a FlowSystem.  Only aw4 varies with xi (any xi in (0, 1],
-    default 1).  The aw2/aw3 slices are flow-invariant only at xi = 1 and
-    the Berger and normalized systems have no xi, so for them any xi other
-    than 1 is rejected."""
-    if kind not in SYSTEMS:
-        raise ValueError(f"unknown system kind {kind!r}, expected one of {SYSTEM_KINDS}")
-    fam = SYSTEMS[kind]
+def _row(kind: str, xi: float | None = None, table: dict[str, Family] = SYSTEMS) -> tuple[Family, float]:
+    """The row of `kind` in `table` and xi as a float, default 1.  Only a row that takes xi
+    (aw4) accepts xi != 1: aw2/aw3 are flow-invariant only at xi = 1, berger and normalized have none."""
+    if kind not in table:
+        raise ValueError(f"unknown {'system kind' if table is SYSTEMS else 'cone-exit family'} {kind!r}, "
+                         f"expected one of {tuple(table)}")
     x = 1.0 if xi is None else xi_value(xi)
-    if x != 1.0 and not fam.takes_xi:
+    if x != 1.0 and not table[kind].takes_xi:
         raise ValueError(f"system {kind!r} takes only xi = 1, got xi = {xi}")
+    return table[kind], x
+
+
+def make_system(kind: str, xi: float | None = None) -> FlowSystem:
+    """Build a FlowSystem of `kind` at `xi` (default 1), resolved by `_row`."""
+    fam, x = _row(kind, xi)
     rhs = globals()[fam.rhs]
     return FlowSystem(kind, fam.dim, (lambda state: rhs(state, x)) if fam.takes_xi else rhs)
 
@@ -257,18 +261,17 @@ def integrate(system: FlowSystem, init, config: IntegratorConfig | None = None,
 
 def boundary_event(family: str, xi: float = 1.0) -> EventSpec:
     """Terminal event on the family's cone gap (`cone`), falling through zero
-    where the flow leaves the cone."""
-    gap = getattr(cone._CONES.get(family), "gap", None)
-    if gap is None:
-        raise ValueError(f"no cone boundary event for family {family!r}")
-    x = xi_value(xi)
+    where the flow leaves the cone; `family` and `xi` resolve by `_row`."""
+    x = _row(family, xi, FAMILIES)[1]
+    gap = cone._CONES[family].gap
     return EventSpec("cone_exit", lambda _l, y: gap(y, x), True, -1.0)
 
 
 def window_event(kind: str) -> EventSpec:
     """Monitor for leaving the family's certified window x < s (aw3, aw4);
     non-terminal, recorded as "window_exit"."""
-    gap = getattr(cone._CONES.get(kind), "window", None)
+    _row(kind, table=FAMILIES)
+    gap = cone._CONES[kind].window
     if gap is None:
         raise ValueError(f"no certified window for system {kind!r}")
     return EventSpec("window_exit", lambda _l, y: gap(y), terminal=False, direction=-1.0)
@@ -277,11 +280,8 @@ def window_event(kind: str) -> EventSpec:
 def _resolve(family: str, xi) -> tuple[str, Family, float]:
     """Registry entry of `family` at `xi`.  Off xi = 1 the aw3 slice is not
     flow-invariant, so aw3 resolves to the full four-parameter system."""
-    x = xi_value(xi)
-    kind = "aw4" if family == "aw3" and x != 1.0 else family
-    if kind not in FAMILIES:
-        raise ValueError(f"unknown cone-exit family {family!r}, expected one of {tuple(FAMILIES)}")
-    return kind, FAMILIES[kind], x
+    kind = "aw4" if family == "aw3" and xi_value(xi) != 1.0 else family
+    return kind, *_row(kind, xi, FAMILIES)
 
 
 def _initial_state(kind: str, fam: Family, init) -> list[float]:
@@ -306,10 +306,8 @@ def _initial_state(kind: str, fam: Family, init) -> list[float]:
 def cone_events(kind: str, xi: float = 1.0) -> list[EventSpec]:
     """The cone-boundary event of system `kind`, followed by the
     certified-window monitor where the family has one."""
-    events = [boundary_event(kind, xi)]
-    if cone._CONES[kind].window is not None:
-        events.append(window_event(kind))
-    return events
+    boundary = boundary_event(kind, xi)   # resolves `kind` and `xi`
+    return [boundary] if cone._CONES[kind].window is None else [boundary, window_event(kind)]
 
 
 def cone_exit(family: str, init, config: IntegratorConfig | None = None,

@@ -212,13 +212,32 @@ def test_exact_sigma_branch_matches_fraction():
     # be those of the Fraction formula rounded once
     rng = np.random.default_rng(17)
     grid_ends = [(x, 1.0, 1.0) for x in _TA_GRID if x <= 0.06 or x >= 3.47]
-    triples = [cone._scaled(s)[:3] for s in grid_ends + near_cancellation_triples(rng, 3000)]
+    triples = [cone._scaled(cone._reals(s, 3))[0] for s in grid_ends + near_cancellation_triples(rng, 3000)]
     for s0, s1, s2 in triples:
         assert 16 * (2 * s1 * s2 + 2 * s0 * s2 + 2 * s0 * s1 - s0 * s0 - s1 * s1 - s2 * s2) < (s0 + s1 + s2) ** 2
         assert cone._sigma(s0, s1, s2).hex() == float(fraction_sigma(s0, s1, s2)).hex(), (s0, s1, s2)
     # exact Fraction triples (max/min >= 2^1022) keep an exact Fraction
     exact = cone._sigma(*(Fraction(c) for c in (1e-300, 1e300, 1.1e300)))
     assert isinstance(exact, Fraction) and exact == fraction_sigma(1e-300, 1e300, 1.1e300)
+
+
+@pytest.mark.parametrize("k", [-1000, -200, -66, -65, 60, 61, 62, 200, 1000])
+def test_the_scale_rule_moves_no_bit_across_the_unscaled_band(k):
+    # `_scaled` leaves s inside [2^-64, 2^64) as it is and brings any other s
+    # into [1, 2): both give the bits of the kernels on s itself, so a rescaling
+    # by 2^k that moves s over an edge of the band changes no value or margin
+    rng = np.random.default_rng(9)
+    for s in random_d_sigma(rng, 8.0, 100):
+        t, (x, s1, s2) = 0.9 * t_a(s, 0.7), sorted(s)
+        scaled = [math.ldexp(c, k) for c in (t, x, s1, s2)]
+        if abs(k) < 500:  # sigma overflows beyond
+            assert sigma(scaled[1:]) == math.ldexp(sigma((x, s1, s2)), 2 * k), (s, k)
+        assert t_a(scaled[1:], 0.7) == math.ldexp(t_a((x, s1, s2), 0.7), k), (s, k)
+        for classify, args in ((classify_2param, (0, 3)), (classify_berger, (0, 3)), (classify_3param, (0, 1, 3))):
+            margin = classify(*(scaled[i] for i in args)).margin
+            assert margin == math.ldexp(classify(*((t, x, s1, s2)[i] for i in args)).margin, k), (s, k)
+        margin = classify_aw_slice((*scaled[:2], scaled[3], scaled[3]), 0.7).margin
+        assert margin == math.ldexp(classify_aw_slice((t, x, s2, s2), 0.7).margin, k), (s, k)
 
 
 class TestVVector:
@@ -368,6 +387,21 @@ class TestTAClosed:
         xs = np.array(_TA_GRID)
         assert hexes(t_a_closed(xs, 1.0)) == hexes([t_a_closed(x, 1.0) for x in _TA_GRID])
         assert hexes(t_a_closed(0.2, xs[5:])) == hexes([t_a_closed(0.2, x) for x in _TA_GRID[5:]])
+
+
+    @pytest.mark.parametrize("s", [3e307, 5e307, 1e308])
+    def test_guards_raise_no_warning_where_4s_overflows(self, s):
+        # above max/4 (the last two), 4s is inf, which still orders x < 4s and x != 4s right
+        x, grid = 0.5 * s, np.array([0.5 * s, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            closed = [t_a_closed(x, s), t_a_closed(grid, np.array([s, 1.0]))]
+            inverse = [a_tilde_inverse_slice(x, s), a_tilde_inverse_slice(grid, np.array([s, 1.0]))]
+            with pytest.raises(DomainError, match="closed form not certified"):
+                t_a_closed(np.array([x, 4.0]), np.array([s, 1.0]))
+        assert closed[0] == float(Fraction(x) * (4 * Fraction(s) - Fraction(x)) / (3 * Fraction(s)))
+        assert hexes(closed[1]) == hexes([closed[0], t_a_closed(0.5, 1.0)])
+        assert hexes(inverse[1]) == hexes([inverse[0], a_tilde_inverse_slice(0.5, 1.0)])
 
 
 class TestInverseSlice:

@@ -419,6 +419,34 @@ def test_every_family_exits_into_nonpositive_planes(kind):
     assert verdict.classification is ConeClass.HAS_NONPOSITIVE_PLANE
 
 
+# Each entry point that takes a system kind, as a call (kind, xi); the states
+# lie just inside the cone at xi = 1 (aw4: at xi = 0.5).
+_STARTS = {"aw2": (0.99, 1.0), "aw3": (t_a_closed(0.9, 1.0) - 1e-3, 0.9, 1.0), "berger": (1.99, 1.0),
+           "aw4": (t_a((0.9, 1.0, 1.0), 0.5) - 1e-3, 0.9, 1.0, 1.0)}
+_ENTRY_POINTS = {
+    "make_system": make_system,
+    "boundary_event": boundary_event,
+    "window_event": lambda kind, _xi: window_event(kind),   # the window does not depend on xi
+    "cone_events": cone_events,
+    "cone_exit": lambda kind, xi: cone_exit(kind, _STARTS.get(kind, (1.0, 1.0)), TIGHT, xi=xi),
+    "post_exit_verdict": lambda kind, xi: post_exit_verdict(kind, _STARTS.get(kind, (1.0, 1.0)), xi),
+}
+
+
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+def test_every_entry_point_resolves_kind_and_xi_by_one_rule(entry):
+    call = _ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match="unknown .* 'aw5', expected one of"):
+        call("aw5", 1.0)
+    if entry != "window_event":
+        # off xi = 1, cone_exit and post_exit_verdict integrate aw3 as aw4
+        slices = ("aw2", "berger") if entry in ("cone_exit", "post_exit_verdict") else ("aw2", "aw3", "berger")
+        for kind in slices:
+            with pytest.raises(ValueError, match="takes only xi = 1"):
+                call(kind, 0.5)
+    call("aw4", 0.5)
+
+
 def _near_boundary(family, xi, rng):
     """A state of `family` within 64 ulps of its cone boundary, at a scale s
     log-uniform in [0.1, 10] and with x/s uniform in (0.01, 0.99)."""
