@@ -15,6 +15,11 @@ Termination modes of `integrate`:
                  "singular" event is recorded.
 Each system kind is described once, in SYSTEMS (rows with a classifier are FAMILIES), and
 every entry point resolves a kind and its xi by the one lookup `_row`: only aw4 takes xi != 1.
+
+The aw2 cone exit is exact, not integrated: on (t, s) the ratio u = t/s obeys the separable
+Riccati equation du/dtau = 5(u - 2/5)(2 - u), dtau = dl/s, so the flow leaves the cone
+(reaches u = 1) if and only if t/s > 2/5, and `cone_exit` evaluates the exit time as a series
+in closed form (`_aw2_exit`); the tolerances of the config do not apply to it.
 """
 
 from __future__ import annotations
@@ -99,6 +104,26 @@ def normalized_rhs(x, s) -> tuple:
     return xp, sp
 
 
+# (b_n, k_n) of `_aw2_exit`, smallest term first: b_n = 27/20 - n, k_n = (1/4)_n/n! (3/8)^n / (8 (5/8)^(3/4) b_n)
+_AW2_SERIES = tuple((1.35 - n, math.gamma(n + 0.25) / (math.gamma(0.25) * math.factorial(n)) * 0.375 ** n
+                     / (8.0 * 0.625 ** 0.75 * (1.35 - n))) for n in reversed(range(40)))
+
+
+def _aw2_exit(t0: float, s0: float) -> tuple[float, list[float]]:
+    """Exact cone exit (l, (s, s)) of the aw2 flow from t0 < s0.  With z = (5u - 2)/8,
+    s = s0 (z/z0)^(-27/20) ((1 - z)/(1 - z0))^(3/4) and l = int s dz/(8z(1 - z)) from z0 to 3/8,
+    an incomplete Beta difference (DLMF 8.17).  Over (1 - z)^(-1/4) = sum (1/4)_n z^n/n! with
+    L = log(3/(8 z0)) it is l = s(3/8) sum k_n expm1(b_n L), every term positive, so nothing
+    cancels as t0 -> s0; z0 is formed from t0 - s0/2 (exact for t0/s0 in [1/4, 1])."""
+    z0 = (0.5 * (t0 - 0.5 * s0) + 0.125 * t0) / s0
+    if not z0 > 0.0:
+        raise NoExitWithinHorizon(f"t/s = {t0 / s0!r} <= 2/5 falls (or stays at 2/5) and never "
+                                  "reaches 1: the flow never leaves the cone")
+    big_l = math.log1p(0.625 * (s0 - t0) / (s0 * z0))
+    s = s0 * math.exp(-1.35 * big_l) * (0.625 / (1.0 - z0)) ** 0.75
+    return s * sum([k * math.expm1(b * big_l) for b, k in _AW2_SERIES]), [s, s]
+
+
 @dataclass(frozen=True)
 class Family:
     """Everything specific to one system kind but its cone (`cone` holds that).
@@ -106,7 +131,8 @@ class Family:
     `rhs` names this module's right-hand side and `classify` calls
     `cone.classify_*` by name, so a rebinding of either is seen at each use.
     `coords` maps (t, s0, s1, s2) onto the reduced state (equal indices mark
-    equal coefficients; aw4 integrates the expanded (t, x, s, s)).
+    equal coefficients; aw4 integrates the expanded (t, x, s, s)).  `exact_exit`
+    gives the cone exit (l, state) of a state in closed form, where there is one.
     """
 
     dim: int
@@ -114,10 +140,11 @@ class Family:
     takes_xi: bool   # varies with xi; all others accept only xi = 1
     coords: tuple[int, ...] | None = None   # None: the state is taken as given
     classify: Callable[[Sequence[float], float], cone.ConeVerdict] | None = None
+    exact_exit: Callable[..., tuple[float, list[float]]] | None = None   # None: `integrate` finds it
 
 
 SYSTEMS = {
-    "aw2": Family(2, "aw2_rhs", False, (0, 0, 1, 1), lambda y, _xi: cone.classify_2param(*y)),
+    "aw2": Family(2, "aw2_rhs", False, (0, 0, 1, 1), lambda y, _xi: cone.classify_2param(*y), _aw2_exit),
     "aw3": Family(3, "aw3_rhs", False, (0, 1, 2, 2), lambda y, _xi: cone.classify_3param(*y)),
     "aw4": Family(4, "aw_rhs", True, (0, 1, 2, 2), lambda y, xi: cone.classify_aw_slice(y, xi)),
     "berger": Family(2, "berger_rhs", False, None, lambda y, _xi: cone.classify_berger(*y)),
@@ -317,13 +344,13 @@ def cone_exit(family: str, init, config: IntegratorConfig | None = None,
     The initial metric must classify PositivelyCurved for its family.  For
     family "aw3" with xi != 1 the slice is not flow-invariant, so the full
     four-parameter system is integrated with the general boundary event;
-    aw2 and berger take only xi = 1.  Raises NoExitWithinHorizon if the
-    boundary is not reached (including collapse or leaving the certified
-    window first).
+    aw2 and berger take only xi = 1.  The aw2 exit is exact (`_aw2_exit`),
+    whatever the tolerances.  Raises NoExitWithinHorizon if the boundary is
+    not reached (including collapse, leaving the certified window first, or
+    an aw2 start with t/s <= 2/5).
     """
     cfg = config or _DEFAULT_CONFIG
     kind, fam, xi = _resolve(family, xi)
-    system = make_system(kind, xi)
     state = _initial_state(kind, fam, init)
     verdict = fam.classify(state, xi)
     if verdict.classification is not cone.ConeClass.POSITIVELY_CURVED:
@@ -331,7 +358,12 @@ def cone_exit(family: str, init, config: IntegratorConfig | None = None,
     if cfg.direction != "forward":
         raise ValueError("cone_exit integrates forward")
 
-    traj = integrate(system, state, cfg, cone_events(kind, xi))
+    if fam.exact_exit is not None:
+        time, exit_state = fam.exact_exit(*state)
+        if time > cfg.max_time:
+            raise NoExitWithinHorizon(f"no cone exit within horizon {cfg.max_time} (status: horizon)")
+        return time, np.array(exit_state)
+    traj = integrate(make_system(kind, xi), state, cfg, cone_events(kind, xi))
     hit = traj.first_event("cone_exit")
     if hit is None:
         raise NoExitWithinHorizon(

@@ -2,7 +2,8 @@
 
 `flow.integrate` is a port of `solve_ivp(method="RK45", dense_output=True,
 events=...)`: run on the same inputs, both give the same steps, states and
-event roots, and `flow.cone_exit` returns the first cone-boundary root.
+event roots, and `flow.cone_exit` returns the first cone-boundary root (the
+aw2 exit, which it evaluates in closed form, lies within 1e-8 of that root).
 Skipped where scipy is not installed.  Which BLAS kernels numpy picks
 changes the bits of both runs alike; to check the port on another kernel
 set, run this file again under e.g. OPENBLAS_CORETYPE=Haswell.
@@ -33,6 +34,7 @@ from ricciflow import (  # noqa: E402
 )
 from ricciflow._rk45 import EPS, brentq  # noqa: E402
 from ricciflow.flow import COLLAPSE_FLOOR, FlowSystem, cone_events  # noqa: E402
+from riccati import exit_at  # noqa: E402
 
 STARTS = {
     "aw2": (0.99, 1.0),
@@ -123,7 +125,15 @@ def assert_cone_exit_as_solve_ivp(family, init, cfg, kind, xi, state):
 @pytest.mark.parametrize("kind", ["aw2", "aw3", "berger", "aw4"])
 def test_cone_exit_matches_solve_ivp(kind, seed):
     family, xi, init, state = cone_start(kind, seed)
-    assert_cone_exit_as_solve_ivp(family, init, IntegratorConfig(), kind, xi, state)
+    if kind != "aw2":
+        assert_cone_exit_as_solve_ivp(family, init, IntegratorConfig(), kind, xi, state)
+        return
+    # the aw2 exit is exact, not a stepper root; the stepper keeps solve_ivp's bits on aw2
+    root = assert_same_run("aw2", state, IntegratorConfig(), cone_events("aw2")).first_event("cone_exit").time
+    time, _state = cone_exit("aw2", init)
+    exact = exit_at("aw2", init)[0]
+    assert abs(time - exact) <= 1e-13 * exact
+    assert abs(time - root) <= 1e-8 * time
 
 
 def test_cone_exit_after_leaving_the_window_raises_as_solve_ivp():
