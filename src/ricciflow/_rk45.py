@@ -1,16 +1,16 @@
 """Dormand-Prince 5(4) integration with Shampine's dense output and event roots.
 
-The embedded pair of Dormand & Prince (1980, J. Comput. Appl. Math. 6) with
-the step-size control and initial-step heuristic of Hairer, Norsett &
-Wanner, *Solving ODEs I*, II.4, and Shampine's quartic dense output, bit for
-bit as `scipy.integrate.solve_ivp(method="RK45", dense_output=True,
-events=...)`.  Only the BLAS products (stage increments, B and E sums, the
-norm's x.dot(x), K^T P, Q (x, .., x^4)) run in numpy, on solve_ivp's
-operands, since OpenBLAS sums them with fused multiply-adds in its own order;
-the state is a list of Python floats, on which the elementwise work rounds as
-in numpy but costs less.  Event signs are tested at step ends; a sign change is
-refined by Brent's method on that step's interpolant, only built on such steps;
-`solve` returns lists of floats, and `flow.integrate` builds the arrays once.
+The embedded pair of Dormand & Prince (1980, J. Comput. Appl. Math. 6) with the step-size
+control and initial-step heuristic of Hairer, Norsett & Wanner, *Solving ODEs I*, II.4, and
+Shampine's quartic dense output, bit for bit as `scipy.integrate.solve_ivp(method="RK45",
+dense_output=True, events=...)`.  Only the BLAS products (stage increments, B and E sums,
+the norm's x.dot(x), K^T P, Q (x, .., x^4)) run in numpy, on solve_ivp's operands, since
+OpenBLAS sums them with fused multiply-adds in its own order; the state is a list of Python
+floats, on which the elementwise work rounds as in numpy but costs less.  Event signs are
+tested at step ends; a sign change is refined by Brent's method on that step's interpolant,
+only built on such steps.  The control and the records of one run are the coroutine `_run`,
+which yields each step attempt; `solve` evaluates the attempts of one state and `solve_rows`
+those of a stack of them, each row bit for bit its own `solve`.  Both return lists of floats.
 """
 
 from __future__ import annotations
@@ -64,9 +64,10 @@ def _initial_step(fun, y0, f0, t_bound, direction, rtol, atol, max_step) -> floa
     return min(100 * h0, h1, span, max_step)
 
 
-def brentq(f, xa: float, xb: float, maxiter: int = 100) -> float:
+def brentq(f, xa: float, xb: float, maxiter: int = 100, fa: float | None = None) -> float:
     """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4), step for
-    step the C routine behind `scipy.optimize.brentq` with xtol = rtol = TOL."""
+    step the C routine behind `scipy.optimize.brentq` with xtol = rtol = TOL.
+    `fa`, if given, is f(xa), which is then not evaluated again."""
     def call(x):
         fx = float(f(x))
         if math.isnan(fx):
@@ -75,7 +76,7 @@ def brentq(f, xa: float, xb: float, maxiter: int = 100) -> float:
 
     xpre, xcur = xa, xb
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre), call(xcur)
+    fpre, fcur = call(xpre) if fa is None else fa, call(xcur)
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -113,27 +114,22 @@ def brentq(f, xa: float, xb: float, maxiter: int = 100) -> float:
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
-def solve(fun, y0: list, t_bound: float, rtol: float, atol: float,
-          max_step: float, events) -> dict:
-    """Integrate y' = fun(y) from (0, y0) to t_bound, forward or backward.
-
-    y0 and every state passed to `fun` and to the events is a list of floats.
-    `events` are (g, terminal, direction) triples with g(t, y) a scalar; a root
-    is recorded where g changes sign in `direction` (0: either), and the first
-    terminal root in time ends the run.  Returns lists, each state a list of
-    floats: the step ends `t`, `y` and the roots `t_events`/`y_events` per event;
-    `status` (0 at t_bound, 1 terminal event, -1 step-size underflow); `stats`.
-    """
+def _checked_rtol(rtol: float) -> float:
+    """rtol, raised to 100 EPS with a warning where it is below, as in solve_ivp."""
     if rtol < 100 * EPS:
-        warnings.warn(f"rtol is too small, using rtol = {100 * EPS}", stacklevel=3)
-        rtol = 100 * EPS
+        warnings.warn(f"rtol is too small, using rtol = {100 * EPS}", stacklevel=4)
+    return max(rtol, 100 * EPS)
+
+
+def _run(fun, y0: list, t_bound: float, rtol: float, atol: float, max_step: float, events):
+    """One integration as a coroutine, on Python floats: the step-size control of
+    HNW II.4, the accepted steps and the event roots.  It yields each step attempt
+    (y, f, h), f = fun(y), is sent (error_norm, y_new, f_new, K) for it, K the
+    attempt's (7, n) stages, and returns the run as `solve` documents it."""
     direction = 1.0 if t_bound > 0 else -1.0
     n_steps = n_rejected = 0
     t, y, f = 0.0, y0, fun(y0)
     h_abs = _initial_step(fun, y, f, t_bound, direction, rtol, atol, max_step)
-    K = np.empty((7, len(y)))
-    stages = [(K[:s].T, a) for s, a in enumerate(A_ROWS, start=1)]
-    K_B, K_T = K[:-1].T, K.T
     ts, ys = [t], [y]
     g = [float(ev(t, y)) for ev, _, _ in events]
     t_events, y_events = [[] for _ in events], [[] for _ in events]
@@ -148,14 +144,7 @@ def solve(fun, y0: list, t_bound: float, rtol: float, atol: float,
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            K[0] = f
-            for s, (Ks, a) in enumerate(stages, start=1):
-                K[s] = fun([yi + di * h for yi, di in zip(y, Ks.dot(a).tolist())])
-            y_new = [yi + h * bi for yi, bi in zip(y, K_B.dot(B).tolist())]
-            K[-1] = f_new = fun(y_new)
-            # with y_new first, max() propagates its NaN as np.maximum does
-            error_norm = _norm([ei * h / (atol + max(abs(yn), abs(yo)) * rtol)
-                                for ei, yn, yo in zip(K_T.dot(E).tolist(), y_new, y)])
+            error_norm, y_new, f_new, K = yield y, f, h
             if error_norm < 1:
                 factor = MAX_FACTOR if error_norm == 0 else min(MAX_FACTOR, SAFETY * error_norm ** EXPONENT)
                 h_abs *= min(1, factor) if rejected else factor
@@ -167,16 +156,15 @@ def solve(fun, y0: list, t_bound: float, rtol: float, atol: float,
             status = -1
             break
         n_steps += 1
-        t_old, y_old = t, y
+        t_old, y_old, g_old = t, y, g
         t, y, f = t_new, y_new, f_new
         if direction * (t - t_bound) >= 0:
             status = 0
-        g_new = [float(ev(t, y)) for ev, _, _ in events]
+        g = [float(ev(t, y)) for ev, _, _ in events]
         active = [i for i, (_, _, d) in enumerate(events)
-                  if (g[i] <= 0 <= g_new[i] and d >= 0) or (g[i] >= 0 >= g_new[i] and d <= 0)]
-        g = g_new
+                  if (g_old[i] <= 0 <= g[i] and d >= 0) or (g_old[i] >= 0 >= g[i] and d <= 0)]
         if active:
-            Q, dt = K_T.dot(P), t - t_old
+            Q, dt = K.T.dot(P), t - t_old
 
             def sol(tt):
                 x = (tt - t_old) / dt
@@ -184,7 +172,9 @@ def solve(fun, y0: list, t_bound: float, rtol: float, atol: float,
                 x3 = x2 * x   # x2 * x and x3 * x round as x * x * x and x * x * x * x
                 return [dt * qi + yi for qi, yi in zip(Q.dot((x, x2, x3, x3 * x)).tolist(), y_old)]
 
-            hits = [(i, brentq(lambda tt, ev=events[i][0]: ev(tt, sol(tt)), t_old, t)) for i in active]
+            # sol(t_old) is y_old, so g_old[i] is the event's value at the left end
+            hits = [(i, brentq(lambda tt, ev=events[i][0]: ev(tt, sol(tt)), t_old, t, fa=g_old[i]))
+                    for i in active]
             if any(events[i][1] for i in active):
                 hits.sort(key=lambda hit: direction * hit[1])
                 hits = hits[:1 + next(k for k, (i, _) in enumerate(hits) if events[i][1])]
@@ -201,3 +191,74 @@ def solve(fun, y0: list, t_bound: float, rtol: float, atol: float,
     # six RHS calls per step attempt, plus f(y0) and the initial-step probe
     stats = {"n_steps": n_steps, "n_rejected": n_rejected, "nfev": 2 + 6 * (n_steps + n_rejected)}
     return {"t": ts, "y": ys, "t_events": t_events, "y_events": y_events, "status": status, "stats": stats}
+
+
+def solve(fun, y0: list, t_bound: float, rtol: float, atol: float,
+          max_step: float, events) -> dict:
+    """Integrate y' = fun(y) from (0, y0) to t_bound, forward or backward.
+
+    y0 and every state passed to `fun` and to the events is a list of floats.
+    `events` are (g, terminal, direction) triples with g(t, y) a scalar; a root
+    is recorded where g changes sign in `direction` (0: either), and the first
+    terminal root in time ends the run.  Returns lists, each state a list of
+    floats: the step ends `t`, `y` and the roots `t_events`/`y_events` per event;
+    `status` (0 at t_bound, 1 terminal event, -1 step-size underflow); `stats`.
+    """
+    rtol = _checked_rtol(rtol)
+    run = _run(fun, y0, t_bound, rtol, atol, max_step, events)
+    K = np.empty((7, len(y0)))
+    stages = [(K[:s].T, a) for s, a in enumerate(A_ROWS, start=1)]
+    K_B, K_T = K[:-1].T, K.T
+    try:
+        y, f, h = next(run)
+        while True:
+            K[0] = f
+            for s, (Ks, a) in enumerate(stages, start=1):
+                K[s] = fun([yi + di * h for yi, di in zip(y, Ks.dot(a).tolist())])
+            y_new = [yi + h * bi for yi, bi in zip(y, K_B.dot(B).tolist())]
+            K[-1] = f_new = fun(y_new)
+            # with y_new first, max() propagates its NaN as np.maximum does
+            error_norm = _norm([ei * h / (atol + max(abs(yn), abs(yo)) * rtol)
+                                for ei, yn, yo in zip(K_T.dot(E).tolist(), y_new, y)])
+            y, f, h = run.send((error_norm, y_new, f_new, K))
+    except StopIteration as end:
+        return end.value
+
+
+def solve_rows(fun, y0s: list, t_bound: float, rtol: float, atol: float,
+               max_step: float, events) -> list[dict]:
+    """`solve` from each state of y0s, every row's result bit for bit that of its own `solve`.
+
+    Each iteration, every live row attempts one step with its own h.  The stage, B and E
+    products and the norm's dot are each one `np.matmul` over the stack, which hands every
+    row to the BLAS routine of its own `.dot`; `Y + D * H` does the IEEE operations of
+    `yi + di * h`.  `fun`, the events and the row's `_run` run per row.  Below four rows,
+    each goes through `solve`, which is then the faster."""
+    if len(y0s) < 4:
+        return [solve(fun, y0, t_bound, rtol, atol, max_step, events) for y0 in y0s]
+    rtol = _checked_rtol(rtol)
+    results = [None] * len(y0s)
+
+    def attempt(i, run, message):
+        """Row i's next attempt (i, run, (y, f, h)), or None once its run ended."""
+        try:
+            return i, run, run.send(message)
+        except StopIteration as end:
+            results[i] = end.value
+
+    rows = [attempt(i, _run(fun, y0, t_bound, rtol, atol, max_step, events), None) for i, y0 in enumerate(y0s)]
+    while rows := [row for row in rows if row is not None]:
+        ys, fs, hs = zip(*(step for _, _, step in rows))
+        Y, H = np.array(ys), np.array(hs)[:, None]
+        K = np.empty((len(ys), 7, Y.shape[1]))
+        K[:, 0] = fs
+        for s, a in enumerate(A_ROWS, start=1):
+            K[:, s] = [fun(y) for y in (Y + np.matmul(K[:, :s].transpose(0, 2, 1), a) * H).tolist()]
+        Y_new = Y + H * np.matmul(K[:, :-1].transpose(0, 2, 1), B)
+        y_new = Y_new.tolist()
+        K[:, -1] = f_new = [fun(y) for y in y_new]
+        X = np.matmul(K.transpose(0, 2, 1), E) * H / (atol + np.maximum(abs(Y_new), abs(Y)) * rtol)
+        dots = np.matmul(X[:, None], X[:, :, None]).ravel().tolist()
+        rows = [attempt(i, run, (math.sqrt(d) / Y.shape[1] ** 0.5, yn, fn, Kr))
+                for (i, run, _), d, yn, fn, Kr in zip(rows, dots, y_new, f_new, K)]
+    return results

@@ -131,11 +131,9 @@ def cmd_portrait(args) -> tuple[int, dict]:
     rows = [(x, s, cone.normalized_region(x, s)) for x in xs.tolist() for s in ss.tolist()]
     region_path = serialize.write_region_csv(out / "regions.csv", rows)
 
-    system = flow.make_system("normalized")
-    seed_files = []
-    for i, seed in enumerate(seeds):
-        traj = flow.integrate(system, seed, cfg)
-        seed_files.append(str(serialize.write_trajectory_csv(out / f"seed_{i:03d}.csv", traj)))
+    trajs = flow.integrate_rows(flow.make_system("normalized"), seeds, cfg)
+    seed_files = [str(serialize.write_trajectory_csv(out / f"seed_{i:03d}.csv", traj))
+                  for i, traj in enumerate(trajs)]
 
     def einstein_entry(point):
         verdict = cone.classify_2param(point[0], point[1])

@@ -32,10 +32,10 @@ def _open_lf(path):
 def write_trajectory_csv(path, traj: Trajectory) -> Path:
     path = Path(path)
     dim = traj.states.shape[1]
+    row = ",".join(["%.17g"] * (dim + 1)) + "\n"   # "%.17g" % v is fmt(v)
     with _open_lf(path) as fh:
-        fh.write("ell," + ",".join(f"comp{i}" for i in range(dim)) + "\n")
-        for time, state in zip(traj.times.tolist(), traj.states.tolist()):
-            fh.write(fmt(time) + "," + ",".join(fmt(c) for c in state) + "\n")
+        fh.write("ell," + ",".join(f"comp{i}" for i in range(dim)) + "\n" + "".join(
+            [row % (time, *state) for time, state in zip(traj.times.tolist(), traj.states.tolist())]))
     return path
 
 
@@ -51,9 +51,7 @@ def write_region_csv(path, rows) -> Path:
     """rows: iterable of (x, s, region-letter)."""
     path = Path(path)
     with _open_lf(path) as fh:
-        fh.write("x,s,region\n")
-        for x, s, region in rows:
-            fh.write(f"{fmt(x)},{fmt(s)},{region}\n")
+        fh.write("x,s,region\n" + "".join(["%.17g,%.17g,%s\n" % (x, s, region) for x, s, region in rows]))
     return path
 
 

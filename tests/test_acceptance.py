@@ -86,7 +86,7 @@ def test_package_namespace_is_the_union_of_the_library_all_lists():
     exported = {name for name, value in vars(ricciflow).items()
                 if not name.startswith("_") and not inspect.ismodule(value)}
     assert exported == {name for mod in (spaces, cone, flow, derivatives, errors) for name in mod.__all__}
-    assert len(exported) == 57
+    assert len(exported) == 58
 
 
 @pytest.mark.parametrize("name", [result.name for result in verify.run_all()])
