@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from itertools import chain
 
 import numpy as np
 
@@ -232,8 +233,11 @@ def solve_rows(fun, y0s: list, t_bound: float, rtol: float, atol: float,
     Each iteration, every live row attempts one step with its own h.  The stage, B and E
     products and the norm's dot are each one `np.matmul` over the stack, which hands every
     row to the BLAS routine of its own `.dot`; `Y + D * H` does the IEEE operations of
-    `yi + di * h`.  `fun`, the events and the row's `_run` run per row.  Below four rows,
-    each goes through `solve`, which is then the faster."""
+    `yi + di * h`.  The stacks are built once per count of live rows and computed into in
+    place.  `fun`, the events and the row's `_run` run per row.  Below four rows, each goes
+    through `solve`, which is then the faster: per row and step attempt the stack took
+    26.3 us at 1 row, 14.7 at 2, 12.9 at 3, 10.7 at 4, 7.9 at 8, 6.8 at 16 and 6.1 at 32,
+    against 11.8 for `solve` (the normalized flow to l = 10 from portrait seeds)."""
     if len(y0s) < 4:
         return [solve(fun, y0, t_bound, rtol, atol, max_step, events) for y0 in y0s]
     rtol = _checked_rtol(rtol)
@@ -247,18 +251,35 @@ def solve_rows(fun, y0s: list, t_bound: float, rtol: float, atol: float,
             results[i] = end.value
 
     rows = [attempt(i, _run(fun, y0, t_bound, rtol, atol, max_step, events), None) for i, y0 in enumerate(y0s)]
+    N, n = 0, len(y0s[0])
+
+    def stack(states):
+        """The (N, n) array of N states of n floats, through one flat np.fromiter."""
+        return np.fromiter(chain.from_iterable(states), float, N * n).reshape(N, n)
+
     while rows := [row for row in rows if row is not None]:
+        if len(rows) != N:   # the stacks of N live rows, built again only when a row leaves
+            N = len(rows)
+            K, H, dots = np.empty((N, 7, n)), np.empty((N, 1)), np.empty((N, 1, 1))
+            Y, Y_new, D = np.empty((3, N, n))
+            stages = [(K[:, s], K[:, :s].transpose(0, 2, 1), a) for s, a in enumerate(A_ROWS, start=1)]
+            K_B, K_T, D_row, D_col = K[:, :-1].transpose(0, 2, 1), K.transpose(0, 2, 1), D[:, None], D[:, :, None]
+            # _run uses its row's view only inside the send (sol closes over Q = K.T.dot(P), not K)
+            K_rows = list(K)
         ys, fs, hs = zip(*(step for _, _, step in rows))
-        Y, H = np.array(ys), np.array(hs)[:, None]
-        K = np.empty((len(ys), 7, Y.shape[1]))
-        K[:, 0] = fs
-        for s, a in enumerate(A_ROWS, start=1):
-            K[:, s] = [fun(y) for y in (Y + np.matmul(K[:, :s].transpose(0, 2, 1), a) * H).tolist()]
-        Y_new = Y + H * np.matmul(K[:, :-1].transpose(0, 2, 1), B)
+        # fs by numpy's shape check: a fun of the wrong length raises here, as in `solve`
+        Y[:], K[:, 0], H[:, 0] = stack(ys), fs, hs
+        for K_s, K_prev, a in stages:
+            np.add(Y, np.multiply(np.matmul(K_prev, a, out=D), H, out=D), out=D)
+            K_s[:] = stack(map(fun, D.tolist()))
+        np.add(Y, np.multiply(H, np.matmul(K_B, B, out=Y_new), out=Y_new), out=Y_new)
         y_new = Y_new.tolist()
-        K[:, -1] = f_new = [fun(y) for y in y_new]
-        X = np.matmul(K.transpose(0, 2, 1), E) * H / (atol + np.maximum(abs(Y_new), abs(Y)) * rtol)
-        dots = np.matmul(X[:, None], X[:, :, None]).ravel().tolist()
-        rows = [attempt(i, run, (math.sqrt(d) / Y.shape[1] ** 0.5, yn, fn, Kr))
-                for (i, run, _), d, yn, fn, Kr in zip(rows, dots, y_new, f_new, K)]
+        K[:, -1] = stack(f_new := list(map(fun, y_new)))
+        # the norm's terms E.K * H / (atol + max(|y_new|, |y|) * rtol); Y and Y_new are spent
+        np.maximum(np.abs(Y_new, out=Y_new), np.abs(Y, out=Y), out=Y)
+        np.multiply(np.matmul(K_T, E, out=D), H, out=D)
+        np.divide(D, np.add(atol, np.multiply(Y, rtol, out=Y), out=Y), out=D)
+        np.matmul(D_row, D_col, out=dots)
+        rows = [attempt(i, run, (math.sqrt(d) / n ** 0.5, yn, fn, K_r))
+                for (i, run, _), d, yn, fn, K_r in zip(rows, dots.ravel().tolist(), y_new, f_new, K_rows)]
     return results

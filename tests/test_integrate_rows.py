@@ -24,17 +24,19 @@ ROWS = 12
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_stacked_matmul_rounds_each_row_as_its_own_dot(dim):
-    # the stepper's shapes: stages (n, s) @ (s,), B (n, 6) @ (6,), E (n, 7) @ (7,), norm x.x
+    # the stepper's shapes: stages (n, s) @ (s,), B (n, 6) @ (6,), E (n, 7) @ (7,), norm x.x,
+    # each into a preallocated array, as the stepper computes them
     rng = np.random.default_rng(dim)
     K = rng.standard_normal((64, 7, dim)) * 10.0 ** rng.integers(-6, 6, size=(64, 7, dim))
+    out = np.empty((len(K), dim))
     for s, a in enumerate(_rk45.A_ROWS, start=1):
-        stacked = np.matmul(K[:, :s].transpose(0, 2, 1), a)
+        stacked = np.matmul(K[:, :s].transpose(0, 2, 1), a, out=out)
         assert all(stacked[r].tobytes() == K[r][:s].T.dot(a).tobytes() for r in range(len(K)))
     for rows, coef in ((slice(None, -1), _rk45.B), (slice(None), _rk45.E)):
-        stacked = np.matmul(K[:, rows].transpose(0, 2, 1), coef)
+        stacked = np.matmul(K[:, rows].transpose(0, 2, 1), coef, out=out)
         assert all(stacked[r].tobytes() == K[r][rows].T.dot(coef).tobytes() for r in range(len(K)))
-    X = K[:, 3]
-    dots = np.matmul(X[:, None], X[:, :, None]).ravel().tolist()
+    X = K[:, 3].copy()
+    dots = np.matmul(X[:, None], X[:, :, None], out=np.empty((len(X), 1, 1))).ravel().tolist()
     assert dots == [np.array(x).dot(np.array(x)) for x in X.tolist()]
 
 
@@ -153,3 +155,19 @@ def test_portrait_writes_the_bytes_of_one_integrate_per_seed(tmp_path, capsys, n
     for i, seed in enumerate(seeds):
         ref = serialize.write_trajectory_csv(tmp_path / "ref.csv", integrate(system, seed, cfg))
         assert (tmp_path / "out" / f"seed_{i:03d}.csv").read_bytes() == ref.read_bytes()
+
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_a_rhs_of_another_length_fares_as_in_integrate(width):
+    # `solve` broadcasts 1 value over the 2 components and raises on 3
+    odd = FlowSystem("odd", 2, lambda y: [0.5 * y[0]] * width)
+    inits = [[0.5 + 0.1 * i, 1.0] for i in range(6)]
+
+    def outcome(run):
+        try:
+            return [_bits(traj) for traj in run()]
+        except ValueError as exc:
+            return str(exc)
+    assert (outcome(lambda: integrate_rows(odd, inits, BLOWUP_CFG))
+            == outcome(lambda: [integrate(odd, init, BLOWUP_CFG) for init in inits]))
