@@ -66,11 +66,9 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def parse_seeds(text: str) -> list[int]:
-    """"9701-9710" or "9701,9703,9705"."""
-    if "-" in text:
-        lo, hi = map(int, text.split("-"))
-        return list(range(lo, hi + 1))
-    return [int(part) for part in text.split(",")]
+    """The seeds of "9701-9710", both ends included."""
+    lo, hi = map(int, text.split("-"))
+    return list(range(lo, hi + 1))
 
 
 def main(argv=None) -> int:
@@ -121,9 +119,8 @@ def main(argv=None) -> int:
                 "seconds": seconds, "host": results[side][0]["host"]})
         wins = sum((c > p) if higher else (c < p) for p, c in zip(runs["parent"], runs["change"]))
         record["change_better"][name] = wins
-        print(f"{name}: parent median {statistics.median(runs['parent']):.4f} "
-              f"IQR {quartiles(runs['parent'])[2] - quartiles(runs['parent'])[0]:.4f}, "
-              f"change median {statistics.median(runs['change']):.4f}; "
+        print(f"{name}: parent median {out['rows'][-2]['median']:.4f} IQR {out['rows'][-2]['iqr']:.4f}, "
+              f"change median {out['rows'][-1]['median']:.4f}; "
               f"change better in {wins} of {len(args.seeds)} pairs")
     record["pairs"] = len(args.seeds)
     record["ops_per_s_median_ratio"] = round(statistics.median(
