@@ -1,12 +1,13 @@
 """Alternating benchmark pairs of two commits, appended to a BENCH_*.json file.
 
     python3 tools/bench_pairs.py --parent <sha> --change <sha> --workload <name> \
-        --seeds 9701-9710 --scratch <dir> --out BENCH_portrait.json [--seconds 16]
+        --seeds 9701-9710 --scratch <dir> --out BENCH_portrait.json
 
 Each commit is extracted with `git archive` into <scratch>/<sha>, so both sides
 run their own committed `bench/` and package.  Pair i runs `bench/run.py
---trace 0` on seed i of --seeds once per side, the parent first for even i and
-the change first for odd i, since the host's speed drifts over minutes.  Then
+--trace 0` for BENCHMARK.json's run_seconds on seed i of --seeds once per side,
+the parent first for even i and the change first for odd i, since the host's
+speed drifts over minutes.  Then
 one row per (commit, end-to-end metric of BENCHMARK.json) is appended to the
 output's "rows": median, inclusive quartiles q1 and q3, IQR, n, every run, the
 seeds and the host line the benchmark printed; one record per call is appended
@@ -59,10 +60,7 @@ def run_once(tree: Path, command: list[str], workload: str, seed: int, seconds: 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     """(q1, median, q3), inclusive quartiles."""
-    if len(values) < 2:
-        return values[0], values[0], values[0]
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, median, q3
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -79,11 +77,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", required=True, type=parse_seeds)
     parser.add_argument("--scratch", required=True, type=Path)
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--seconds", type=float)
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     metrics = spec["end_to_end"]
     shas = {side: subprocess.run(["git", "rev-parse", "--short", getattr(args, side)], cwd=ROOT,
                                  check=True, capture_output=True, text=True).stdout.strip()
