@@ -130,6 +130,12 @@ def _run(fun, y0: list, t_bound: float, rtol: float, atol: float, max_step: floa
     direction = 1.0 if t_bound > 0 else -1.0
     n_steps = n_rejected = 0
     t, y, f = 0.0, y0, fun(y0)
+    try:
+        width = len(f)
+    except TypeError:   # a scalar, which the stage stacks would broadcast as they would 1 value
+        width = None
+    if width != len(y0):
+        raise ValueError(f"the right-hand side must give {len(y0)} values, one per component, got {f!r}")
     h_abs = _initial_step(fun, y, f, t_bound, direction, rtol, atol, max_step)
     ts, ys = [t], [y]
     g = [float(ev(t, y)) for ev, _, _ in events]
@@ -267,7 +273,7 @@ def solve_rows(fun, y0s: list, t_bound: float, rtol: float, atol: float,
             # _run uses its row's view only inside the send (sol closes over Q = K.T.dot(P), not K)
             K_rows = list(K)
         ys, fs, hs = zip(*(step for _, _, step in rows))
-        # fs by numpy's shape check: a fun of the wrong length raises here, as in `solve`
+        # `_run` checked each row's first f for the state's length, as in `solve`
         Y[:], K[:, 0], H[:, 0] = stack(ys), fs, hs
         for K_s, K_prev, a in stages:
             np.add(Y, np.multiply(np.matmul(K_prev, a, out=D), H, out=D), out=D)

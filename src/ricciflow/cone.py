@@ -422,17 +422,23 @@ def classify_aw_slice(state, xi) -> ConeVerdict:
     return _classify("aw4", y, xi)
 
 
+def _q(x, s):
+    """The region test's quartic 4 x^3 s^4 - x^4 s^3, written with integer literals:
+    exact on Fractions, and on floats the bits of `4.0 * x**3 * s**4 - x**4 * s**3`."""
+    return 4 * x**3 * s**4 - x**4 * s**3
+
+
 def normalized_region(x: float, s: float) -> str:
     """Region of the unit-volume plane: G (sec > 0), P (non-positive plane),
-    W (undetermined).  Ties 4x^3 s^4 - x^4 s^3 = 3 belong to P.  Where the
-    float value overflows, the exact value in Fraction decides."""
+    W (undetermined).  Ties q = 4x^3 s^4 - x^4 s^3 = 3 belong to P.  Where the
+    float value of q overflows, its exact value in Fraction decides."""
     x, s = _reals([x, s], 2)
     try:
-        q = 4.0 * x**3 * s**4 - x**4 * s**3
+        q = _q(x, s)
     except OverflowError:
         q = math.inf
     if not abs(q) < math.inf:   # an overflow (NaN where both terms overflow): decide on the exact value
-        q = 4 * Fraction(x) ** 3 * Fraction(s) ** 4 - Fraction(x) ** 4 * Fraction(s) ** 3
+        q = _q(Fraction(x), Fraction(s))
     if 3.0 >= q:
         return "P"
     return "G" if x < s else "W"

@@ -9,7 +9,9 @@ the gradient's finite differences and the structure-constant eigenvalue
 oracle run on numpy arrays in the operations of the scalar functions they
 sample, so every point has the bits of a scalar call (t_A and A~ use
 `cone`'s row-wise kernels, which evaluate `**` per element: NumPy's array
-`**` need not give Python's bits).
+`**` need not give Python's bits).  The p2 entry is the flow time at which
+the p2 trajectory crosses into region P: the root of a terminal event on the
+region test's q - 3, where the run stops.
 
 Note on the two root-bracket checks: the quintic's outer irrational roots
 are -7.489652155... and 2.697788435... (residuals at machine precision).
@@ -265,16 +267,17 @@ def _check_einstein():
     traj = flow.integrate(system, p1, cfg)
     drift = float(np.max(np.abs(traj.states[:, 0] ** 3 * traj.states[:, 1] ** 4 - 1.0)))
     terminal_dist = float(np.linalg.norm(traj.final_state - e_minus))
-    traj2 = flow.integrate(system, p2, cfg)
-    entry = next((float(t) for t, st in zip(traj2.times, traj2.states)
-                  if cone.normalized_region(st[0], st[1]) == "P"), None)
+    # p2 runs until q falls to 3, where it enters P; the root state is not classified
+    # (`normalized_region` may call it G, with q a hair above 3)
+    enters_p = flow.EventSpec("enters_p", lambda _l, y: cone._q(*y) - 3, True, -1.0)
+    entry = flow.integrate(system, p2, cfg, [enters_p]).first_event("enters_p")
     return [
         _bound("einstein_equilibria", residual, 1e-9),
         _bound("seed_p1_stays_on_curve", drift, 1e-6, "|x^3 s^4 - 1| along the p1 trajectory, horizon 10"),
         _bound("seed_p1_terminal_near_e_minus", terminal_dist, 1e-3),
         CheckResult("seed_p2_enters_pink", entry is not None,
-                    entry if entry is not None else float("nan"), 10.0,
-                    "first sample of the p2 trajectory inside region P"),
+                    entry.time if entry is not None else float("nan"), 10.0,
+                    "flow time at which the p2 trajectory crosses into region P (an event root)"),
     ]
 
 

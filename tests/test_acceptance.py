@@ -112,3 +112,20 @@ def test_exit_check_fails_on_documented_errors_only(monkeypatch):
     monkeypatch.setattr(flow, "cone_exit", broken)
     with pytest.raises(TypeError):
         verify._exit_check("cone_exit_aw2", "aw2", (0.99, 1.0))
+
+
+def test_p2_entry_is_the_crossing_inside_the_first_step_into_p(results):
+    system, cfg = flow.make_system("normalized"), flow.IntegratorConfig(max_time=10.0)
+    p2 = derivatives.REFERENCE_SEEDS[1]
+    assert cone.normalized_region(*p2) != "P"
+    # the full run's first sample inside P, which the row reported before it stopped at the root
+    # (0.06035300902390263; its last bits depend on the BLAS kernels: 0.0603530088... on Haswell's)
+    full = flow.integrate(system, p2, cfg)
+    k = next(k for k, state in enumerate(full.states.tolist()) if cone.normalized_region(*state) == "P")
+    assert full.times[k] == pytest.approx(0.06035300902390263, rel=1e-7)
+    entry = results["seed_p2_enters_pink"].measured
+    assert full.times[k - 1] < entry <= full.times[k]
+    enters_p = flow.EventSpec("enters_p", lambda _l, y: cone._q(*y) - 3, True, -1.0)
+    event = flow.integrate(system, p2, cfg, [enters_p]).first_event("enters_p")
+    assert event.time == entry
+    assert abs(cone._q(*event.state.tolist()) - 3) <= 1e-9

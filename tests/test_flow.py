@@ -227,6 +227,16 @@ class TestIntegrate:
         assert traj.events[0].time == pytest.approx(0.5, rel=1e-9)
         assert_float64_arrays(traj, 1)
 
+    @pytest.mark.parametrize("rhs", [lambda y: [0.5 * y[0]], lambda y: 0.5 * y[0], lambda y: [0.5 * y[0]] * 3],
+                             ids=["one value", "a scalar", "three values"])
+    def test_rejects_a_rhs_of_another_length(self, rhs):
+        # the stage stacks would broadcast one value or a scalar over both components
+        odd = FlowSystem("odd", 2, rhs)
+        with pytest.raises(ValueError, match="the right-hand side must give 2 values"):
+            integrate(odd, [0.5, 1.0])
+        with pytest.raises(ValueError, match="the right-hand side must give 2 values"):
+            flow.integrate_rows(odd, [[0.5 + 0.1 * i, 1.0] for i in range(6)])
+
     def test_custom_event_recorded(self):
         crossed = EventSpec("t_below_08", lambda _l, y: y[0] - 0.8, terminal=False)
         traj = integrate(make_system("aw2"), (0.9, 1.0), IntegratorConfig(max_time=0.05),

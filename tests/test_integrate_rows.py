@@ -160,7 +160,7 @@ def test_portrait_writes_the_bytes_of_one_integrate_per_seed(tmp_path, capsys, n
 
 @pytest.mark.parametrize("width", [1, 3])
 def test_a_rhs_of_another_length_fares_as_in_integrate(width):
-    # `solve` broadcasts 1 value over the 2 components and raises on 3
+    # both raise the ValueError of the first row's first right-hand side
     odd = FlowSystem("odd", 2, lambda y: [0.5 * y[0]] * width)
     inits = [[0.5 + 0.1 * i, 1.0] for i in range(6)]
 
