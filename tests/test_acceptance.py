@@ -118,7 +118,7 @@ def test_p2_entry_is_the_crossing_inside_the_first_step_into_p(results):
     system, cfg = flow.make_system("normalized"), flow.IntegratorConfig(max_time=10.0)
     p2 = derivatives.REFERENCE_SEEDS[1]
     assert cone.normalized_region(*p2) != "P"
-    # the full run's first sample inside P, which the row reported before it stopped at the root
+    # t_k, the first sample inside P of the run to the horizon: the root lies in the step that ends there
     # (0.06035300902390263; its last bits depend on the BLAS kernels: 0.0603530088... on Haswell's)
     full = flow.integrate(system, p2, cfg)
     k = next(k for k, state in enumerate(full.states.tolist()) if cone.normalized_region(*state) == "P")
