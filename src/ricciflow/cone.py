@@ -224,6 +224,12 @@ def t_a(s, xi) -> float:
     1.4 ulps, and up to 120 where sigma is small, from the exact `_t_a` in `Fraction`,
     so interval work must evaluate `_t_a` itself.
     """
+    if type(s) is list and len(s) == 3:   # the flow's events pass a list of floats
+        s0, s1, s2 = s
+        if (type(s0) is type(s1) is type(s2) is float   # then `_reals` and `_scaled` give s with scale 1
+                and 2.0 ** -64 <= s0 < 2.0 ** 64 and 2.0 ** -64 <= s1 < 2.0 ** 64 and 2.0 ** -64 <= s2 < 2.0 ** 64):
+            x = xi_value(xi)
+            return 0.0 if _is_round(s0, s1, s2) else _t_a(s0, s1, s2, x)   # a float: `_rounded` keeps it
     (s0, s1, s2), scale = _scaled(_reals(s, 3))
     x = type(s0)(xi_value(xi))
     if _is_round(s0, s1, s2):
@@ -333,6 +339,10 @@ class ConeClass(enum.Enum):
     UNKNOWN = "Unknown"
 
 
+# bound once: reading an enum member costs an attribute lookup through the enum's metaclass
+_POSITIVE, _NONPOSITIVE, _UNKNOWN = ConeClass.POSITIVELY_CURVED, ConeClass.HAS_NONPOSITIVE_PLANE, ConeClass.UNKNOWN
+
+
 @dataclass(frozen=True)
 class ConeVerdict:
     """Classification plus the signed margin of the deciding inequality."""
@@ -341,11 +351,14 @@ class ConeVerdict:
     margin: float
 
     def __post_init__(self):
-        if self.classification is ConeClass.POSITIVELY_CURVED and not self.margin > 0.0:
+        c, m = self.classification, self.margin
+        if c is (_POSITIVE if m > 0.0 else _NONPOSITIVE):   # every verdict of a classifier but Unknown
+            return
+        if c is _POSITIVE:
             raise ValueError("PositivelyCurved requires margin > 0")
-        if self.classification is ConeClass.HAS_NONPOSITIVE_PLANE and self.margin > 0.0:
+        if c is _NONPOSITIVE:
             raise ValueError("HasNonpositivePlane requires margin <= 0")
-        if self.classification is ConeClass.UNKNOWN and self.margin != 0.0:
+        if c is _UNKNOWN and m != 0.0:
             raise ValueError("Unknown carries margin 0 by convention")
 
 
@@ -381,10 +394,9 @@ def _classify(family: str, y: Sequence[float], xi: float = 1.0) -> ConeVerdict:
     gap, window = _CONES[family]
     y, scale = _scaled(y)
     if window is not None and not window(y) > 0:
-        return ConeVerdict(ConeClass.UNKNOWN, 0.0)
+        return ConeVerdict(_UNKNOWN, 0.0)
     margin = _rounded(gap(y, xi) * scale)
-    return ConeVerdict(ConeClass.POSITIVELY_CURVED if margin > 0.0 else ConeClass.HAS_NONPOSITIVE_PLANE,
-                       margin)
+    return ConeVerdict(_POSITIVE if margin > 0.0 else _NONPOSITIVE, margin)
 
 
 def classify_2param(t: float, s: float) -> ConeVerdict:
@@ -418,7 +430,7 @@ def classify_aw_slice(state, xi) -> ConeVerdict:
     y = _reals(state, 4)
     xi = xi_value(xi)
     if abs(y[2] - y[3]) > SLICE_RTOL * (0.5 * y[2] + 0.5 * y[3]):   # the mean, without overflow
-        return ConeVerdict(ConeClass.UNKNOWN, 0.0)
+        return ConeVerdict(_UNKNOWN, 0.0)
     return _classify("aw4", y, xi)
 
 

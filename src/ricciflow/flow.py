@@ -374,9 +374,13 @@ def cone_exit(family: str, init, config: IntegratorConfig | None = None,
     family "aw3" with xi != 1 the slice is not flow-invariant, so the full
     four-parameter system is integrated with the general boundary event;
     aw2 and berger take only xi = 1.  The aw2 exit is exact (`_aw2_exit`),
-    whatever the tolerances.  Raises NoExitWithinHorizon if the boundary is
-    not reached (including collapse, leaving the certified window first, or
-    an aw2 start with t/s <= 2/5).
+    whatever the tolerances.  An integrated run ends at the first root of the
+    boundary event or of the certified-window event (aw3, aw4), which here,
+    unlike in `cone_events`, is terminal too.  Raises NoExitWithinHorizon if
+    the boundary is not reached: "left the certified window at l = ..." when
+    the window root comes first, even where the boundary would never have been
+    reached; else "no cone exit within horizon ..." (the horizon or a collapse,
+    or an aw2 start with t/s <= 2/5).
     """
     cfg = config or _DEFAULT_CONFIG
     kind, fam, xi = _resolve(family, xi)
@@ -392,15 +396,17 @@ def cone_exit(family: str, init, config: IntegratorConfig | None = None,
         if time > cfg.max_time:
             raise NoExitWithinHorizon(f"no cone exit within horizon {cfg.max_time} (status: horizon)")
         return time, np.array(exit_state)
-    traj = integrate(make_system(kind, xi), state, cfg, cone_events(kind, xi))
+    events = cone_events(kind, xi)   # nothing after a window root changes the outcome: it ends the run here
+    events[1:] = [EventSpec(spec.name, spec.fn, True, spec.direction) for spec in events[1:]]
+    traj = integrate(make_system(kind, xi), state, cfg, events)
+    window = traj.first_event("window_exit")
+    if window is not None:
+        raise NoExitWithinHorizon(
+            f"left the certified window at l = {window.time} before the boundary crossing")
     hit = traj.first_event("cone_exit")
     if hit is None:
         raise NoExitWithinHorizon(
             f"no cone exit within horizon {cfg.max_time} (status: {traj.status})")
-    window = traj.first_event("window_exit")
-    if window is not None and window.time < hit.time:
-        raise NoExitWithinHorizon(
-            f"left the certified window at l = {window.time} before the boundary crossing")
     return hit.time, hit.state
 
 
