@@ -4,8 +4,11 @@ Each system evolves by x_i' = -2 r_i x_i with the matching Ricci
 eigenvalues; the normalized planar system is the volume-one reduction of the
 three-parameter family.  Integration uses the in-house Dormand-Prince 5(4)
 pair with Shampine's dense output (`_rk45`); events are scalar sign changes
-at step ends, refined by Brent's method on the step's interpolant well below
-the 1e-10 time-accuracy requirement.  `integrate_rows` runs many starts of one
+at step ends, refined by Brent's method to 4 eps on the step's interpolant.
+So a root is as accurate as the step: at the default tolerances, 40 seeded
+aw4 cone exits of the benchmark's `exit_map_xi` pool lie a median 1.5e-9 and
+at most 4.5e-8 relative from the DOP853 oracle `bench/oracle.reference_exit`
+(another 40 gave 1.0e-9 and 3.5e-8).  `integrate_rows` runs many starts of one
 system as one batch, every Trajectory bit for bit its own `integrate`.
 
 Termination modes of `integrate`:
@@ -396,8 +399,10 @@ def cone_exit(family: str, init, config: IntegratorConfig | None = None,
         if time > cfg.max_time:
             raise NoExitWithinHorizon(f"no cone exit within horizon {cfg.max_time} (status: horizon)")
         return time, np.array(exit_state)
-    events = cone_events(kind, xi)   # nothing after a window root changes the outcome: it ends the run here
-    events[1:] = [EventSpec(spec.name, spec.fn, True, spec.direction) for spec in events[1:]]
+    events = cone_events(kind, xi)
+    if len(events) > 1:   # nothing after a window root changes the outcome, so here it ends the run
+        monitor = events[1]
+        events[1] = EventSpec(monitor.name, monitor.fn, True, monitor.direction)
     traj = integrate(make_system(kind, xi), state, cfg, events)
     window = traj.first_event("window_exit")
     if window is not None:
