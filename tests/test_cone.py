@@ -1,6 +1,8 @@
 """Positivity cone: sigma, the A~ system, t_A paths, and the classifiers."""
 
+import collections
 import math
+import random
 import sys
 import warnings
 from fractions import Fraction
@@ -339,6 +341,56 @@ class TestTA:
         assert 0.0 < sigma(s) < 1e-2 * sum(s) ** 2
         for xi in (1.0, 0.5, 0.1):
             assert oracle_error(s, xi) <= 1e-13, (s, xi)
+
+
+class TestTAListPath:
+    """`t_a` on a list of three floats in [2^-64, 2^64), as the flow's events pass s,
+    takes one type-and-band check in place of `_reals` and `_scaled`; the same values
+    in any other form take those guards, and both give the same bits and errors."""
+
+    LO, HI = 2.0 ** -64, 2.0 ** 64
+
+    @staticmethod
+    def _points():
+        rng = random.Random(20261019)
+        points = [[math.exp(rng.uniform(-2.3, 2.3)) for _ in range(3)] for _ in range(200)]
+        points += [[1.0, 1.0 + 1e-14, 1.0 - 1e-14], [2.5, 2.5 * (1 + 4e-14), 2.5 * (1 - 4e-14)],   # round
+                   [1.0, 1.0 + 1e-12, 1.0 - 1e-12]]   # just off the round diagonal
+        points += [list(s) for s in NEAR_SIGMA_ZERO] + [[1.0, 1.0, 3.9], [3.9, 1.0, 1.0]]   # exact sigma
+        lo, hi = TestTAListPath.LO, TestTAListPath.HI
+        for edge in (lo, math.nextafter(lo, 0.0)):   # inside, then just outside the band
+            points += [[edge, 1.1 * edge, 1.3 * edge], [0.9 * edge * 2 ** 40, edge, edge * 2 ** 41]]
+        for edge in (math.nextafter(hi, 0.0), hi):
+            points += [[0.8 * edge, 0.9 * edge, edge], [edge * 2.0 ** -41, edge, 0.7 * edge]]
+        return points
+
+    @pytest.mark.parametrize("xi", [1.0, 0.7, 0.13])
+    def test_list_and_general_path_agree(self, monkeypatch, xi):
+        guarded, scaled = [], cone._scaled
+        monkeypatch.setattr(cone, "_scaled", lambda s: guarded.append(s) or scaled(s))
+        covered = collections.Counter()
+        for s in self._points():
+            guarded.clear()
+            value = t_a(s, xi)
+            assert bool(guarded) == (not all(self.LO <= c < self.HI for c in s)), s
+            covered["guards" if guarded else "list"] += 1
+            if not guarded:
+                s0, s1, s2 = s   # `_sigma` computes exactly where 16 sigma < (s0 + s1 + s2)^2
+                plain_sigma = 2 * (s1 * s2 + s0 * s2 + s0 * s1) - s0 * s0 - s1 * s1 - s2 * s2
+                covered["round"] += value == 0.0
+                covered["exact sigma"] += 16 * plain_sigma < sum(s) ** 2
+            for other in (tuple(s), np.array(s), [np.float64(c) for c in s]):
+                assert t_a(other, xi).hex() == value.hex(), (s, xi)
+        assert covered["guards"] == 4 and covered["round"] == 2 and covered["exact sigma"] >= 5, covered
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, "1.0"])
+    def test_list_gives_the_errors_of_the_tuple(self, bad):
+        for s in ([0.9, 1.0, bad], [bad, 1.0, 1.1], [0.9, 1.0, 1.1, 1.2]):
+            with pytest.raises(ValueError) as from_tuple:
+                t_a(tuple(s), 0.7)
+            with pytest.raises(ValueError) as from_list:
+                t_a(s, 0.7)
+            assert str(from_list.value) == str(from_tuple.value).replace(repr(tuple(s)), repr(s))
 
 
 class TestTAClosed:

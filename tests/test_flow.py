@@ -409,6 +409,49 @@ class TestConeExit:
         with pytest.raises(NoExitWithinHorizon, match="certified window"):
             cone_exit("aw3", (0.2, 0.99, 1.0), IntegratorConfig(max_time=2.0))
 
+    @staticmethod
+    def _monitored():
+        """The run from (0.2, 0.99, 1) with `cone_events`, whose window monitor is not terminal."""
+        return integrate(make_system("aw3"), (0.2, 0.99, 1.0), IntegratorConfig(max_time=2.0), cone_events("aw3"))
+
+    def test_window_root_before_the_horizon_is_a_window_exit(self):
+        # the boundary root lies past the horizon of 0.05; the last bits of
+        # the roots depend on the host's BLAS kernels
+        monitored = self._monitored()
+        root = monitored.first_event("window_exit").time
+        assert root == pytest.approx(0.014755870624415562, rel=1e-12)
+        assert monitored.first_event("cone_exit").time == pytest.approx(0.10033718150736248, rel=1e-12)
+        with pytest.raises(NoExitWithinHorizon, match="certified window") as info:
+            cone_exit("aw3", (0.2, 0.99, 1.0), IntegratorConfig(max_time=0.05))
+        assert f"left the certified window at l = {root!r} before the boundary crossing" == str(info.value)
+
+    def test_window_root_ends_the_run(self, monkeypatch):
+        runs, original = [], flow.integrate
+        monkeypatch.setattr(flow, "integrate", lambda *args: runs.append(original(*args)) or runs[-1])
+        with pytest.raises(NoExitWithinHorizon, match="certified window"):
+            cone_exit("aw3", (0.2, 0.99, 1.0), IntegratorConfig(max_time=2.0))
+        (run,), monitored = runs, self._monitored()
+        root = monitored.first_event("window_exit").time
+        assert run.status == "event" and [(ev.name, ev.time) for ev in run.events] == [("window_exit", root)]
+        assert run.final_time == root
+        # the monitored run goes on to the boundary root
+        assert run.stats["n_steps"] < monitored.stats["n_steps"] == 58
+
+    def test_window_event_stays_a_monitor(self, monkeypatch):
+        # cone_exit's terminal copy calls the function that window_event gave,
+        # which the benchmark's tracer wraps; window_event itself is unchanged
+        assert [spec.terminal for spec in cone_events("aw4", 0.7)] == [True, False]
+        calls, original = [], flow.window_event
+
+        def counted(kind):
+            spec = original(kind)
+            return EventSpec(spec.name, lambda l, y: calls.append(l) or spec.fn(l, y), spec.terminal, spec.direction)
+
+        monkeypatch.setattr(flow, "window_event", counted)
+        with pytest.raises(NoExitWithinHorizon, match="certified window"):
+            cone_exit("aw3", (0.2, 0.99, 1.0), IntegratorConfig(max_time=2.0))
+        assert calls
+
 
 # A start just inside the boundary for each registry entry, under the name
 # callers use: the aw4 entry is reached as aw3 off xi = 1.

@@ -104,16 +104,20 @@ def cone_start(kind, seed):
 
 def assert_cone_exit_as_solve_ivp(family, init, cfg, kind, xi, state):
     """`cone_exit` returns, bit for bit, the first cone-boundary root of the
-    same run in `solve_ivp`, and raises where that run has none or leaves the
-    certified window first."""
+    same run in `solve_ivp` with `cone_events` (the window monitor not terminal).
+    Where that run has a window root and no boundary root at or before it,
+    `cone_exit` raises "certified window" with that root's repr, whether or not
+    a boundary root follows; where it has neither root, "no cone exit"."""
     ref = scipy_integrate(make_system(kind, xi), state, cfg, cone_events(kind, xi))
     exits, windows = ref.t_events[1], (ref.t_events[2] if len(ref.t_events) > 2 else [])
-    if len(exits) == 0 or (len(windows) and windows[0] < exits[0]):
-        match = "certified window" if len(exits) else "no cone exit"
-        with pytest.raises(NoExitWithinHorizon, match=match) as info:
+    if len(windows) and not (len(exits) and exits[0] <= windows[0]):
+        with pytest.raises(NoExitWithinHorizon, match="certified window") as info:
             cone_exit(family, init, cfg, xi=xi)
-        if len(exits):
-            assert f"l = {float(windows[0])!r} " in str(info.value)
+        assert f"l = {float(windows[0])!r} " in str(info.value)
+        return None
+    if len(exits) == 0:
+        with pytest.raises(NoExitWithinHorizon, match="no cone exit"):
+            cone_exit(family, init, cfg, xi=xi)
         return None
     time, exit_state = cone_exit(family, init, cfg, xi=xi)
     assert float.hex(time) == float.hex(float(exits[0]))
@@ -136,10 +140,16 @@ def test_cone_exit_matches_solve_ivp(kind, seed):
     assert abs(time - root) <= 1e-8 * time
 
 
-def test_cone_exit_after_leaving_the_window_raises_as_solve_ivp():
-    # from (0.2, 0.99, 1) the ratio x/s crosses 1 before the boundary
-    init = (0.2, 0.99, 1.0)
-    assert assert_cone_exit_as_solve_ivp("aw3", init, IntegratorConfig(max_time=2.0), "aw3", 1.0, init) is None
+@pytest.mark.parametrize("max_time", [2.0, 0.05])
+def test_cone_exit_after_leaving_the_window_raises_as_solve_ivp(max_time):
+    # from (0.2, 0.99, 1) the ratio x/s crosses 1 at l = 0.0148, before the
+    # boundary at 0.1003, which a horizon of 0.05 does not reach
+    init, cfg = (0.2, 0.99, 1.0), IntegratorConfig(max_time=max_time)
+    assert assert_cone_exit_as_solve_ivp("aw3", init, cfg, "aw3", 1.0, init) is None
+    # cone_exit's run, with the window event terminal, is solve_ivp's run with it terminal
+    events = [dataclasses.replace(spec, terminal=True) for spec in cone_events("aw3")]
+    traj = assert_same_run("aw3", init, cfg, events)
+    assert traj.status == "event" and [ev.name for ev in traj.events] == ["window_exit"]
 
 
 @pytest.mark.parametrize("max_step", [math.inf, 0.01])
