@@ -404,15 +404,24 @@ class TestConeExit:
         with pytest.raises(NoExitWithinHorizon, match=r"\(status: singular\)"):
             cone_exit("aw3", (0.12, 0.22, 1.0), xi=0.9)
 
-    def test_window_exit_reported_first(self):
-        # from (0.2, 0.99, 1) the ratio x/s crosses 1 before the boundary
-        with pytest.raises(NoExitWithinHorizon, match="certified window"):
-            cone_exit("aw3", (0.2, 0.99, 1.0), IntegratorConfig(max_time=2.0))
-
     @staticmethod
     def _monitored():
         """The run from (0.2, 0.99, 1) with `cone_events`, whose window monitor is not terminal."""
         return integrate(make_system("aw3"), (0.2, 0.99, 1.0), IntegratorConfig(max_time=2.0), cone_events("aw3"))
+
+    def test_window_exit_reported_first(self, monkeypatch):
+        # from (0.2, 0.99, 1) the ratio x/s crosses 1 before the boundary,
+        # and cone_exit's run ends there
+        runs, original = [], flow.integrate
+        monkeypatch.setattr(flow, "integrate", lambda *args: runs.append(original(*args)) or runs[-1])
+        with pytest.raises(NoExitWithinHorizon, match="certified window"):
+            cone_exit("aw3", (0.2, 0.99, 1.0), IntegratorConfig(max_time=2.0))
+        (run,), monitored = runs, self._monitored()
+        root = monitored.first_event("window_exit").time
+        assert run.status == "event" and [(ev.name, ev.time) for ev in run.events] == [("window_exit", root)]
+        assert run.final_time == root
+        # the monitored run goes on to the boundary root
+        assert run.stats["n_steps"] < monitored.stats["n_steps"] == 58
 
     def test_window_root_before_the_horizon_is_a_window_exit(self):
         # the boundary root lies past the horizon of 0.05; the last bits of
@@ -424,18 +433,6 @@ class TestConeExit:
         with pytest.raises(NoExitWithinHorizon, match="certified window") as info:
             cone_exit("aw3", (0.2, 0.99, 1.0), IntegratorConfig(max_time=0.05))
         assert f"left the certified window at l = {root!r} before the boundary crossing" == str(info.value)
-
-    def test_window_root_ends_the_run(self, monkeypatch):
-        runs, original = [], flow.integrate
-        monkeypatch.setattr(flow, "integrate", lambda *args: runs.append(original(*args)) or runs[-1])
-        with pytest.raises(NoExitWithinHorizon, match="certified window"):
-            cone_exit("aw3", (0.2, 0.99, 1.0), IntegratorConfig(max_time=2.0))
-        (run,), monitored = runs, self._monitored()
-        root = monitored.first_event("window_exit").time
-        assert run.status == "event" and [(ev.name, ev.time) for ev in run.events] == [("window_exit", root)]
-        assert run.final_time == root
-        # the monitored run goes on to the boundary root
-        assert run.stats["n_steps"] < monitored.stats["n_steps"] == 58
 
     def test_window_event_stays_a_monitor(self, monkeypatch):
         # cone_exit's terminal copy calls the function that window_event gave,
