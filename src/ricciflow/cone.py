@@ -49,10 +49,6 @@ from .spaces import xi_value
 __all__ = [
     "ConeClass",
     "ConeVerdict",
-    "sigma",
-    "is_round_diagonal",
-    "in_omega_sigma",
-    "in_d_sigma",
     "a_tilde",
     "t_a",
     "t_a_closed",
@@ -143,6 +139,7 @@ def _on_floats(kernel):
 
 
 def _sigma(s0: float, s1: float, s2: float) -> float:
+    """sigma(s) of the module docstring, correctly rounded where its terms nearly cancel."""
     value = 2 * s1 * s2 + 2 * s0 * s2 + 2 * s0 * s1 - s0 * s0 - s1 * s1 - s2 * s2
     # The terms' magnitudes sum to (s0 + s1 + s2)^2; near sigma = 0 they
     # cancel, so there a float value is computed exactly, in integers over
@@ -157,28 +154,9 @@ def _sigma(s0: float, s1: float, s2: float) -> float:
     return value
 
 
-def sigma(s) -> float:
-    """Quadratic sigma(s) = 2s1s2 + 2s0s2 + 2s0s1 - s0^2 - s1^2 - s2^2,
-    correctly rounded where its terms nearly cancel; inf where it overflows."""
-    (s0, s1, s2), scale = _scaled(_reals(s, 3))
-    return _rounded(_sigma(s0, s1, s2) * scale * scale)
-
-
 def _is_round(s0: float, s1: float, s2: float) -> bool:
     mean = (s0 + s1 + s2) / 3
     return max(abs(s0 - mean), abs(s1 - mean), abs(s2 - mean)) <= ROUND_DIAGONAL_RTOL * mean
-
-
-def is_round_diagonal(s) -> bool:
-    return _is_round(*_scaled(_reals(s, 3))[0])
-
-
-def in_omega_sigma(s) -> bool:
-    return _sigma(*_scaled(_reals(s, 3))[0]) > 0.0
-
-
-def in_d_sigma(s) -> bool:
-    return in_omega_sigma(s) and not is_round_diagonal(s)
 
 
 def a_tilde(s) -> np.ndarray:

@@ -13,16 +13,11 @@ from pathlib import Path
 from .flow import Trajectory
 
 __all__ = [
-    "fmt",
     "write_trajectory_csv",
     "write_events_json",
     "write_region_csv",
     "write_json",
 ]
-
-
-def fmt(value: float) -> str:
-    return f"{value:.17g}"
 
 
 def _open_lf(path):
@@ -32,7 +27,7 @@ def _open_lf(path):
 def write_trajectory_csv(path, traj: Trajectory) -> Path:
     path = Path(path)
     dim = traj.states.shape[1]
-    row = ",".join(["%.17g"] * (dim + 1)) + "\n"   # "%.17g" % v is fmt(v)
+    row = ",".join(["%.17g"] * (dim + 1)) + "\n"
     with _open_lf(path) as fh:
         fh.write("ell," + ",".join(f"comp{i}" for i in range(dim)) + "\n" + "".join(
             [row % (time, *state) for time, state in zip(traj.times.tolist(), traj.states.tolist())]))

@@ -6,19 +6,22 @@ irrational roots of the derivative quintic do not contain the true roots
 -7.489652155... and 2.697788435... (the root values themselves are verified
 by the exact-pair and residual checks); see the verification report notes.
 The module also checks that each package module's `__all__` matches what
-the module defines, and that the package exports exactly the names in the
-`__all__` of its library modules.
+the module defines, that the package exports exactly the names in the
+`__all__` of its library modules, and that the program itself calls every
+name those lists make public.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ricciflow
-from ricciflow import NoExitWithinHorizon, cone, derivatives, errors, flow, spaces, verify
+from ricciflow import NoExitWithinHorizon, cone, derivatives, errors, flow, serialize, spaces, verify
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +89,40 @@ def test_package_namespace_is_the_union_of_the_library_all_lists():
     exported = {name for name, value in vars(ricciflow).items()
                 if not name.startswith("_") and not inspect.ismodule(value)}
     assert exported == {name for mod in (spaces, cone, flow, derivatives, errors) for name in mod.__all__}
-    assert len(exported) == 58
+    assert len(exported) == 54
+
+
+def _named(paths) -> set[str]:
+    """Every name the code in `paths` names, as a load-context Name, an Attribute or an
+    equal string constant, outside the top-level statement that defines it."""
+    named = set()
+    for path in paths:
+        for stmt in ast.parse(Path(path).read_text(encoding="utf-8")).body:
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                continue
+            defined = {getattr(stmt, "name", None), *(t.id for t in targets if isinstance(t, ast.Name))}
+            named |= set(_names_in(stmt)) - defined
+    return named
+
+
+def _names_in(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_public_name_has_a_caller_in_the_program():
+    # the package and the benchmark, not the tests: the bench tracer and flow.SYSTEMS name functions by string
+    root = Path(__file__).resolve().parent.parent
+    named = _named([*sorted((root / "src" / "ricciflow").glob("*.py")), *sorted((root / "bench").glob("*.py"))])
+    modules = (spaces, cone, flow, derivatives, errors, serialize, verify)
+    unused = [f"{mod.__name__}.{name}" for mod in modules for name in mod.__all__ if name not in named]
+    assert not unused, f"public names without a caller in the program: {unused}"
 
 
 @pytest.mark.parametrize("name", [result.name for result in verify.run_all()])

@@ -1,4 +1,4 @@
-"""Positivity cone: sigma, the A~ system, t_A paths, and the classifiers."""
+"""Positivity cone: the sigma kernel, the A~ system, t_A paths, and the classifiers."""
 
 import collections
 import math
@@ -23,13 +23,11 @@ from ricciflow import (
     classify_aw_slice,
     classify_berger,
     normalized_region,
-    sigma,
     t_a,
     t_a_closed,
 )
 from ricciflow import cone
 from ricciflow.verify import _TA_GRID
-from ricciflow.cone import in_d_sigma, in_omega_sigma
 from homogeneous import v_vector
 
 triple = st.tuples(*[st.floats(min_value=0.3, max_value=2.0)] * 3)
@@ -95,12 +93,22 @@ def random_d_sigma(rng, ratio, count):
     points = []
     while len(points) < count:
         s = tuple(float(c) for c in np.exp(rng.uniform(0.0, math.log(ratio), 3)))
-        if max(s) / min(s) <= ratio and sigma(s) > 0.0:
+        if max(s) / min(s) <= ratio and cone._sigma(*s) > 0.0:
             points.append(s)
     return points
 
 
+def a_tilde_accepts(s):
+    """Whether `a_tilde` takes s as a point of D_sigma: it warns outside."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        a_tilde(s)
+    return not any("outside D_sigma" in str(w.message) for w in caught)
+
+
 class TestSigma:
+    """The kernel `_sigma`, and D_sigma as `a_tilde` and `t_a` decide it."""
+
     @pytest.mark.parametrize("s,value", [
         ((1, 1, 1), 3.0),
         ((1, 1, 3), 3.0),
@@ -108,27 +116,34 @@ class TestSigma:
         ((1, 1, 5), -5.0),
     ])
     def test_values(self, s, value):
-        assert sigma(s) == value
+        assert cone._sigma(*map(float, s)) == value
 
     def test_symmetric(self):
         # symmetric polynomial; evaluation order differs by at most an ulp
-        assert sigma((0.7, 1.1, 1.9)) == pytest.approx(sigma((1.9, 0.7, 1.1)), rel=1e-15)
+        assert cone._sigma(0.7, 1.1, 1.9) == pytest.approx(cone._sigma(1.9, 0.7, 1.1), rel=1e-15)
 
     def test_membership_flags(self):
-        assert in_omega_sigma((1, 1, 3))
-        assert in_d_sigma((1, 1, 3))
-        assert not in_omega_sigma((1, 1, 4))  # sigma = 0 is excluded
-        assert not in_omega_sigma((1, 1, 5))
-        assert in_omega_sigma((1, 1, 1))
-        assert not in_d_sigma((1, 1, 1))  # round diagonal excluded
+        assert a_tilde_accepts((1, 1, 3))
+        assert not a_tilde_accepts((1, 1, 4))  # sigma = 0 is excluded
+        assert not a_tilde_accepts((1, 1, 5))
+        # sigma > 0 on the round diagonal, which is excluded: there t_a is 0 by convention
+        assert cone._sigma(1.0, 1.0, 1.0) > 0.0 and cone._is_round(1.0, 1.0, 1.0)
+        assert not a_tilde_accepts((1, 1, 1)) and t_a((1, 1, 1), 1.0) == 0.0
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            sigma((1.0, 0.0, 1.0))
+        for fn in (a_tilde, lambda s: t_a(s, 1.0)):
+            with pytest.raises(ValueError):
+                fn((1.0, 0.0, 1.0))
 
     def test_overflow_gives_inf(self):
-        # sigma is about 3.8e320 there: its value overflows, membership does not
-        assert sigma(EXTREME) == math.inf
+        # an exact value beyond the float range rounds to +-inf
+        huge = Fraction(10) ** 400
+        assert cone._rounded(huge) == math.inf and cone._rounded(-huge) == -math.inf
+        # a_tilde reaches it at a spread >= 2^1022, which it evaluates in Fraction:
+        # 4/s0 and -1/s0 + ... overflow there
+        assert a_tilde_accepts((5e-324, 1.0, 1.0)) and a_tilde((5e-324, 1.0, 1.0))[0, 0] == math.inf
+        with pytest.warns(RuntimeWarning, match="outside D_sigma"):
+            assert a_tilde((5e-324, 1.0, 2.0))[0, 1] == -math.inf
 
     @pytest.mark.parametrize("s", [EXTREME, (1e308, 1.2e308, 1.7e308), (1e-200, 1.2e-200, 1.2e-200),
                                    *SPREAD])
@@ -136,16 +151,18 @@ class TestSigma:
         with mpmath.workdps(50 + spread_digits(s)):
             s0, s1, s2 = (mpmath.mpf(c) for c in s)
             exact = 2 * s1 * s2 + 2 * s0 * s2 + 2 * s0 * s1 - s0 * s0 - s1 * s1 - s2 * s2
-        assert in_omega_sigma(s) == in_d_sigma(s) == (exact > 0)
-        assert sigma(s) == float(exact)  # +-inf where it overflows
-        assert not in_d_sigma((s[0], s[0], s[0]))
+        scaled, scale = cone._scaled(list(s))
+        assert (cone._sigma(*scaled) > 0) == a_tilde_accepts(s) == (exact > 0)
+        # exact Fractions where a scaled component would be subnormal
+        assert isinstance(scale, int) == (max(s) / min(s) >= 2.0 ** 1022) == isinstance(scaled[0], Fraction)
+        assert not a_tilde_accepts((s[0], s[0], s[0]))
 
     @pytest.mark.parametrize("s", NEAR_SIGMA_ZERO)
     def test_correctly_rounded_near_zero(self, s):
         with mpmath.workdps(50):
             s0, s1, s2 = (mpmath.mpf(c) for c in s)
             exact = 2 * s1 * s2 + 2 * s0 * s2 + 2 * s0 * s1 - s0 * s0 - s1 * s1 - s2 * s2
-        assert sigma(s) == float(exact)
+        assert cone._sigma(*s) == float(exact)
 
 
 class TestATilde:
@@ -186,11 +203,11 @@ class TestATilde:
 
 
 def test_sigma_and_a_tilde_scaling_changes_no_bits():
-    # sigma and A~ are evaluated on s brought to a fixed binade; in the
-    # normal range that gives the bits of the same formulas on s itself
+    # sigma and A~ are evaluated on s brought to a fixed binade; inside
+    # [2^-64, 2^64) that is s itself, with the bits of the formulas on s
     rng = np.random.default_rng(5)
     for s in random_d_sigma(rng, 100.0, 300):
-        assert sigma(s) == cone._sigma(*s), s
+        assert cone._scaled(s) == ([*s], 1.0), s
         assert np.array_equal(a_tilde(s), np.array(mp_a_tilde(*s, sig=cone._sigma(*s)))), s
 
 
@@ -232,8 +249,7 @@ def test_the_scale_rule_moves_no_bit_across_the_unscaled_band(k):
     for s in random_d_sigma(rng, 8.0, 100):
         t, (x, s1, s2) = 0.9 * t_a(s, 0.7), sorted(s)
         scaled = [math.ldexp(c, k) for c in (t, x, s1, s2)]
-        if abs(k) < 500:  # sigma overflows beyond
-            assert sigma(scaled[1:]) == math.ldexp(sigma((x, s1, s2)), 2 * k), (s, k)
+        assert np.array_equal(a_tilde(scaled[1:]), np.ldexp(a_tilde((x, s1, s2)), -k)), (s, k)
         assert t_a(scaled[1:], 0.7) == math.ldexp(t_a((x, s1, s2), 0.7), k), (s, k)
         for classify, args in ((classify_2param, (0, 3)), (classify_berger, (0, 3)), (classify_3param, (0, 1, 3))):
             margin = classify(*(scaled[i] for i in args)).margin
@@ -278,7 +294,7 @@ class TestTA:
     @given(s=triple, xi=st.floats(min_value=0.1, max_value=1.0))
     def test_scale_equivariance(self, s, xi):
         arr = np.asarray(s)
-        if sigma(arr) <= 0.05 or np.max(np.abs(arr - arr.mean())) < 1e-3:
+        if cone._sigma(*arr) <= 0.05 or np.max(np.abs(arr - arr.mean())) < 1e-3:
             return
         base = t_a(arr, xi)
         for lam in (0.5, 2.0, 10.0):
@@ -338,7 +354,7 @@ class TestTA:
 
     @pytest.mark.parametrize("s", NEAR_SIGMA_ZERO)
     def test_near_sigma_zero_edge(self, s):
-        assert 0.0 < sigma(s) < 1e-2 * sum(s) ** 2
+        assert 0.0 < cone._sigma(*s) < 1e-2 * sum(s) ** 2
         for xi in (1.0, 0.5, 0.1):
             assert oracle_error(s, xi) <= 1e-13, (s, xi)
 
@@ -544,7 +560,7 @@ class TestRowwise:
     def test_seeded_omega_sigma(self):
         rng = np.random.default_rng(14)
         stack = np.exp(rng.uniform(math.log(0.3), math.log(3.0), (27000, 3)))
-        stack = stack[[sigma(s) > 0.0 for s in stack.tolist()]]
+        stack = stack[[cone._sigma(*s) > 0.0 for s in stack.tolist()]]
         assert len(stack) >= 20000
         for xi, part in zip((0.3, 0.7, 1.0), np.array_split(stack, 3)):
             assert_rows_match(part, xi)
@@ -560,7 +576,7 @@ class TestRowwise:
         rtol = cone.ROUND_DIAGONAL_RTOL
         stack = [(c * (1.0 + k * rtol / 8 * d0), c * (1.0 + k * rtol / 8 * d1), c)
                  for c in (1.0, 1.9999, 3.7e-5) for k in range(0, 40) for d0, d1 in ((1.0, -1.0), (0.3, 0.8))]
-        round_rows = [cone.is_round_diagonal(s) for s in stack]
+        round_rows = [cone._is_round(*s) for s in stack]
         assert any(round_rows) and not all(round_rows)
         for xi in (1.0, 0.6):
             assert_rows_match(stack, xi)
@@ -589,7 +605,7 @@ def test_t_a_stays_within_its_ulp_bound():
     points = []
     while len(points) < 1500:
         s = tuple(rng.uniform(0.3, 3.0, 3).tolist())
-        if sigma(s) > 0.0:
+        if cone._sigma(*s) > 0.0:
             points.append((s, float(rng.uniform(0.05, 1.0))))
     points += [((float(rng.uniform(0.8, 1.0)), *(1.0 + rng.uniform(-1e-3, 1e-3, 2)).tolist()),
                 float(rng.uniform(0.5, 1.0))) for _ in range(200)]

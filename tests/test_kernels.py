@@ -139,9 +139,12 @@ def test_t_a_matches_numpy_scalars(monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 0.0, -1.0])
-@pytest.mark.parametrize("fn", [lambda s: cone.t_a(s, 1.0), cone.sigma, cone.is_round_diagonal],
+@pytest.mark.parametrize("fn", [lambda s: cone.t_a(s, 1.0),
+                                lambda s: cone._sigma(*cone._scaled(cone._reals(s, 3))[0]),
+                                lambda s: cone._is_round(*cone._scaled(cone._reals(s, 3))[0])],
                          ids=["t_a", "sigma", "is_round_diagonal"])
 def test_scale_factors_must_be_positive_and_finite(fn, bad):
+    # t_a, and the kernels `sigma` and `is_round` as `a_tilde` and `t_a` hand them s: guarded, then scaled
     for s in [(1.0, 1.0, bad), (bad, 0.9, 1.0), np.array([1.0, bad, 1.2])]:
         with pytest.raises(ValueError, match="positive and finite"):
             fn(s)

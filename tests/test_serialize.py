@@ -5,7 +5,7 @@ import json
 import numpy as np
 
 from ricciflow.flow import FlowEvent, Trajectory
-from ricciflow.serialize import fmt, write_events_json, write_region_csv, write_trajectory_csv
+from ricciflow.serialize import write_events_json, write_region_csv, write_trajectory_csv
 
 
 def sample_trajectory():
@@ -15,9 +15,11 @@ def sample_trajectory():
     return Trajectory(times, states, events, "event")
 
 
-def test_fmt_round_trips():
-    for value in (1.0 / 3.0, 0.1 + 0.2, 0.93, 1e-12, 12345.678901234567):
-        assert float(fmt(value)) == value
+def test_fmt_round_trips(tmp_path):
+    # the writers' float format, %.17g, reads back as the same float
+    values = [1.0 / 3.0, 0.1 + 0.2, 0.93, 1e-12, 12345.678901234567]
+    raw = write_region_csv(tmp_path / "r.csv", [(v, v, "G") for v in values]).read_text()
+    assert [float(line.split(",")[0]) for line in raw.splitlines()[1:]] == values
 
 
 def test_trajectory_csv(tmp_path):
