@@ -50,6 +50,17 @@ def _norm(x) -> float:
     return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
+def _values(f, n: int):
+    """f, a right-hand side's value, if it holds n values, one per component, else ValueError:
+    the stage stacks would broadcast one value, or a scalar, over every component."""
+    try:
+        if len(f) == n:
+            return f
+    except TypeError:   # a scalar
+        pass
+    raise ValueError(f"the right-hand side must give {n} values, one per component, got {f!r}")
+
+
 def _initial_step(fun, y0, f0, t_bound, direction, rtol, atol, max_step) -> float:
     """First step size from the local error of an Euler step (HNW II.4), order 4."""
     span = abs(t_bound)
@@ -129,13 +140,7 @@ def _run(fun, y0: list, t_bound: float, rtol: float, atol: float, max_step: floa
     attempt's (7, n) stages, and returns the run as `solve` documents it."""
     direction = 1.0 if t_bound > 0 else -1.0
     n_steps = n_rejected = 0
-    t, y, f = 0.0, y0, fun(y0)
-    try:
-        width = len(f)
-    except TypeError:   # a scalar, which the stage stacks would broadcast as they would 1 value
-        width = None
-    if width != len(y0):
-        raise ValueError(f"the right-hand side must give {len(y0)} values, one per component, got {f!r}")
+    t, y, f = 0.0, y0, _values(fun(y0), len(y0))
     h_abs = _initial_step(fun, y, f, t_bound, direction, rtol, atol, max_step)
     ts, ys = [t], [y]
     g = [float(ev(t, y)) for ev, _, _ in events]
@@ -213,7 +218,8 @@ def solve(fun, y0: list, t_bound: float, rtol: float, atol: float,
     """
     rtol = _checked_rtol(rtol)
     run = _run(fun, y0, t_bound, rtol, atol, max_step, events)
-    K = np.empty((7, len(y0)))
+    n = len(y0)
+    K = np.empty((7, n))
     stages = [(K[:s].T, a) for s, a in enumerate(A_ROWS, start=1)]
     K_B, K_T = K[:-1].T, K.T
     try:
@@ -221,9 +227,9 @@ def solve(fun, y0: list, t_bound: float, rtol: float, atol: float,
         while True:
             K[0] = f
             for s, (Ks, a) in enumerate(stages, start=1):
-                K[s] = fun([yi + di * h for yi, di in zip(y, Ks.dot(a).tolist())])
+                K[s] = _values(fun([yi + di * h for yi, di in zip(y, Ks.dot(a).tolist())]), n)
             y_new = [yi + h * bi for yi, bi in zip(y, K_B.dot(B).tolist())]
-            K[-1] = f_new = fun(y_new)
+            K[-1] = f_new = _values(fun(y_new), n)
             # with y_new first, max() propagates its NaN as np.maximum does
             error_norm = _norm([ei * h / (atol + max(abs(yn), abs(yo)) * rtol)
                                 for ei, yn, yo in zip(K_T.dot(E).tolist(), y_new, y)])
@@ -263,6 +269,11 @@ def solve_rows(fun, y0s: list, t_bound: float, rtol: float, atol: float,
         """The (N, n) array of N states of n floats, through one flat np.fromiter."""
         return np.fromiter(chain.from_iterable(states), float, N * n).reshape(N, n)
 
+    def rhs(states):
+        """`fun` at each state, each value checked as `solve` checks it: fromiter reads
+        N * n values, so one of another length would shift the rows after it."""
+        return [_values(fun(y), n) for y in states]
+
     while rows := [row for row in rows if row is not None]:
         if len(rows) != N:   # the stacks of N live rows, built again only when a row leaves
             N = len(rows)
@@ -273,14 +284,13 @@ def solve_rows(fun, y0s: list, t_bound: float, rtol: float, atol: float,
             # _run uses its row's view only inside the send (sol closes over Q = K.T.dot(P), not K)
             K_rows = list(K)
         ys, fs, hs = zip(*(step for _, _, step in rows))
-        # `_run` checked each row's first f for the state's length, as in `solve`
         Y[:], K[:, 0], H[:, 0] = stack(ys), fs, hs
         for K_s, K_prev, a in stages:
             np.add(Y, np.multiply(np.matmul(K_prev, a, out=D), H, out=D), out=D)
-            K_s[:] = stack(map(fun, D.tolist()))
+            K_s[:] = stack(rhs(D.tolist()))
         np.add(Y, np.multiply(H, np.matmul(K_B, B, out=Y_new), out=Y_new), out=Y_new)
         y_new = Y_new.tolist()
-        K[:, -1] = stack(f_new := list(map(fun, y_new)))
+        K[:, -1] = stack(f_new := rhs(y_new))
         # the norm's terms E.K * H / (atol + max(|y_new|, |y|) * rtol); Y and Y_new are spent
         np.maximum(np.abs(Y_new, out=Y_new), np.abs(Y, out=Y), out=Y)
         np.multiply(np.matmul(K_T, E, out=D), H, out=D)

@@ -45,7 +45,7 @@ def _parse_floats(text: str, name: str) -> list[float]:
 def _resolve_xi(args) -> float:
     if args.k is not None and args.xi is not None:
         raise ValueError("--xi and --k are alternatives: give one of them")
-    if args.k:
+    if args.k is not None:
         try:
             k1, k2 = (int(part) for part in args.k.split(","))
         except ValueError as exc:  # also a count other than two
@@ -190,12 +190,13 @@ def cmd_cone_exit(args) -> tuple[int, dict]:
     }
 
 
-def _add_tolerance_flags(parser, horizon_default):
+def _add_tolerance_flags(parser, horizon_default=flow.IntegratorConfig.max_time):
+    """--horizon and the tolerances, each defaulting to `flow.IntegratorConfig`'s."""
     parser.add_argument("--horizon", type=float, default=horizon_default,
                         help="integration horizon (flow time)")
-    parser.add_argument("--rel-tol", type=float, default=1e-10, dest="rel_tol")
-    parser.add_argument("--abs-tol", type=float, default=1e-12, dest="abs_tol")
-    parser.add_argument("--max-step", type=float, default=math.inf, dest="max_step")
+    parser.add_argument("--rel-tol", type=float, default=flow.IntegratorConfig.rel_tol, dest="rel_tol")
+    parser.add_argument("--abs-tol", type=float, default=flow.IntegratorConfig.abs_tol, dest="abs_tol")
+    parser.add_argument("--max-step", type=float, default=flow.IntegratorConfig.max_step, dest="max_step")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -220,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="x0:x1:nx,s0:s1:ns region grid")
     p_port.add_argument("--seeds", default=None, help="file with one 'x,s' seed per line")
     p_port.add_argument("--out", default=".")
-    _add_tolerance_flags(p_port, horizon_default=10.0)
+    _add_tolerance_flags(p_port)
     p_port.set_defaults(func=cmd_portrait)
 
     p_verify = sub.add_parser("verify", help="run the acceptance battery")
@@ -235,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exit.add_argument("--init", required=True)
     p_exit.add_argument("--xi", type=float, default=None)
     p_exit.add_argument("--k", default=None)
-    _add_tolerance_flags(p_exit, horizon_default=10.0)
+    _add_tolerance_flags(p_exit)
     p_exit.set_defaults(func=cmd_cone_exit)
 
     return parser

@@ -7,7 +7,7 @@ import warnings
 import pytest
 
 from ricciflow import NoExitWithinHorizon, flow, verify
-from ricciflow.cli import main
+from ricciflow.cli import build_parser, main
 from ricciflow.cone import normalized_region
 
 
@@ -271,6 +271,21 @@ def test_malformed_k_is_config_error(capsys, k):
     code, out = run_cli(capsys, "cone-exit", "--family", "aw3", "--init", "0.9,0.9,1", "--k", k)
     assert code == 2
     assert out["status"] == "error"
+
+
+@pytest.mark.parametrize("argv", [("flow", "--system", "aw2", "--init", "0.9,1"), ("portrait",),
+                                  ("cone-exit", "--family", "aw2", "--init", "0.99,1")])
+def test_tolerance_defaults_are_the_integrator_config_defaults(argv):
+    args, config = build_parser().parse_args(argv), flow.IntegratorConfig()
+    assert (args.rel_tol, args.abs_tol, args.max_step) == (config.rel_tol, config.abs_tol, config.max_step)
+    assert args.horizon == (1.0 if argv[0] == "flow" else config.max_time)   # flow's own shorter horizon
+
+
+def test_empty_k_is_config_error(capsys):
+    # an empty --k gives no k1,k2: it must not fall back to xi = 1
+    code, out = run_cli(capsys, "cone-exit", "--family", "aw3", "--k", "", "--init", "0.92,0.9,1")
+    assert code == 2
+    assert out["error"] == "--k: expected two integers k1,k2, got ''"
 
 
 @pytest.mark.parametrize("argv", [

@@ -227,8 +227,12 @@ class TestIntegrate:
         assert traj.events[0].time == pytest.approx(0.5, rel=1e-9)
         assert_float64_arrays(traj, 1)
 
-    @pytest.mark.parametrize("rhs", [lambda y: [0.5 * y[0]], lambda y: 0.5 * y[0], lambda y: [0.5 * y[0]] * 3],
-                             ids=["one value", "a scalar", "three values"])
+    @pytest.mark.parametrize("rhs", [
+        lambda y: [0.5 * y[0]], lambda y: 0.5 * y[0], lambda y: [0.5 * y[0]] * 3,
+        # right at the start, wrong once y[0] passes 0.6: found only by the check of every stage value
+        lambda y: [0.5 * y[0], 0.1] if y[0] < 0.6 else [0.5 * y[0]],
+        lambda y: [0.5 * y[0], 0.1] if y[0] < 0.6 else [0.5 * y[0], 0.1, 7.0]],
+        ids=["one value", "a scalar", "three values", "one value later", "three values later"])
     def test_rejects_a_rhs_of_another_length(self, rhs):
         # the stage stacks would broadcast one value or a scalar over both components
         odd = FlowSystem("odd", 2, rhs)

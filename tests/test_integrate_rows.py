@@ -171,3 +171,16 @@ def test_a_rhs_of_another_length_fares_as_in_integrate(width):
             return str(exc)
     assert (outcome(lambda: integrate_rows(odd, inits, BLOWUP_CFG))
             == outcome(lambda: [integrate(odd, init, BLOWUP_CFG) for init in inits]))
+
+
+@pytest.mark.parametrize("late", [lambda y: [0.5 * y[0]], lambda y: 0.5 * y[0], lambda y: [0.5 * y[0], 0.1, 7.0]],
+                         ids=["one value", "a scalar", "three values"])
+def test_a_rhs_that_changes_length_mid_run_raises(late):
+    # only the second of 4 rows passes y[0] = 0.6 by l = 1; the stacks read N * n values,
+    # so a longer value would shift every row after it, and a shorter one would broadcast
+    odd = FlowSystem("odd", 2, lambda y: [0.5 * y[0], 0.1] if y[0] < 0.6 else late(y))
+    inits, cfg = [[0.3, 1.0], [0.55, 1.0], [0.3, 1.0], [0.3, 1.0]], IntegratorConfig(max_time=1.0)
+    with pytest.raises(ValueError, match="the right-hand side must give 2 values"):
+        _rk45.solve_rows(odd.rhs, inits, *flow._solver_args(cfg, []))
+    with pytest.raises(ValueError, match="the right-hand side must give 2 values"):
+        integrate_rows(odd, inits, cfg)
