@@ -272,7 +272,13 @@ def solve_rows(fun, y0s: list, t_bound: float, rtol: float, atol: float,
     def rhs(states):
         """`fun` at each state, each value checked as `solve` checks it: fromiter reads
         N * n values, so one of another length would shift the rows after it."""
-        return [_values(fun(y), n) for y in states]
+        values = list(map(fun, states))
+        try:
+            if list(map(len, values)).count(n) == len(values):
+                return values
+        except TypeError:   # a scalar
+            pass
+        return [_values(f, n) for f in values]   # raises at the first value of another length
 
     while rows := [row for row in rows if row is not None]:
         if len(rows) != N:   # the stacks of N live rows, built again only when a row leaves
