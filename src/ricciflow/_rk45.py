@@ -215,6 +215,7 @@ def solve(fun, y0: list, t_bound: float, rtol: float, atol: float,
     terminal root in time ends the run.  Returns lists, each state a list of
     floats: the step ends `t`, `y` and the roots `t_events`/`y_events` per event;
     `status` (0 at t_bound, 1 terminal event, -1 step-size underflow); `stats`.
+    A value of `fun` without one value per component raises ValueError (`_values`).
     """
     rtol = _checked_rtol(rtol)
     run = _run(fun, y0, t_bound, rtol, atol, max_step, events)
