@@ -67,7 +67,7 @@ def _initial_step(fun, y0, f0, t_bound, direction, rtol, atol, max_step) -> floa
     scale = [atol + abs(yi) * rtol for yi in y0]
     d0, d1 = (_norm([xi / si for xi, si in zip(x, scale)]) for x in (y0, f0))
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-    f1 = fun([yi + h0 * direction * float(fi) for yi, fi in zip(y0, f0)])
+    f1 = _values(fun([yi + h0 * direction * float(fi) for yi, fi in zip(y0, f0)]), len(y0))
     d2 = _norm([(a - b) / si for a, b, si in zip(f1, f0, scale)]) / h0 if h0 else math.inf  # f0 not finite
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)

@@ -8,8 +8,8 @@ stdout: each `cmd_*` returns its exit code and payload, and `main` prints the
 payload under {"status": "ok", "command": ...} (a payload may override the
 status), or the error.  Files use the deterministic formats of `serialize`.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 verification failure.
+Exit codes: 0 success, 2 configuration error (a path that cannot be read
+or written too), 3 numerical failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -247,7 +247,7 @@ def main(argv=None) -> int:
     try:
         code, payload = args.func(args)
         reply = {"status": "ok", "command": args.command, **payload}
-    except ValueError as exc:  # configuration and the library's input errors
+    except (ValueError, OSError) as exc:  # configuration, the library's input errors and unusable paths
         code, reply = EXIT_CONFIG, {"status": "error", "code": EXIT_CONFIG, "error": str(exc)}
     except RicciFlowError as exc:
         code, reply = EXIT_NUMERICAL, {"status": "error", "code": EXIT_NUMERICAL,

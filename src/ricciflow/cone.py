@@ -285,30 +285,29 @@ def _pow(c, k):  # c ** k, per element on an array: NumPy's array `**` need not 
 
 
 def _rowwise(kernel, s, scalar) -> np.ndarray:
-    """`kernel(columns, scale)` on an (N, 3) stack, each row brought into [1, 2) as `_scaled` does
-    outside its band (the same bits), and `scalar(row)` on supersets of the rows where the scalar
-    path branches; rows with max/min >= 2^1022 have sigma <= 4 min max, in `_sigma`'s exact branch."""
+    """`kernel(columns)` on an (N, 3) stack, and `scalar(row)` on the rows outside `_scaled`'s band
+    [2^-64, 2^64), where the scalar path scales, and on supersets of the rows where it branches.
+    Inside the band no intermediate over- or underflows, so the kernel has the scalar bits there."""
     rows = np.asarray(s, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != 3 or not np.all((0.0 < rows) & (rows < math.inf)):
         raise ValueError(f"expected an (N, 3) stack of positive finite reals, got {s!r}")
-    scale = np.ldexp(1.0, np.frexp(rows.max(axis=1))[1] - 1)
-    scaled = rows / scale[:, None]
-    with np.errstate(all="ignore"):  # the rows that take `scalar` may divide by zero
-        out = kernel(scaled.T, scale)
-        fallback = ((np.ptp(scaled, axis=1) <= 8 * ROUND_DIAGONAL_RTOL)  # round: <= 2 RTOL mean < 4 RTOL
-                    | (15 * _sigma(*scaled.T) < np.square(scaled.sum(axis=1))))  # 16 sigma < sum**2
+    with np.errstate(all="ignore"):  # the rows that take `scalar` may overflow or divide by zero
+        out = kernel(rows.T)
+        top = rows.max(axis=1)
+        fallback = ((rows.min(axis=1) < 2.0 ** -64) | (top >= 2.0 ** 64)
+                    | (np.ptp(rows, axis=1) <= 4 * ROUND_DIAGONAL_RTOL * top)  # round: <= 2 RTOL mean
+                    | (15 * _sigma(*rows.T) < np.square(rows.sum(axis=1))))  # 16 sigma < sum**2
     for i in np.flatnonzero(fallback):
         out[i] = scalar(rows[i].tolist())
     return out
 
 
 def _t_a_rows(s, xi) -> np.ndarray:
-    return _rowwise(lambda c, scale: _t_a(*c, xi_value(xi)) * scale, s, lambda row: t_a(row, xi))
+    return _rowwise(lambda c: _t_a(*c, xi_value(xi)), s, lambda row: t_a(row, xi))
 
 
 def _a_tilde_rows(s) -> np.ndarray:
-    return _rowwise(lambda c, scale: (np.array(_a_tilde(*c, _sigma(*c))) / scale).transpose(2, 0, 1).copy(),
-                    s, a_tilde)
+    return _rowwise(lambda c: np.array(_a_tilde(*c, _sigma(*c))).transpose(2, 0, 1).copy(), s, a_tilde)
 
 
 class ConeClass(enum.Enum):

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -137,10 +136,10 @@ def _check_gradient_oracle():
     h = 1e-6
     # t_A at each anchor s, then at s + h e_i and s - h e_i; the t +- h differences reuse t_A(s)
     offsets = np.vstack([np.zeros(3), h * np.eye(3), -h * np.eye(3)])
+    anchors = np.array([derivatives.gradient_anchor(x) for x in _GRAD_X])
+    t0 = anchors[:, :1]
     worst_fd = worst_asm = 0.0
     for xi in _GRAD_XI:
-        anchors = np.array([derivatives.gradient_anchor(x) for x in _GRAD_X])
-        t0 = anchors[:, :1]
         t_a = cone._t_a_rows((anchors[:, None, 1:] + offsets).reshape(-1, 3), xi).reshape(len(_GRAD_X), 7)
         f_s = t_a / t0
         fd = np.hstack([t_a[:, :1] / (t0 + h) - t_a[:, :1] / (t0 - h), f_s[:, 1:4] - f_s[:, 4:]]) / (2.0 * h)
@@ -295,14 +294,8 @@ def _check_eigenvalue_oracle():
                    "100 metrics in U(0.5, 2)^4 per (k1, k2) pair, seeded")]
 
 
-@lru_cache(maxsize=1)
-def _run_all_cached() -> tuple[CheckResult, ...]:
-    # the battery is every `_check_*` group of this module, in definition order
-    return tuple(result for name, group in list(globals().items()) if name.startswith("_check_")
-                 for result in group())
-
-
 def run_all() -> list[CheckResult]:
-    """Evaluate the full battery (cached within the process); the names of
-    its results are the registry of checks."""
-    return list(_run_all_cached())
+    """Evaluate the full battery, every `_check_*` group of this module in definition
+    order, afresh on each call; the names of its results are the registry of checks."""
+    return [result for name, group in list(globals().items()) if name.startswith("_check_")
+            for result in group()]

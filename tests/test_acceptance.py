@@ -39,12 +39,7 @@ def test_registry_is_every_check_group_in_definition_order(monkeypatch):
     assert len(groups) == 12 and groups[0] == "_check_two_param_derivative"
     extra = verify.CheckResult("extra_check", True, 0.0, 1.0)
     monkeypatch.setattr(verify, "_check_zz_extra", lambda: [extra], raising=False)
-    verify._run_all_cached.cache_clear()
-    try:
-        rows = verify.run_all()
-    finally:
-        monkeypatch.undo()
-        verify._run_all_cached.cache_clear()
+    rows = verify.run_all()
     assert len(rows) == 31 and rows[-1] is extra
 
 

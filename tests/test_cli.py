@@ -289,6 +289,19 @@ def test_empty_k_is_config_error(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("portrait", "--seeds", "{tmp}/missing.txt", "--out", "{tmp}/out"),
+    ("verify", "--out", "{tmp}/file"),
+    ("flow", "--system", "aw2", "--init", "0.9,1", "--out", "{tmp}/file/x"),
+], ids=["missing seeds file", "out is a file", "out under a file"])
+def test_unusable_path_is_config_error(tmp_path, capsys, argv):
+    # an OSError ends in the usual JSON error reply, not a traceback
+    (tmp_path / "file").write_text("")
+    code, out = run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert code == 2
+    assert out["status"] == "error" and out["code"] == 2 and str(tmp_path) in out["error"]
+
+
+@pytest.mark.parametrize("argv", [
     ("flow", "--system", "normalized", "--init", "1,1", "--horizon", "inf"),
     ("portrait", "--horizon", "inf"),
     ("flow", "--system", "normalized", "--init", "1,1", "--max-step", "0"),
@@ -387,11 +400,7 @@ class TestVerifyCommand:
             raise NoExitWithinHorizon("stubbed")
 
         monkeypatch.setattr(flow, "cone_exit", no_exit)
-        verify._run_all_cached.cache_clear()
-        try:
-            code, _ = run_cli(capsys, "verify", "--out", str(tmp_path))
-        finally:
-            verify._run_all_cached.cache_clear()
+        code, _ = run_cli(capsys, "verify", "--out", str(tmp_path))
         assert code == 4
 
         def reject(token):

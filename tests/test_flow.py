@@ -148,6 +148,16 @@ class TestIntegrate:
         after = traj.states[traj.times > 0]
         assert np.all(after[:, 0] > after[:, 1])
 
+    def test_nonpositive_sample_raises(self):
+        # from below the collapse floor, min(y) - COLLAPSE_FLOOR never falls through zero,
+        # so the run steps past y = 0; from above, it ends "singular" at the floor
+        falling = FlowSystem("custom", 1, lambda y: (-1.0,))
+        with pytest.raises(NonPositiveState, match="nonpositive state sample"):
+            integrate(falling, (1e-13,), IntegratorConfig(max_time=1e-3))
+        traj = integrate(falling, (1.0,), IntegratorConfig(max_time=2.0))
+        assert traj.status == "singular" and traj.first_event("singular") is not None
+        assert traj.final_state[0] == pytest.approx(flow.COLLAPSE_FLOOR, rel=1e-3)
+
     def test_step_size_underflow_keeps_the_partial_trajectory(self):
         # y' = y^2 from y(0) = 1 blows up at l = 1
         calls = []
@@ -240,6 +250,21 @@ class TestIntegrate:
             integrate(odd, [0.5, 1.0])
         with pytest.raises(ValueError, match="the right-hand side must give 2 values"):
             flow.integrate_rows(odd, [[0.5 + 0.1 * i, 1.0] for i in range(6)])
+
+    @pytest.mark.parametrize("wrong", [lambda y: [0.5 * y[0]], lambda y: 0.5 * y[0]], ids=["one value", "a scalar"])
+    def test_rejects_a_rhs_of_another_length_at_the_initial_step_probe(self, wrong):
+        # the probe is the call right after the call at a start; a wrong value there alone
+        # used to run to the horizon (one value) or raise TypeError (a scalar)
+        starts, last = [[0.5 + 0.1 * i, 1.0] for i in range(6)], [None]
+
+        def rhs(y):
+            probe, last[0] = last[0] in starts, y
+            return wrong(y) if probe else [0.5 * y[0], 0.1]
+        odd = FlowSystem("odd", 2, rhs)
+        with pytest.raises(ValueError, match="the right-hand side must give 2 values"):
+            integrate(odd, starts[0])
+        with pytest.raises(ValueError, match="the right-hand side must give 2 values"):
+            flow.integrate_rows(odd, starts)
 
     def test_custom_event_recorded(self):
         crossed = EventSpec("t_below_08", lambda _l, y: y[0] - 0.8, terminal=False)

@@ -184,3 +184,19 @@ def test_a_rhs_that_changes_length_mid_run_raises(late):
         _rk45.solve_rows(odd.rhs, inits, *flow._solver_args(cfg, []))
     with pytest.raises(ValueError, match="the right-hand side must give 2 values"):
         integrate_rows(odd, inits, cfg)
+
+
+@pytest.mark.parametrize("wrong", [lambda y: [0.5 * y[0]], lambda y: 0.5 * y[0]], ids=["one value", "a scalar"])
+def test_a_rhs_of_another_length_at_the_initial_step_probe_raises(wrong):
+    # the probe is the call right after a row's call at its start, in the batch
+    # and in the per-row rerun alike; it used to run to the horizon or raise TypeError
+    inits, last = [[0.3, 1.0], [0.55, 1.0], [0.4, 1.0], [0.5, 1.0]], [None]
+
+    def rhs(y):
+        probe, last[0] = last[0] in inits, y
+        return wrong(y) if probe else [0.5 * y[0], 0.1]
+    cfg = IntegratorConfig(max_time=1.0)
+    with pytest.raises(ValueError, match="the right-hand side must give 2 values"):
+        _rk45.solve_rows(rhs, inits, *flow._solver_args(cfg, []))
+    with pytest.raises(ValueError, match="the right-hand side must give 2 values"):
+        integrate_rows(FlowSystem("odd", 2, rhs), inits, cfg)

@@ -13,7 +13,8 @@ output's "rows": median, inclusive quartiles q1 and q3, IQR, n, every run, the
 seeds and the host line the benchmark printed; one record per call is appended
 to its "pairs": the pairs the change won on each metric, ties counting for
 neither side, the median ratio of ops_per_s, and the failed operations of every
-run.  A pair whose run fails its correctness check stops the script.  Uses the
+run.  The output is read first, so a missing or malformed file stops the script
+before any run, as does a pair whose run fails its correctness check.  Uses the
 standard library only.
 """
 
@@ -79,6 +80,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
 
+    out = json.loads(args.out.read_text(encoding="utf-8"))   # a bad --out fails before any run
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
     metrics = spec["end_to_end"]
@@ -97,7 +99,6 @@ def main(argv=None) -> int:
             f"{side} {results[side][-1]['metrics']['ops_per_s']['value']:.4f}" for side in results),
             flush=True)
 
-    out = json.loads(args.out.read_text(encoding="utf-8"))
     record = {"parent": shas["parent"], "change": shas["change"], "workload": args.workload,
               "seconds": seconds, "seeds": args.seeds,
               "order": "pair i runs the parent first for even i and the change first for odd i",
