@@ -8,7 +8,9 @@ the norm's x.dot(x), K^T P, Q (x, .., x^4)) run in numpy, on solve_ivp's operand
 OpenBLAS sums them with fused multiply-adds in its own order; the state is a list of Python
 floats, on which the elementwise work rounds as in numpy but costs less.  Event signs are
 tested at step ends; a sign change is refined by Brent's method on that step's interpolant,
-only built on such steps.  The control and the records of one run are the coroutine `_run`,
+only built on such steps.  The stepper tests the collapse floor, min(y) - floor, itself: a
+terminal root in either direction, refined first and recorded as event 0; the caller's events
+go through their list, which a run without them skips.  One run is the coroutine `_run`,
 which yields each step attempt; `solve` evaluates the attempts of one state and `solve_rows`
 those of a stack of them, each row bit for bit its own `solve`.  Both return lists of floats.
 """
@@ -133,7 +135,8 @@ def _checked_rtol(rtol: float) -> float:
     return max(rtol, 100 * EPS)
 
 
-def _run(fun, y0: list, t_bound: float, rtol: float, atol: float, max_step: float, events):
+def _run(fun, y0: list, t_bound: float, rtol: float, atol: float, max_step: float, floor: float,
+         events):
     """One integration as a coroutine, on Python floats: the step-size control of
     HNW II.4, the accepted steps and the event roots.  It yields each step attempt
     (y, f, h), f = fun(y), is sent (error_norm, y_new, f_new, K) for it, K the
@@ -143,8 +146,8 @@ def _run(fun, y0: list, t_bound: float, rtol: float, atol: float, max_step: floa
     t, y, f = 0.0, y0, _values(fun(y0), len(y0))
     h_abs = _initial_step(fun, y, f, t_bound, direction, rtol, atol, max_step)
     ts, ys = [t], [y]
-    g = [float(ev(t, y)) for ev, _, _ in events]
-    t_events, y_events = [[] for _ in events], [[] for _ in events]
+    low, g, active = min(y) - floor, [float(ev(t, y)) for ev, _, _ in events], []
+    t_events, y_events = [[], *[[] for _ in events]], [[], *[[] for _ in events]]
     status = None
     while status is None:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
@@ -168,14 +171,17 @@ def _run(fun, y0: list, t_bound: float, rtol: float, atol: float, max_step: floa
             status = -1
             break
         n_steps += 1
-        t_old, y_old, g_old = t, y, g
+        t_old, y_old, g_old, low_old = t, y, g, low
         t, y, f = t_new, y_new, f_new
         if direction * (t - t_bound) >= 0:
             status = 0
-        g = [float(ev(t, y)) for ev, _, _ in events]
-        active = [i for i, (_, _, d) in enumerate(events)
-                  if (g_old[i] <= 0 <= g[i] and d >= 0) or (g_old[i] >= 0 >= g[i] and d <= 0)]
-        if active:
+        low = min(y) - floor
+        collapsed = low_old <= 0 <= low or low_old >= 0 >= low
+        if events:
+            g = [float(ev(t, y)) for ev, _, _ in events]
+            active = [i for i, (_, _, d) in enumerate(events)
+                      if (g_old[i] <= 0 <= g[i] and d >= 0) or (g_old[i] >= 0 >= g[i] and d <= 0)]
+        if collapsed or active:
             Q, dt = K.T.dot(P), t - t_old
 
             def sol(tt):
@@ -184,19 +190,20 @@ def _run(fun, y0: list, t_bound: float, rtol: float, atol: float, max_step: floa
                 x3 = x2 * x   # x2 * x and x3 * x round as x * x * x and x * x * x * x
                 return [dt * qi + yi for qi, yi in zip(Q.dot((x, x2, x3, x3 * x)).tolist(), y_old)]
 
-            # sol(t_old) is y_old, so g_old[i] is the event's value at the left end
-            hits = [(i, brentq(lambda tt, ev=events[i][0]: ev(tt, sol(tt)), t_old, t, fa=g_old[i]))
-                    for i in active]
-            if any(events[i][1] for i in active):
+            # sol(t_old) is y_old, so low_old and g_old[i] are the values at the left end
+            hits = [(-1, brentq(lambda tt: min(sol(tt)) - floor, t_old, t, fa=low_old))] if collapsed else []
+            hits += [(i, brentq(lambda tt, ev=events[i][0]: ev(tt, sol(tt)), t_old, t, fa=g_old[i]))
+                     for i in active]
+            if collapsed or any(events[i][1] for i in active):
                 hits.sort(key=lambda hit: direction * hit[1])
-                hits = hits[:1 + next(k for k, (i, _) in enumerate(hits) if events[i][1])]
+                hits = hits[:1 + next(k for k, (i, _) in enumerate(hits) if i < 0 or events[i][1])]
                 status = 1
                 t = hits[-1][1]
-            for i, te in hits:
-                t_events[i].append(te)
-                y_events[i].append(sol(te))
+            for i, te in hits:   # the floor's hit is -1, so record 0; event i's is record i + 1
+                t_events[i + 1].append(te)
+                y_events[i + 1].append(sol(te))
             if status == 1:
-                y = y_events[hits[-1][0]][-1]
+                y = y_events[hits[-1][0] + 1][-1]
         if not (len(ts) > 1 and ts[-1] == t):   # a terminal root at the last step end
             ts.append(t)
             ys.append(y)
@@ -206,19 +213,20 @@ def _run(fun, y0: list, t_bound: float, rtol: float, atol: float, max_step: floa
 
 
 def solve(fun, y0: list, t_bound: float, rtol: float, atol: float,
-          max_step: float, events) -> dict:
+          max_step: float, floor: float, events) -> dict:
     """Integrate y' = fun(y) from (0, y0) to t_bound, forward or backward.
 
     y0 and every state passed to `fun` and to the events is a list of floats.
     `events` are (g, terminal, direction) triples with g(t, y) a scalar; a root
     is recorded where g changes sign in `direction` (0: either), and the first
-    terminal root in time ends the run.  Returns lists, each state a list of
-    floats: the step ends `t`, `y` and the roots `t_events`/`y_events` per event;
+    terminal root in time ends the run.  `floor` acts as event 0, g = min(y) - floor,
+    terminal, either direction.  Returns lists, each state a list of floats: the
+    step ends `t`, `y` and the roots `t_events`/`y_events` per event, the floor's first;
     `status` (0 at t_bound, 1 terminal event, -1 step-size underflow); `stats`.
     A value of `fun` without one value per component raises ValueError (`_values`).
     """
     rtol = _checked_rtol(rtol)
-    run = _run(fun, y0, t_bound, rtol, atol, max_step, events)
+    run = _run(fun, y0, t_bound, rtol, atol, max_step, floor, events)
     n = len(y0)
     K = np.empty((7, n))
     stages = [(K[:s].T, a) for s, a in enumerate(A_ROWS, start=1)]
@@ -240,7 +248,7 @@ def solve(fun, y0: list, t_bound: float, rtol: float, atol: float,
 
 
 def solve_rows(fun, y0s: list, t_bound: float, rtol: float, atol: float,
-               max_step: float, events) -> list[dict]:
+               max_step: float, floor: float, events) -> list[dict]:
     """`solve` from each state of y0s, every row's result bit for bit that of its own `solve`.
 
     Each iteration, every live row attempts one step with its own h.  The stage, B and E
@@ -249,10 +257,10 @@ def solve_rows(fun, y0s: list, t_bound: float, rtol: float, atol: float,
     `yi + di * h`.  The stacks are built once per count of live rows and computed into in
     place.  `fun`, the events and the row's `_run` run per row.  Below four rows, each goes
     through `solve`, which is then the faster: per row and step attempt the stack took
-    26.3 us at 1 row, 14.7 at 2, 12.9 at 3, 10.7 at 4, 7.9 at 8, 6.8 at 16 and 6.1 at 32,
-    against 11.8 for `solve` (the normalized flow to l = 10 from portrait seeds)."""
+    26.6 us at 1 row, 15.0 at 2, 13.0 at 3, 11.0 at 4, 7.9 at 8, 6.5 at 16 and 5.6 at 32,
+    against 11.7 for `solve` (the normalized flow to l = 10 from portrait seeds)."""
     if len(y0s) < 4:
-        return [solve(fun, y0, t_bound, rtol, atol, max_step, events) for y0 in y0s]
+        return [solve(fun, y0, t_bound, rtol, atol, max_step, floor, events) for y0 in y0s]
     rtol = _checked_rtol(rtol)
     results = [None] * len(y0s)
 
@@ -263,7 +271,8 @@ def solve_rows(fun, y0s: list, t_bound: float, rtol: float, atol: float,
         except StopIteration as end:
             results[i] = end.value
 
-    rows = [attempt(i, _run(fun, y0, t_bound, rtol, atol, max_step, events), None) for i, y0 in enumerate(y0s)]
+    rows = [attempt(i, _run(fun, y0, t_bound, rtol, atol, max_step, floor, events), None)
+            for i, y0 in enumerate(y0s)]
     N, n = 0, len(y0s[0])
 
     def stack(states):
@@ -291,7 +300,7 @@ def solve_rows(fun, y0s: list, t_bound: float, rtol: float, atol: float,
             # _run uses its row's view only inside the send (sol closes over Q = K.T.dot(P), not K)
             K_rows = list(K)
         ys, fs, hs = zip(*(step for _, _, step in rows))
-        Y[:], K[:, 0], H[:, 0] = stack(ys), fs, hs
+        Y[:], K[:, 0], H[:, 0] = stack(ys), stack(fs), hs
         for K_s, K_prev, a in stages:
             np.add(Y, np.multiply(np.matmul(K_prev, a, out=D), H, out=D), out=D)
             K_s[:] = stack(rhs(D.tolist()))

@@ -132,7 +132,7 @@ def _on_floats(kernel):
     def f(state, *args):
         state = state if type(state) is list else np.asarray(state, dtype=float).tolist()
         try:
-            return kernel(*state, *args)
+            return kernel(*state, *args) if args else kernel(*state)
         except (OverflowError, ZeroDivisionError):
             return kernel(*np.array(state, dtype=float), *args)
     return f

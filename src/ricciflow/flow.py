@@ -64,7 +64,6 @@ __all__ = [
 
 # A state component below this value ends an integration as "singular".
 COLLAPSE_FLOOR = 1e-12
-_FLOOR_EVENT = (lambda _l, y: min(y) - COLLAPSE_FLOOR, True, 0.0)   # the solver's event 0
 
 
 @cone._on_floats
@@ -267,10 +266,11 @@ def _start(system: FlowSystem, init) -> list[float]:
 
 
 def _solver_args(cfg: IntegratorConfig, events: Sequence[EventSpec]) -> tuple:
-    """The arguments of `_rk45.solve` after y0: the collapse floor is the solver's event 0."""
+    """The arguments of `_rk45.solve` after y0: the stepper tests COLLAPSE_FLOOR itself (event 0,
+    terminal, either direction), and the caller's events go through its event list as 1, 2, ..."""
     sign = 1.0 if cfg.direction == "forward" else -1.0
-    return (sign * cfg.max_time, cfg.rel_tol, cfg.abs_tol, cfg.max_step,
-            [_FLOOR_EVENT, *((spec.fn, spec.terminal, spec.direction) for spec in events)])
+    return (sign * cfg.max_time, cfg.rel_tol, cfg.abs_tol, cfg.max_step, COLLAPSE_FLOOR,
+            [(spec.fn, spec.terminal, spec.direction) for spec in events])
 
 
 def _trajectory(sol: dict, events: Sequence[EventSpec]) -> Trajectory:

@@ -43,10 +43,14 @@ def write_events_json(path, traj: Trajectory) -> Path:
 
 
 def write_region_csv(path, rows) -> Path:
-    """rows: iterable of (x, s, region-letter)."""
-    path = Path(path)
+    """rows: iterable of (x, s, region-letter), x and s floats.  A grid repeats each coordinate,
+    so each distinct one is formatted once; 0.0 and -0.0 are one key, so with a zero each row is."""
+    path, rows = Path(path), list(rows)
+    text = {v: "%.17g" % v for v in {*[x for x, _, _ in rows], *[s for _, s, _ in rows]}}
+    lines = (["%.17g,%.17g,%s\n" % (x, s, region) for x, s, region in rows] if 0 in text
+             else [f"{text[x]},{text[s]},{region!s}\n" for x, s, region in rows])
     with _open_lf(path) as fh:
-        fh.write("x,s,region\n" + "".join(["%.17g,%.17g,%s\n" % (x, s, region) for x, s, region in rows]))
+        fh.write("x,s,region\n" + "".join(lines))
     return path
 
 

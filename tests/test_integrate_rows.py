@@ -126,9 +126,9 @@ def test_the_first_failing_row_in_input_order_raises():
 def test_few_rows_go_one_at_a_time_through_solve(monkeypatch):
     calls = []
     monkeypatch.setattr(_rk45, "solve", lambda *args: calls.append(args) or {})
-    _rk45.solve_rows(None, [[1.0], [2.0], [3.0]], 1.0, 1e-10, 1e-12, np.inf, [])
+    _rk45.solve_rows(None, [[1.0], [2.0], [3.0]], 1.0, 1e-10, 1e-12, np.inf, 1e-12, [])
     assert [args[1] for args in calls] == [[1.0], [2.0], [3.0]]
-    assert _rk45.solve_rows(None, [], 1.0, 1e-10, 1e-12, np.inf, []) == []
+    assert _rk45.solve_rows(None, [], 1.0, 1e-10, 1e-12, np.inf, 1e-12, []) == []
 
 
 def test_brent_takes_the_known_left_value():

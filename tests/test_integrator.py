@@ -172,6 +172,27 @@ def test_singular_collapse_matches_solve_ivp():
     assert traj.status == "singular"
 
 
+def test_rising_through_the_floor_matches_solve_ivp():
+    # the floor has no direction: a start below it that rises through it ends the run there
+    rise = FlowSystem("rise", 1, lambda y: [1.0])
+    traj = assert_same_run(rise, [1e-13], IntegratorConfig(max_time=1.0), [])
+    assert traj.status == "singular" and [ev.name for ev in traj.events] == ["singular"]
+
+
+@pytest.mark.parametrize("terminal", [False, True])
+def test_floor_and_an_event_crossing_in_one_step_match_solve_ivp(terminal):
+    # min(y) falls through 2e-12 and then the floor 1e-12 inside the run's last step,
+    # which starts at l = 0.12016195440298004; the last bits depend on the host's BLAS kernels
+    low = EventSpec("low", lambda l, y: min(y) - 2e-12, terminal, 0.0)
+    traj = assert_same_run("aw3", (0.8, 0.9, 1.0), IntegratorConfig(max_time=0.2), [low])
+    assert traj.times[-2] == pytest.approx(0.12016195440298004, rel=1e-12)
+    roots = [("low", pytest.approx(0.12016205284344966, rel=1e-12)),
+             ("singular", pytest.approx(0.12016205284361632, rel=1e-12))]
+    assert [(ev.name, ev.time) for ev in traj.events] == roots[:1 if terminal else 2]
+    assert traj.status == ("event" if terminal else "singular")
+    assert traj.final_time == traj.events[-1].time
+
+
 def test_window_exit_recorded_before_terminal_cone_exit():
     traj = assert_same_run("aw4", (1.1, 1.0, 1.2, 0.9), IntegratorConfig(max_time=2.0),
                            cone_events("aw4", 0.7), 0.7)

@@ -1,9 +1,13 @@
 """On-disk formats: round-trip precision, schemas, LF endings."""
 
+import itertools
 import json
+import math
 
 import numpy as np
+import pytest
 
+from ricciflow import cli, cone
 from ricciflow.flow import FlowEvent, Trajectory
 from ricciflow.serialize import write_events_json, write_region_csv, write_trajectory_csv
 
@@ -60,3 +64,31 @@ def test_events_json(tmp_path):
 def test_region_csv(tmp_path):
     path = write_region_csv(tmp_path / "r.csv", [(0.5, 1.0, "G"), (1.5, 0.5, "P")])
     assert path.read_text() == "x,s,region\n0.5,1,G\n1.5,0.5,P\n"
+
+
+def per_row_region_csv(rows) -> bytes:
+    """The region file formatted row by row, the reference for `write_region_csv`."""
+    return ("x,s,region\n" + "".join(["%.17g,%.17g,%s\n" % (x, s, region) for x, s, region in rows])).encode()
+
+
+@pytest.mark.parametrize("grid", [cli.build_parser().parse_args(["portrait"]).grid, "0.3:2:40,0.3:2:40"],
+                         ids=["cli-default", "benchmark"])
+def test_region_csv_bytes_on_a_portrait_grid(tmp_path, grid):
+    xs, ss = cli._parse_grid(grid)
+    rows = [(x, s, cone.normalized_region(x, s)) for x in xs.tolist() for s in ss.tolist()]
+    assert write_region_csv(tmp_path / "r.csv", iter(rows)).read_bytes() == per_row_region_csv(rows)
+
+
+SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 0.1 + 0.2, np.float64(-0.0), np.float64(math.nan)]
+
+
+@pytest.mark.parametrize("rows", [
+    [(x, s, "G") for x, s in itertools.product(SPECIAL, repeat=2)],
+    [(x, s, "P") for x, s in itertools.product(SPECIAL[::-1], repeat=2)],
+    [(-0.0, 1.0, "W"), (0.0, 1.0, "W"), (1.0, -0.0, "W"), (1.0, 0.0, "W")],
+    [(float("nan"), v, "G") for v in (math.inf, -math.inf, 2.5, float("nan"), 2.5)],   # no zero
+    [(1.0 / 3.0 + i, 1.0 / 7.0 - i, "W") for i in range(50)],   # no value repeats
+    [],
+], ids=["specials", "specials-reversed", "signed-zeros", "nan-and-inf", "distinct", "empty"])
+def test_region_csv_bytes_on_special_and_distinct_values(tmp_path, rows):
+    assert write_region_csv(tmp_path / "r.csv", rows).read_bytes() == per_row_region_csv(rows)

@@ -14,7 +14,8 @@ seeds and the host line the benchmark printed; one record per call is appended
 to its "pairs": the pairs the change won on each metric, ties counting for
 neither side, the median ratio of ops_per_s, and the failed operations of every
 run.  The output is read first, so a missing or malformed file stops the script
-before any run, as does a pair whose run fails its correctness check.  Uses the
+before any run, as does a seed range of fewer than two seeds (argparse exits 2);
+a pair whose run fails its correctness check stops it too.  Uses the
 standard library only.
 """
 
@@ -65,8 +66,11 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def parse_seeds(text: str) -> list[int]:
-    """The seeds of "9701-9710", both ends included."""
+    """The seeds of "9701-9710", both ends included: at least two, since the
+    quartiles of each side's runs need two of them."""
     lo, hi = map(int, text.split("-"))
+    if hi <= lo:
+        raise argparse.ArgumentTypeError(f"{text!r} holds fewer than 2 seeds")
     return list(range(lo, hi + 1))
 
 
