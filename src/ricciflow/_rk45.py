@@ -171,11 +171,11 @@ def _run(fun, y0: list, t_bound: float, rtol: float, atol: float, max_step: floa
             status = -1
             break
         n_steps += 1
-        t_old, y_old, g_old, low_old = t, y, g, low
+        t_old, y_old, g_old = t, y, g
         t, y, f = t_new, y_new, f_new
         if direction * (t - t_bound) >= 0:
             status = 0
-        low = min(y) - floor
+        low_old, low = low, min(y) - floor
         collapsed = low_old <= 0 <= low or low_old >= 0 >= low
         if events:
             g = [float(ev(t, y)) for ev, _, _ in events]

@@ -43,8 +43,8 @@ def write_events_json(path, traj: Trajectory) -> Path:
 
 
 def write_region_csv(path, rows) -> Path:
-    """rows: iterable of (x, s, region-letter), x and s floats.  A grid repeats each coordinate,
-    so each distinct one is formatted once; 0.0 and -0.0 are one key, so with a zero each row is."""
+    """rows: iterable of (x, s, region-letter), x and s floats.  A grid repeats each coordinate, so
+    each distinct one is formatted once; 0.0 and -0.0 are one key, so a file with a zero goes row by row."""
     path, rows = Path(path), list(rows)
     text = {v: "%.17g" % v for v in {*[x for x, _, _ in rows], *[s for _, s, _ in rows]}}
     lines = (["%.17g,%.17g,%s\n" % (x, s, region) for x, s, region in rows] if 0 in text
