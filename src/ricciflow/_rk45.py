@@ -146,7 +146,7 @@ def _run(fun, y0: list, t_bound: float, rtol: float, atol: float, max_step: floa
     t, y, f = 0.0, y0, _values(fun(y0), len(y0))
     h_abs = _initial_step(fun, y, f, t_bound, direction, rtol, atol, max_step)
     ts, ys = [t], [y]
-    low, g, active = min(y) - floor, [float(ev(t, y)) for ev, _, _ in events], []
+    low, g, active = min(y) - floor, [float(ev(t, y)) for ev, _, _ in events], ()
     t_events, y_events = [[], *[[] for _ in events]], [[], *[[] for _ in events]]
     status = None
     while status is None:
@@ -175,12 +175,12 @@ def _run(fun, y0: list, t_bound: float, rtol: float, atol: float, max_step: floa
         t, y, f = t_new, y_new, f_new
         if direction * (t - t_bound) >= 0:
             status = 0
-        low_old, low = low, min(y) - floor
-        collapsed = low_old <= 0 <= low or low_old >= 0 >= low
+        low_old, low = low, min(y) - floor   # 0.0, not 0: CPython compares two floats faster
+        collapsed = low_old <= 0.0 <= low or low_old >= 0.0 >= low
         if events:
             g = [float(ev(t, y)) for ev, _, _ in events]
             active = [i for i, (_, _, d) in enumerate(events)
-                      if (g_old[i] <= 0 <= g[i] and d >= 0) or (g_old[i] >= 0 >= g[i] and d <= 0)]
+                      if (g_old[i] <= 0.0 <= g[i] and d >= 0.0) or (g_old[i] >= 0.0 >= g[i] and d <= 0.0)]
         if collapsed or active:
             Q, dt = K.T.dot(P), t - t_old
 
