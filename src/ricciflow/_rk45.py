@@ -8,9 +8,9 @@ the norm's x.dot(x), K^T P, Q (x, .., x^4)) run in numpy, on solve_ivp's operand
 OpenBLAS sums them with fused multiply-adds in its own order; the state is a list of Python
 floats, on which the elementwise work rounds as in numpy but costs less.  Event signs are
 tested at step ends; a sign change is refined by Brent's method on that step's interpolant,
-only built on such steps.  The stepper tests the collapse floor, min(y) - floor, itself: a
-terminal root in either direction, refined first and recorded as event 0; the caller's events
-go through their list, which a run without them skips.  One run is the coroutine `_run`,
+only built on such steps.  The collapse floor, min(y) - floor, is each run's event 0: terminal
+in either direction, refined first and recorded first.  A run without caller events tests it
+at each step end itself, without calling through the event list.  One run is the coroutine `_run`,
 which yields each step attempt; `solve` evaluates the attempts of one state and `solve_rows`
 those of a stack of them, each row bit for bit its own `solve`.  Both return lists of floats.
 """
@@ -135,19 +135,21 @@ def _checked_rtol(rtol: float) -> float:
     return max(rtol, 100 * EPS)
 
 
-def _run(fun, y0: list, t_bound: float, rtol: float, atol: float, max_step: float, floor: float,
-         events):
+def _run(fun, y0: list, t_bound: float, rtol: float, atol: float, max_step: float, floor: float, events):
     """One integration as a coroutine, on Python floats: the step-size control of
     HNW II.4, the accepted steps and the event roots.  It yields each step attempt
     (y, f, h), f = fun(y), is sent (error_norm, y_new, f_new, K) for it, K the
     attempt's (7, n) stages, and returns the run as `solve` documents it."""
+    # event 0 is the floor; only a run without caller events tests it apart (with them, exits ran slower)
+    events = [(lambda _l, y: min(y) - floor, True, 0.0), *events]
+    alone = len(events) == 1
     direction = 1.0 if t_bound > 0 else -1.0
     n_steps = n_rejected = 0
     t, y, f = 0.0, y0, _values(fun(y0), len(y0))
     h_abs = _initial_step(fun, y, f, t_bound, direction, rtol, atol, max_step)
     ts, ys = [t], [y]
-    low, g, active = min(y) - floor, [float(ev(t, y)) for ev, _, _ in events], ()
-    t_events, y_events = [[], *[[] for _ in events]], [[], *[[] for _ in events]]
+    g = [float(ev(t, y)) for ev, _, _ in events]
+    t_events, y_events = [[] for _ in events], [[] for _ in events]
     status = None
     while status is None:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
@@ -175,13 +177,14 @@ def _run(fun, y0: list, t_bound: float, rtol: float, atol: float, max_step: floa
         t, y, f = t_new, y_new, f_new
         if direction * (t - t_bound) >= 0:
             status = 0
-        low_old, low = low, min(y) - floor   # 0.0, not 0: CPython compares two floats faster
-        collapsed = low_old <= 0.0 <= low or low_old >= 0.0 >= low
-        if events:
+        if alone:
+            g = [min(y) - floor]
+            active = (0,) if g_old[0] <= 0.0 <= g[0] or g_old[0] >= 0.0 >= g[0] else ()
+        else:
             g = [float(ev(t, y)) for ev, _, _ in events]
             active = [i for i, (_, _, d) in enumerate(events)
-                      if (g_old[i] <= 0.0 <= g[i] and d >= 0.0) or (g_old[i] >= 0.0 >= g[i] and d <= 0.0)]
-        if collapsed or active:
+                      if (g_old[i] <= 0 <= g[i] and d >= 0) or (g_old[i] >= 0 >= g[i] and d <= 0)]
+        if active:
             Q, dt = K.T.dot(P), t - t_old
 
             def sol(tt):
@@ -190,20 +193,19 @@ def _run(fun, y0: list, t_bound: float, rtol: float, atol: float, max_step: floa
                 x3 = x2 * x   # x2 * x and x3 * x round as x * x * x and x * x * x * x
                 return [dt * qi + yi for qi, yi in zip(Q.dot((x, x2, x3, x3 * x)).tolist(), y_old)]
 
-            # sol(t_old) is y_old, so low_old and g_old[i] are the values at the left end
-            hits = [(-1, brentq(lambda tt: min(sol(tt)) - floor, t_old, t, fa=low_old))] if collapsed else []
-            hits += [(i, brentq(lambda tt, ev=events[i][0]: ev(tt, sol(tt)), t_old, t, fa=g_old[i]))
-                     for i in active]
-            if collapsed or any(events[i][1] for i in active):
+            # sol(t_old) is y_old, so g_old[i] is the event's value at the left end
+            hits = [(i, brentq(lambda tt, ev=events[i][0]: ev(tt, sol(tt)), t_old, t, fa=g_old[i]))
+                    for i in active]
+            if any(events[i][1] for i in active):
                 hits.sort(key=lambda hit: direction * hit[1])
-                hits = hits[:1 + next(k for k, (i, _) in enumerate(hits) if i < 0 or events[i][1])]
+                hits = hits[:1 + next(k for k, (i, _) in enumerate(hits) if events[i][1])]
                 status = 1
                 t = hits[-1][1]
-            for i, te in hits:   # the floor's hit is -1, so record 0; event i's is record i + 1
-                t_events[i + 1].append(te)
-                y_events[i + 1].append(sol(te))
+            for i, te in hits:
+                t_events[i].append(te)
+                y_events[i].append(sol(te))
             if status == 1:
-                y = y_events[hits[-1][0] + 1][-1]
+                y = y_events[hits[-1][0]][-1]
         if not (len(ts) > 1 and ts[-1] == t):   # a terminal root at the last step end
             ts.append(t)
             ys.append(y)
