@@ -259,8 +259,8 @@ def solve_rows(fun, y0s: list, t_bound: float, rtol: float, atol: float,
     `yi + di * h`.  The stacks are built once per count of live rows and computed into in
     place.  `fun`, the events and the row's `_run` run per row.  Below four rows, each goes
     through `solve`, which is then the faster: per row and step attempt the stack took
-    26.6 us at 1 row, 15.0 at 2, 13.0 at 3, 11.0 at 4, 7.9 at 8, 6.5 at 16 and 5.6 at 32,
-    against 11.7 for `solve` (the normalized flow to l = 10 from portrait seeds)."""
+    24.6 us at 1 row, 14.5 at 2, 12.4 at 3, 10.4 at 4, 7.4 at 8, 6.2 at 16 and 5.4 at 32,
+    against 11.2 for `solve` (the normalized flow to l = 10 from portrait seeds)."""
     if len(y0s) < 4:
         return [solve(fun, y0, t_bound, rtol, atol, max_step, floor, events) for y0 in y0s]
     rtol = _checked_rtol(rtol)
