@@ -8,11 +8,11 @@ the norm's x.dot(x), K^T P, Q (x, .., x^4)) run in numpy, on solve_ivp's operand
 OpenBLAS sums them with fused multiply-adds in its own order; the state is a list of Python
 floats, on which the elementwise work rounds as in numpy but costs less.  Event signs are
 tested at step ends; a sign change is refined by Brent's method on that step's interpolant,
-only built on such steps.  The collapse floor, min(y) - floor, is each run's event 0: terminal
-in either direction, refined first and recorded first.  A run without caller events tests it
-at each step end itself, without calling through the event list.  One run is the coroutine `_run`,
-which yields each step attempt; `solve` evaluates the attempts of one state and `solve_rows`
-those of a stack of them, each row bit for bit its own `solve`.  Both return lists of floats.
+only built on such steps.  The collapse floor, min(y) - floor, is event 0: terminal in either
+direction, refined and recorded first, and tested apart only in a run without caller events.
+One run is the coroutine `_run`, which yields each step attempt; `solve` evaluates the attempts
+of one state and `solve_rows` those of a stack, each row bit for bit its own `solve`.  Both
+return lists of floats.
 """
 
 from __future__ import annotations
@@ -139,10 +139,9 @@ def _run(fun, y0: list, t_bound: float, rtol: float, atol: float, max_step: floa
     """One integration as a coroutine, on Python floats: the step-size control of
     HNW II.4, the accepted steps and the event roots.  It yields each step attempt
     (y, f, h), f = fun(y), is sent (error_norm, y_new, f_new, K) for it, K the
-    attempt's (7, n) stages, and returns the run as `solve` documents it."""
-    # event 0 is the floor; only a run without caller events tests it apart (with them, exits ran slower)
-    events = [(lambda _l, y: min(y) - floor, True, 0.0), *events]
-    alone = len(events) == 1
+    attempt's (7, n) stages, and returns the run as `solve` documents it.  Only a run without
+    caller events tests the floor apart; in the others that made the cone exits slower."""
+    alone, events = not events, [(lambda _l, y: min(y) - floor, True, 0.0), *events]
     direction = 1.0 if t_bound > 0 else -1.0
     n_steps = n_rejected = 0
     t, y, f = 0.0, y0, _values(fun(y0), len(y0))
@@ -218,13 +217,12 @@ def solve(fun, y0: list, t_bound: float, rtol: float, atol: float,
           max_step: float, floor: float, events) -> dict:
     """Integrate y' = fun(y) from (0, y0) to t_bound, forward or backward.
 
-    y0 and every state passed to `fun` and to the events is a list of floats.
-    `events` are (g, terminal, direction) triples with g(t, y) a scalar; a root
-    is recorded where g changes sign in `direction` (0: either), and the first
-    terminal root in time ends the run.  `floor` acts as event 0, g = min(y) - floor,
-    terminal, either direction.  Returns lists, each state a list of floats: the
-    step ends `t`, `y` and the roots `t_events`/`y_events` per event, the floor's first;
-    `status` (0 at t_bound, 1 terminal event, -1 step-size underflow); `stats`.
+    y0 and every state passed to `fun` and to the events is a list of floats.  `events` are
+    (g, terminal, direction) triples with g(t, y) a scalar; a root is recorded where g changes
+    sign in `direction` (0: either), and the first terminal root in time ends the run.  `floor`
+    acts as event 0, g = min(y) - floor, terminal, either direction.  Returns lists, each state
+    a list of floats: the step ends `t`, `y` and the roots `t_events`/`y_events` per event, the
+    floor's first; `status` (0 at t_bound, 1 terminal event, -1 step-size underflow); `stats`.
     A value of `fun` without one value per component raises ValueError (`_values`).
     """
     rtol = _checked_rtol(rtol)

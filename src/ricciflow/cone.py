@@ -124,18 +124,25 @@ def _rounded(value) -> float:
 
 
 def _on_floats(kernel):
-    """`kernel(*state, *args)` as `f(state, *args)` on Python floats (a list is
-    taken to hold them): the bits of numpy float64 scalars at half the cost.
-    Where float `**` or `/` raises and numpy gives inf or nan, the kernel runs
-    again on numpy scalars, so a stage that overflows is rejected, not raised."""
-    @functools.wraps(kernel)
-    def f(state, *args):
+    """`kernel(*state)` as `f(state)`, or as `f(state, xi)` where its last parameter is xi or _xi
+    (chosen here, not per call), on Python floats (a list is taken to hold them): the bits of
+    numpy float64 scalars at half the cost.  Where float `**` or `/` raises and numpy gives inf
+    or nan, the kernel runs again on numpy scalars, so a stage that overflows is rejected, not raised."""
+    def f(state):
         state = state if type(state) is list else np.asarray(state, dtype=float).tolist()
         try:
-            return kernel(*state, *args) if args else kernel(*state)
+            return kernel(*state)
         except (OverflowError, ZeroDivisionError):
-            return kernel(*np.array(state, dtype=float), *args)
-    return f
+            return kernel(*np.array(state, dtype=float))
+
+    def f_xi(state, xi):
+        state = state if type(state) is list else np.asarray(state, dtype=float).tolist()
+        try:
+            return kernel(*state, xi)
+        except (OverflowError, ZeroDivisionError):
+            return kernel(*np.array(state, dtype=float), xi)
+    code = kernel.__code__
+    return functools.wraps(kernel)(f_xi if code.co_varnames[code.co_argcount - 1] in ("xi", "_xi") else f)
 
 
 def _sigma(s0: float, s1: float, s2: float) -> float:

@@ -266,8 +266,7 @@ def _start(system: FlowSystem, init) -> list[float]:
 
 
 def _solver_args(cfg: IntegratorConfig, events: Sequence[EventSpec]) -> tuple:
-    """The arguments of `_rk45.solve` after y0: the stepper makes COLLAPSE_FLOOR its event 0
-    (terminal, either direction), and the caller's events follow it as events 1, 2, ..."""
+    """The arguments of `_rk45.solve` after y0: COLLAPSE_FLOOR, the stepper's event 0, then the caller's events."""
     sign = 1.0 if cfg.direction == "forward" else -1.0
     return (sign * cfg.max_time, cfg.rel_tol, cfg.abs_tol, cfg.max_step, COLLAPSE_FLOOR,
             [(spec.fn, spec.terminal, spec.direction) for spec in events])

@@ -43,14 +43,13 @@ def write_events_json(path, traj: Trajectory) -> Path:
 
 
 def write_region_csv(path, rows) -> Path:
-    """rows: iterable of (x, s, region-letter), x and s floats.  A grid repeats each coordinate, so
-    each distinct one is formatted once; 0.0 and -0.0 are one key, so a file with a zero goes row by row."""
-    path, rows = Path(path), list(rows)
+    """rows: iterable of (x, s, region-letter), x and s reals.  Each distinct float is formatted once;
+    a zero in place, since 0.0 and -0.0 are one dict key."""
+    path, rows = Path(path), [(float(x), float(s), region) for x, s, region in rows]
     text = {v: "%.17g" % v for v in {*[x for x, _, _ in rows], *[s for _, s, _ in rows]}}
-    lines = (["%.17g,%.17g,%s\n" % (x, s, region) for x, s, region in rows] if 0 in text
-             else [f"{text[x]},{text[s]},{region!s}\n" for x, s, region in rows])
     with _open_lf(path) as fh:
-        fh.write("x,s,region\n" + "".join(lines))
+        fh.write("x,s,region\n" + "".join([f"{text[x] if x else '%.17g' % x},{text[s] if s else '%.17g' % s},"
+                                           f"{region!s}\n" for x, s, region in rows]))
     return path
 
 

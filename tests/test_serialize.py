@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -88,7 +89,9 @@ SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 0.1 + 0.2, np.float64(-0.0)
     [(-0.0, 1.0, "W"), (0.0, 1.0, "W"), (1.0, -0.0, "W"), (1.0, 0.0, "W")],
     [(float("nan"), v, "G") for v in (math.inf, -math.inf, 2.5, float("nan"), 2.5)],   # no zero
     [(1.0 / 3.0 + i, 1.0 / 7.0 - i, "W") for i in range(50)],   # no value repeats
+    [(np.array(0.5), np.array(-0.0), "G"), (np.float32(0.1), Fraction(1, 3), "P"), (2**60 + 1, True, "W"),
+     (np.array(0.5), 0.5, "G"), (np.array(math.nan), -0.0, "P")],   # reals that are not floats
     [],
-], ids=["specials", "specials-reversed", "signed-zeros", "nan-and-inf", "distinct", "empty"])
+], ids=["specials", "specials-reversed", "signed-zeros", "nan-and-inf", "distinct", "other-reals", "empty"])
 def test_region_csv_bytes_on_special_and_distinct_values(tmp_path, rows):
     assert write_region_csv(tmp_path / "r.csv", rows).read_bytes() == per_row_region_csv(rows)
