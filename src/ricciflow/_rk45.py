@@ -12,7 +12,8 @@ only built on such steps.  The collapse floor, min(y) - floor, is event 0: termi
 direction, refined and recorded first, and tested apart only in a run without caller events.
 One run is the coroutine `_run`, which yields each step attempt; `solve` evaluates the attempts
 of one state and `solve_rows` those of a stack, each row bit for bit its own `solve`.  Both
-return lists of floats.
+return lists of floats.  `solve` reuses one stage workspace per dimension from a free list, so a
+run nested in another's right-hand side takes a second one and cannot write over its stages.
 """
 
 from __future__ import annotations
@@ -83,8 +84,9 @@ def brentq(f, xa: float, xb: float, maxiter: int = 100, fa: float | None = None)
     step the C routine behind `scipy.optimize.brentq` with xtol = rtol = TOL.
     `fa`, if given, is f(xa), which is then not evaluated again."""
     def call(x):
-        fx = float(f(x))
-        if math.isnan(fx):
+        fx = f(x)
+        fx = fx if type(fx) is float else float(fx)
+        if fx != fx:   # NaN
             raise ValueError(f"The function value at x={x:f} is NaN; solver cannot continue.")
         return fx
 
@@ -184,13 +186,14 @@ def _run(fun, y0: list, t_bound: float, rtol: float, atol: float, max_step: floa
             active = [i for i, (_, _, d) in enumerate(events)
                       if (g_old[i] <= 0 <= g[i] and d >= 0) or (g_old[i] >= 0 >= g[i] and d <= 0)]
         if active:
-            Q, dt = K.T.dot(P), t - t_old
+            Q, dt, p = K.T.dot(P), t - t_old, np.empty(4)
 
             def sol(tt):
-                x = (tt - t_old) / dt
-                x2 = x * x
-                x3 = x2 * x   # x2 * x and x3 * x round as x * x * x and x * x * x * x
-                return [dt * qi + yi for qi, yi in zip(Q.dot((x, x2, x3, x3 * x)).tolist(), y_old)]
+                p[0] = x = (tt - t_old) / dt
+                p[1] = x2 = x * x
+                p[2] = x3 = x2 * x   # x2 * x and x3 * x round as x * x * x and x * x * x * x
+                p[3] = x3 * x
+                return [dt * qi + yi for qi, yi in zip(Q.dot(p).tolist(), y_old)]
 
             # sol(t_old) is y_old, so g_old[i] is the event's value at the left end
             hits = [(i, brentq(lambda tt, ev=events[i][0]: ev(tt, sol(tt)), t_old, t, fa=g_old[i]))
@@ -213,6 +216,11 @@ def _run(fun, y0: list, t_bound: float, rtol: float, atol: float, max_step: floa
     return {"t": ts, "y": ys, "t_events": t_events, "y_events": y_events, "status": status, "stats": stats}
 
 
+# per dimension n, the stage workspaces of `solve` that no run holds: a (7, n) stage array K,
+# its rows 0 and 6, (row s, K[:s].T, A row s) per stage s = 1..5, and the B and E views
+_WORKSPACES: dict[int, list] = {}
+
+
 def solve(fun, y0: list, t_bound: float, rtol: float, atol: float,
           max_step: float, floor: float, events) -> dict:
     """Integrate y' = fun(y) from (0, y0) to t_bound, forward or backward.
@@ -223,28 +231,35 @@ def solve(fun, y0: list, t_bound: float, rtol: float, atol: float,
     acts as event 0, g = min(y) - floor, terminal, either direction.  Returns lists, each state
     a list of floats: the step ends `t`, `y` and the roots `t_events`/`y_events` per event, the
     floor's first; `status` (0 at t_bound, 1 terminal event, -1 step-size underflow); `stats`.
-    A value of `fun` without one value per component raises ValueError (`_values`).
+    A value of `fun` without one value per component raises ValueError (`_values`).  The stage
+    workspace is held only while the run lasts: nested runs are safe, and no result refers to it.
     """
     rtol = _checked_rtol(rtol)
     run = _run(fun, y0, t_bound, rtol, atol, max_step, floor, events)
     n = len(y0)
-    K = np.empty((7, n))
-    stages = [(K[:s].T, a) for s, a in enumerate(A_ROWS, start=1)]
-    K_B, K_T = K[:-1].T, K.T
+    free = _WORKSPACES.setdefault(n, [])
+    try:   # pop, not a test of `free` first: another thread may take the last one in between
+        work = free.pop()
+    except IndexError:   # every workspace of dimension n is held by a run, or none was made yet
+        K = np.empty((7, n))
+        work = K, K[0], [(K[s], K[:s].T, a) for s, a in enumerate(A_ROWS, start=1)], K[6], K[:-1].T, K.T
+    K, K_0, stages, K_6, K_B, K_T = work
     try:
         y, f, h = next(run)
         while True:
-            K[0] = f
-            for s, (Ks, a) in enumerate(stages, start=1):
-                K[s] = _values(fun([yi + di * h for yi, di in zip(y, Ks.dot(a).tolist())]), n)
+            K_0[...] = f
+            for K_s, K_prev, a in stages:
+                K_s[...] = _values(fun([yi + di * h for yi, di in zip(y, K_prev.dot(a).tolist())]), n)
             y_new = [yi + h * bi for yi, bi in zip(y, K_B.dot(B).tolist())]
-            K[-1] = f_new = _values(fun(y_new), n)
+            K_6[...] = f_new = _values(fun(y_new), n)
             # with y_new first, max() propagates its NaN as np.maximum does
             error_norm = _norm([ei * h / (atol + max(abs(yn), abs(yo)) * rtol)
                                 for ei, yn, yo in zip(K_T.dot(E).tolist(), y_new, y)])
             y, f, h = run.send((error_norm, y_new, f_new, K))
     except StopIteration as end:
         return end.value
+    finally:
+        free.append(work)
 
 
 def solve_rows(fun, y0s: list, t_bound: float, rtol: float, atol: float,
@@ -257,8 +272,8 @@ def solve_rows(fun, y0s: list, t_bound: float, rtol: float, atol: float,
     `yi + di * h`.  The stacks are built once per count of live rows and computed into in
     place.  `fun`, the events and the row's `_run` run per row.  Below four rows, each goes
     through `solve`, which is then the faster: per row and step attempt the stack took
-    24.6 us at 1 row, 14.5 at 2, 12.4 at 3, 10.4 at 4, 7.4 at 8, 6.2 at 16 and 5.4 at 32,
-    against 11.2 for `solve` (the normalized flow to l = 10 from portrait seeds)."""
+    24.3 us at 1 row, 14.4 at 2, 12.3 at 3, 10.3 at 4, 7.4 at 8, 6.1 at 16 and 5.3 at 32,
+    against 10.1 for `solve` (the normalized flow to l = 10 from portrait seeds)."""
     if len(y0s) < 4:
         return [solve(fun, y0, t_bound, rtol, atol, max_step, floor, events) for y0 in y0s]
     rtol = _checked_rtol(rtol)

@@ -398,19 +398,15 @@ def cone_exit(family: str, init, config: IntegratorConfig | None = None,
         if time > cfg.max_time:
             raise NoExitWithinHorizon(f"no cone exit within horizon {cfg.max_time} (status: horizon)")
         return time, np.array(exit_state)
-    events = cone_events(kind, xi)
-    if len(events) > 1:   # nothing after a window root changes the outcome, so here it ends the run
-        monitor = events[1]
-        events[1] = EventSpec(monitor.name, monitor.fn, True, monitor.direction)
+    events = [boundary_event(kind, xi)]
+    if cone._CONES[kind].window is not None:   # nothing after a window root changes the outcome, so it ends the run
+        events.append(EventSpec("window_exit", window_event(kind).fn, True, -1.0))
     traj = integrate(make_system(kind, xi), state, cfg, events)
-    window = traj.first_event("window_exit")
-    if window is not None:
-        raise NoExitWithinHorizon(
-            f"left the certified window at l = {window.time} before the boundary crossing")
-    hit = traj.first_event("cone_exit")
-    if hit is None:
-        raise NoExitWithinHorizon(
-            f"no cone exit within horizon {cfg.max_time} (status: {traj.status})")
+    hit = traj.events[0] if traj.events else None   # every event is terminal: the run records at most one
+    if hit is not None and hit.name == "window_exit":
+        raise NoExitWithinHorizon(f"left the certified window at l = {hit.time} before the boundary crossing")
+    if hit is None or hit.name != "cone_exit":
+        raise NoExitWithinHorizon(f"no cone exit within horizon {cfg.max_time} (status: {traj.status})")
     return hit.time, hit.state
 
 

@@ -1,11 +1,13 @@
 """Flow systems, integration, events, and cone-exit detection."""
 
 import collections
+import itertools
 import math
 import os
 import random
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -104,6 +106,12 @@ def assert_float64_arrays(traj, dim):
     for value, shape in [(traj.times, (n,)), (traj.states, (n, dim))] + [(ev.state, (dim,)) for ev in traj.events]:
         assert type(value) is np.ndarray and value.dtype == np.float64 and value.shape == shape
     assert all(type(ev.time) is float for ev in traj.events)
+
+
+def _bits(traj):
+    """Everything a Trajectory holds, floats as their bytes."""
+    return (traj.times.tobytes(), traj.states.tobytes(),
+            [(ev.time.hex(), ev.name, ev.state.tobytes()) for ev in traj.events], traj.status, traj.stats)
 
 
 class TestIntegrate:
@@ -274,6 +282,57 @@ class TestIntegrate:
         assert ev is not None
         assert 0.0 < ev.time < 0.05
         assert ev.state[0] == pytest.approx(0.8, abs=1e-9)
+
+    def test_runs_inside_a_right_hand_side_keep_every_run_bit_for_bit(self):
+        # the stepper reuses one stage workspace per dimension; a run inside a right-hand
+        # side takes another, so no run writes over the stages of the run it is nested in
+        berger, aw3, short = make_system("berger"), make_system("aw3"), IntegratorConfig(max_time=0.01)
+        inner = []
+
+        def nesting(y):
+            assert len(inner) < 1000, "the outer run stalls"   # it makes 158 calls
+            inner.append((berger, list(y), integrate(berger, y, short)))
+            inner.append((aw3, [0.6, 0.9, 1.0], integrate(aw3, (0.6, 0.9, 1.0), short)))
+            return berger_rhs(y)
+        cfg, events = IntegratorConfig(max_time=0.05), [EventSpec("x1_at_1", lambda _l, y: y[0] - 1.0, False)]
+        outer = integrate(FlowSystem("berger", 2, nesting), (1.9, 1.0), cfg, events)
+        assert outer.stats["n_steps"] > 10 and outer.first_event("x1_at_1") is not None   # Brent ran too
+        assert _bits(outer) == _bits(integrate(berger, (1.9, 1.0), cfg, events))
+        assert len(inner) == 2 * outer.stats["nfev"]
+        assert all(_bits(traj) == _bits(integrate(system, init, short)) for system, init, traj in inner)
+
+    def test_runs_in_threads_keep_their_bits(self):
+        # the threads share the free list of stage workspaces, and each run pops its own
+        berger, starts, results = make_system("berger"), [(1.5 + 0.05 * i, 1.0) for i in range(8)], {}
+        alone = [_bits(integrate(berger, y0, TIGHT)) for y0 in starts]
+        threads = [threading.Thread(target=lambda i=i: results.update({i: _bits(integrate(berger, starts[i], TIGHT))}))
+                   for i in range(len(starts))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [results.get(i) for i in range(len(starts))] == alone
+
+    @pytest.mark.parametrize("k", [1, 4, 9, 13])   # the probe; stage 3; stage 2 and f_new of the second attempt
+    def test_a_run_that_raises_leaves_the_next_run_the_bits_of_a_fresh_one(self, k):
+        # the raising run gives back its workspace with stale stages in it; the next run of
+        # that dimension writes each stage before it reads it
+        berger, calls = make_system("berger"), itertools.count()
+        fresh = integrate(berger, (1.9, 1.0), TIGHT, [boundary_event("berger")])
+
+        def failing(y):
+            if next(calls) == k:
+                raise RuntimeError("the k-th call")
+            return berger_rhs(y)
+        with pytest.raises(RuntimeError, match="the k-th call"):
+            integrate(FlowSystem("berger", 2, failing), (1.5, 1.0), TIGHT)
+        assert _bits(integrate(berger, (1.9, 1.0), TIGHT, [boundary_event("berger")])) == _bits(fresh)
 
 
 class TestSubfamilyInvariance:
@@ -579,20 +638,34 @@ def test_aw4_gap_raises_on_a_non_finite_coefficient():
 def test_cone_exit_calls_rebound_functions(monkeypatch, xi, rhs, classifier):
     # The benchmark's tracer wraps functions by rebinding module attributes;
     # cone_exit must reach each rebinding, not a reference taken at import.
-    calls = collections.Counter()
+    calls, returned = collections.Counter(), {}
 
     def count(module, name):
         original = getattr(module, name)
-        monkeypatch.setattr(module, name,
-                            lambda *a, **k: calls.update([name]) or original(*a, **k))
+
+        def counted(*a, **k):
+            calls.update([name])
+            returned[name] = original(*a, **k)
+            return returned[name]
+        monkeypatch.setattr(module, name, counted)
 
     names = [(flow, rhs), (flow, "boundary_event"), (flow, "window_event"), (cone, classifier)]
     if xi != 1.0:
         names.append((cone, "t_a"))
     for module, name in names:
         count(module, name)
+    runs, integrate_ = [], flow.integrate
+    monkeypatch.setattr(flow, "integrate", lambda system, init, cfg, events: runs.append(events)
+                        or integrate_(system, init, cfg, events))
     cone_exit("aw3", (t_a((0.9, 1.0, 1.0), xi) - 1e-3, 0.9, 1.0), TIGHT, xi=xi)
     assert set(calls) == {name for _, name in names}
+    # one run, its events built once: the boundary spec as the factory gave it, and a
+    # terminal copy of the window monitor around the function window_event gave
+    assert calls["boundary_event"] == calls["window_event"] == 1
+    (boundary, window), = runs
+    assert boundary is returned["boundary_event"]
+    assert (window.name, window.fn, window.terminal, window.direction) == \
+        ("window_exit", returned["window_event"].fn, True, -1.0)
 
 
 class TestBackwardPersistence:
