@@ -305,8 +305,10 @@ class TestIntegrate:
         # the threads share the free list of stage workspaces, and each run pops its own
         berger, starts, results = make_system("berger"), [(1.5 + 0.05 * i, 1.0) for i in range(8)], {}
         alone = [_bits(integrate(berger, y0, TIGHT)) for y0 in starts]
-        threads = [threading.Thread(target=lambda i=i: results.update({i: _bits(integrate(berger, starts[i], TIGHT))}))
-                   for i in range(len(starts))]
+
+        def run(i):
+            results[i] = _bits(integrate(berger, starts[i], TIGHT))
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(starts))]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
