@@ -145,6 +145,16 @@ def test_exit_check_fails_on_documented_errors_only(monkeypatch):
         verify._exit_check("cone_exit_aw2", "aw2", (0.99, 1.0))
 
 
+def test_k_limit_row_measures_the_largest_deviation(results):
+    deviations = []
+    for k in range(1, 10):
+        xi = k / 10.0
+        target = -432.0 * (xi * xi - 1.0) ** 2
+        deviations.append(abs(derivatives.k_polynomial(xi, 1.0) - target) / (1.0 - target))
+    assert max(deviations) > 0.0   # 2.5186293171719323e-14
+    assert results["k_limit_x1"].measured == max(deviations)
+
+
 def test_p2_entry_is_the_crossing_inside_the_first_step_into_p(results):
     system, cfg = flow.make_system("normalized"), flow.IntegratorConfig(max_time=10.0)
     p2 = derivatives.REFERENCE_SEEDS[1]

@@ -3,17 +3,16 @@ they replace, bit for bit.
 
 Each reference below is the per-point form the check used before: a scan
 of the 4x4x4 table of `ricci_from_structure` (derived from su(3) matrices
-in `homogeneous`), one `rng.uniform(size=4)` draw and one scalar call of
-each eigenvalue form per metric, one `t_a` call per finite-difference point
-of the gradient check, one `@` per grid point, one `t_a`, `a_tilde` and
-`a_tilde_inverse_slice` call per point of the t_A grid, and the double and
-single loops over the K-denominator and f'(0) grids.  Values are compared
-through `float.hex`, so even a sign of zero counts.  The stacked `@` goes
-through BLAS; run this file again under e.g. OPENBLAS_CORETYPE=Haswell to
-check a second kernel set.
+in `homogeneous`, each bracket sum in plain floats left to right in (j, k)
+order, as the package sums its columns), one `rng.uniform(size=4)` draw
+and one scalar call of each eigenvalue form per metric, one `t_a` call per
+finite-difference point of the gradient check, one `@` per grid point, one
+`t_a`, `a_tilde` and `a_tilde_inverse_slice` call per point of the t_A
+grid, and the double and single loops over the K-denominator and f'(0)
+grids. Values are compared through `float.hex`, so even a sign of zero
+counts. The stacked `@` goes through BLAS; run this file again under e.g.
+OPENBLAS_CORETYPE=Haswell to check a second kernel set.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -31,7 +30,8 @@ def bits(values):
 
 def table_scan_ricci(k1, k2, coeffs):
     """`ricci_from_structure` as a scan of all 64 entries of the table
-    derived from su(3) matrices."""
+    derived from su(3) matrices, each bracket sum left to right in (j, k)
+    order."""
     table = aloff_wallach_constants(k1, k2).astype(float)
     x = [float(c) for c in coeffs]
     r = []
@@ -44,8 +44,7 @@ def table_scan_ricci(k1, k2, coeffs):
                     first.append(c * x[j] / (x[i] * x[k]))
                     second.append(c * x[i] / (x[j] * x[k]))
         d = (1.0, 2.0, 2.0, 2.0)[i]
-        r.append(math.fsum([12.0 / (2.0 * x[i]), -math.fsum(first) / (2.0 * d),
-                            math.fsum(second) / (4.0 * d)]))
+        r.append(12.0 / (2.0 * x[i]) - sum(first) / (2.0 * d) + sum(second) / (4.0 * d))
     return tuple(r)
 
 

@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from ricciflow import NoExitWithinHorizon, flow, verify
+from ricciflow import NoExitWithinHorizon, flow, serialize, verify
 from ricciflow.cli import build_parser, main
 from ricciflow.cone import normalized_region
 
@@ -133,6 +133,18 @@ class TestFlowCommand:
                             "--event", "cone", "--out", str(tmp_path))
         assert code == 2
 
+    def test_backward_direction(self, tmp_path, capsys):
+        code, out = run_cli(capsys, "flow", "--system", "aw2", "--init", "0.9,1",
+                            "--horizon", "0.3", "--direction", "backward", "--out", str(tmp_path))
+        assert code == 0
+        times = [float(row["ell"]) for row in read_csv(tmp_path / "trajectory.csv")]
+        assert times[0] == 0.0 and all(b < a for a, b in zip(times, times[1:]))
+        traj = flow.integrate(flow.make_system("aw2"), (0.9, 1.0),
+                              flow.IntegratorConfig(max_time=0.3, direction="backward"))
+        expected = serialize.write_trajectory_csv(tmp_path / "expected.csv", traj)
+        assert (tmp_path / "trajectory.csv").read_bytes() == expected.read_bytes()
+        assert out["final_time"] == traj.final_time < 0.0
+
     def test_determinism(self, tmp_path, capsys):
         for sub in ("r1", "r2"):
             run_cli(capsys, "flow", "--system", "aw3", "--init", "0.8,0.9,1",
@@ -160,7 +172,7 @@ class TestPortraitCommand:
 
     def test_seed_file(self, tmp_path, capsys):
         seeds = tmp_path / "seeds.txt"
-        seeds.write_text("# one seed\n0.87,1.1\n")
+        seeds.write_text("# one seed\n   \n  # an indented comment\n0.87,1.1\n")
         code, out = run_cli(capsys, "portrait", "--grid", "0.5:1.5:3,0.5:1.5:3",
                             "--horizon", "0.2", "--seeds", str(seeds),
                             "--out", str(tmp_path / "p"))

@@ -15,8 +15,15 @@ reduced right-hand sides, the t_A kernel `cone._t_a` and the aw3 boundary
 gap run on field elements.  Their float literals are integers, which the
 field converts exactly (a literal such as 0.1 would become 1/10, not its
 binary value), so the field evaluates the formula the floats round.
+
+The last tests prove the exit interval of every W_{k1,k2} from the
+coefficient table of K: f_xi'(0) < 0 exactly on one interval (x*(xi), 1)
+with x*(xi) < 4/5, by factorisation, exact root counts, an interval
+enclosure of K at the critical xi and a Sturm sequence at xi = 1; one float
+cross-check holds x*(xi) to the sign change of `f_xi_prime0`.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -185,3 +192,121 @@ def test_aw3_boundary_gap_is_the_slice_t_a(derived):
     on_slice = [(g0, gx), (g2, g1), (gxi, ring(1))]
     t_a = derived["t_a"]
     assert derived["field"].new(t_a.numer.compose(on_slice), t_a.denom.compose(on_slice)) == closed
+
+
+# --- the exact exit interval of every W_{k1,k2}: the sign of K(xi, x) on (0, 1]^2 ---
+#
+# f_xi'(0) = K(xi, x) / (x(x - 4)(x - 1)R^2) with a positive denominator on
+# (0, 1), so its sign is that of K.  The tests below prove, exactly, that for
+# every xi in (0, 1) K(xi, .) has one root x*(xi) in (0, 1), simple, with
+# K > 0 before it and K < 0 after, and that x*(xi) < 4/5: K(xi, 0) > 0 and
+# K(xi, 1) < 0, so a root in (0, 1) can appear or vanish only as a double
+# root, at a root of the discriminant; one rational xi per cell between those
+# roots has one root, and at each critical xi the double root lies outside
+# [0, 1].  Palindromic rows give K(xi, x) = xi^4 K(1/xi, x), so xi in (0, 1]
+# covers every k1/k2.  At xi = 1 a Sturm sequence of the deflated quartic
+# does the same for f1'(0).
+
+
+@pytest.fixture(scope="module")
+def k_exact():
+    x, xi = sympy.symbols("x xi")
+    k = sum(sympy.Poly(row, xi).as_expr() * x ** (7 - i) for i, row in enumerate(derivatives._K_COEFFS))
+    return x, xi, sympy.Poly(k, x, xi, domain=sympy.QQ)
+
+
+def test_k_is_eight_times_an_irreducible_palindromic_polynomial(k_exact):
+    x, xi, k = k_exact
+    content, factors = k.factor_list()
+    assert content == 8 and len(factors) == 1 and factors[0][1] == 1
+    assert k == 8 * factors[0][0]
+    assert all(list(row) == list(row)[::-1] for row in derivatives._K_COEFFS)
+    assert sympy.expand(xi**4 * k.as_expr().subs(xi, 1 / xi)) == k.as_expr()
+
+
+def test_k_at_the_ends_of_the_slice_and_at_four_fifths(k_exact):
+    x, xi, k = k_exact
+    assert sympy.expand(k.as_expr().subs(x, 0) - 6144 * xi * (xi + 1) ** 2) == 0
+    assert sympy.expand(k.as_expr().subs(x, 1) + 432 * (xi**2 - 1) ** 2) == 0
+    quartic = 17485 * xi**4 - 1651 * xi**3 - 29568 * xi**2 - 1651 * xi + 17485
+    at_four_fifths = sympy.Poly(k.as_expr().subs(x, sympy.Rational(4, 5)), xi)
+    assert at_four_fifths == sympy.Poly(-2048 * quartic / 78125, xi)
+    # no root in (0, 1] and negative there, so x*(xi) < 4/5
+    assert at_four_fifths.count_roots(0, 1) == 0 and at_four_fifths.eval(sympy.Rational(1, 2)) < 0
+
+
+def box_value(xis, xs):
+    """An enclosure of K over the rational box xis x xs, by interval Horner on Fractions."""
+    def mul(a, b):
+        products = [p * q for p in a for q in b]
+        return min(products), max(products)
+
+    value = (Fraction(0), Fraction(0))
+    for row in derivatives._K_COEFFS:
+        c = (Fraction(0), Fraction(0))
+        for a in row:
+            c = tuple(end + a for end in mul(c, xis))
+        value = tuple(end + ce for end, ce in zip(mul(value, xs), c))
+    return value
+
+
+def test_k_has_one_root_in_the_unit_interval_for_every_xi(k_exact):
+    x, xi, k = k_exact
+    discriminant = sympy.Poly(sympy.discriminant(k, x).as_expr(), xi)
+    _, factors = discriminant.factor_list()
+    # (xi - 1)^2 (xi + 1)^4 times an irreducible factor of degree 42
+    assert sorted((f.degree(), m) for f, m in factors) == [(1, 2), (1, 4), (42, 1)]
+    assert {(f.monic().as_expr(), m) for f, m in factors if f.degree() == 1} == {(xi - 1, 2), (xi + 1, 4)}
+    critical = next(f for f, _ in factors if f.degree() == 42)
+    eps = Fraction(1, 10**12)
+    cells = [(Fraction(a), Fraction(b)) for (a, b), _ in critical.intervals(inf=0, sup=1, eps=eps)]
+    assert len(cells) == 2
+    # one rational xi in each cell of (0, 1) the two critical xi cut, with one root in (0, 1)
+    samples = (Fraction(1, 20), Fraction(1, 2), Fraction(19, 20))
+    assert 0 < samples[0] < cells[0][0] <= cells[0][1] < samples[1] < cells[1][0] <= cells[1][1] < samples[2] < 1
+    for sample in samples:
+        at_sample = sympy.Poly(k.as_expr().subs(xi, sympy.Rational(*sample.as_integer_ratio())), x)
+        assert at_sample.count_roots(0, 1) == 1
+    # at a critical xi the double root x is a root of the resultant in xi of K and dK/dx; on every
+    # box of a critical xi and a root of the resultant in [0, 1], K keeps one sign, so none is double
+    resultant = sympy.Poly(sympy.resultant(k, k.diff(x), xi).as_expr(), x)
+    roots = [(Fraction(a), Fraction(b)) for (a, b), _ in resultant.intervals(inf=0, sup=1, eps=eps)]
+    assert roots
+    for cell in cells:
+        for root in roots:
+            low, high = box_value(cell, root)
+            assert low > 0 or high < 0, (cell, root)
+
+
+def sturm_count(poly, a, b):
+    """Distinct real roots of poly in (a, b], from the sign changes of its Sturm sequence."""
+    def changes(point):
+        signs = [s for s in (p.eval(point) for p in sympy.sturm(poly)) if s != 0]
+        return sum(1 for u, v in zip(signs, signs[1:]) if (u < 0) != (v < 0))
+    return changes(a) - changes(b)
+
+
+def test_xi_one_sturm_count_isolates_lambda4_and_lambda5():
+    x = sympy.symbols("x")
+    quartic = sympy.Poly(derivatives._quartic(x), x)
+    assert sturm_count(quartic, 0, 1) == 1 and sturm_count(quartic, 2, 3) == 1
+    # f1'(0) = quartic / (3x(4 - x)), positive denominator: negative on (lambda4, 1)
+    assert quartic.eval(0) > 0 > quartic.eval(1)
+    lambda4, lambda5 = derivatives.d_roots()[3:]
+    assert 0 < lambda4 < 1 and 2 < lambda5 < 3
+
+
+def test_exit_interval_is_the_sign_change_of_f_xi_prime0(k_exact):
+    x, xi, k = k_exact
+    rng = random.Random(9)
+    for _ in range(20):
+        z = rng.uniform(0.0, 1.0)
+        at_z = sympy.Poly(k.as_expr().subs(xi, sympy.Rational(*z.as_integer_ratio())), x)
+        ((low, high), _), = at_z.intervals(inf=0, sup=1, eps=Fraction(1, 10**15))
+        star = (Fraction(low) + Fraction(high)) / 2
+        # bisect on floats to the adjacent pair where f_xi_prime0 changes sign
+        a, b = 2.0**-40, 0.8
+        while a < (m := (a + b) / 2) < b:
+            a, b = (m, b) if derivatives.f_xi_prime0(z, m) > 0 else (a, m)
+        assert derivatives.f_xi_prime0(z, a) > 0 >= derivatives.f_xi_prime0(z, b)
+        assert abs(a - star) <= 1e-12, z

@@ -170,6 +170,8 @@ class TestGradF:
     def test_domain(self):
         with pytest.raises(DomainError):
             grad_f(1.2, 0.9)
+        with pytest.raises(ValueError, match="xi must lie in"):
+            grad_f(0.9, 1.5)
 
 
 class TestInitialVelocity:
@@ -259,6 +261,8 @@ class TestFXiPrime:
     def test_domain(self):
         with pytest.raises(DomainError):
             f_xi_prime0(0.5, 1.0)
+        with pytest.raises(ValueError, match="xi must lie in"):
+            f_xi_prime0(1.5, 0.9)
         for xi in (0.5, 1.0):
             with pytest.raises(DomainError):
                 f_xi_prime0(xi, np.array([0.9, np.nan]))
@@ -283,6 +287,9 @@ class TestRatioDerivatives:
     def test_two_param_exact(self):
         assert two_param_ratio_derivative(Fraction(1), Fraction(1)) == 3
         assert two_param_ratio_derivative(1.0, 1.0) == 3.0
+        # an exact zero stays exact (0.0 == Fraction(0) too, so the type is the test)
+        zero = two_param_ratio_derivative(Fraction(2), Fraction(1))
+        assert type(zero) is Fraction and zero == 0
 
     def test_two_param_at_zero_t(self):
         # t' = -4 at t = 0, so d/dl (t/s) = t'/s = -4/2.5

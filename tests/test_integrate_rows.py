@@ -123,6 +123,16 @@ def test_the_first_failing_row_in_input_order_raises():
         integrate_rows(BLOWUP, late[::-1], BLOWUP_CFG, [EventSpec("guard", guard)])
 
 
+def test_a_too_small_rel_tol_is_raised_as_in_integrate():
+    system, cfg = make_system("aw3"), IntegratorConfig(rel_tol=1e-17, max_time=0.05)
+    inits = [[0.8 + 0.02 * r, 0.9, 1.0] for r in range(5)]
+    with pytest.warns(UserWarning, match="rtol is too small"):
+        rows = integrate_rows(system, inits, cfg)
+    with pytest.warns(UserWarning, match="rtol is too small"):
+        alone = [integrate(system, init, cfg) for init in inits]
+    assert [_bits(traj) for traj in rows] == [_bits(traj) for traj in alone]
+
+
 def test_few_rows_go_one_at_a_time_through_solve(monkeypatch):
     calls = []
     monkeypatch.setattr(_rk45, "solve", lambda *args: calls.append(args) or {})

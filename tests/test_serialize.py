@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ def test_fmt_round_trips(tmp_path):
 
 
 def test_trajectory_csv(tmp_path):
-    path = write_trajectory_csv(tmp_path / "t.csv", sample_trajectory())
+    path = write_trajectory_csv(str(tmp_path / "t.csv"), sample_trajectory())
+    assert isinstance(path, Path)
     raw = path.read_bytes().decode()
     lines = raw.split("\n")
     assert lines[0] == "ell,comp0,comp1"
@@ -55,7 +57,9 @@ def test_trajectory_csv_bytes_match_numpy_scalar_rendering(tmp_path):
 
 
 def test_events_json(tmp_path):
-    path = write_events_json(tmp_path / "e.json", sample_trajectory())
+    path = write_events_json(str(tmp_path / "e.json"), sample_trajectory())
+    assert isinstance(path, Path)
+    assert path.read_bytes().endswith(b"}\n")
     payload = json.loads(path.read_text())
     assert payload == {"events": [
         {"time": 0.5, "name": "cone_exit", "state": [0.85, 1.85]}
