@@ -109,10 +109,14 @@ def _scaled(s: Sequence[float]) -> tuple[list, float]:
     lo, hi = min(s), max(s)
     if 2.0 ** -64 <= lo and hi < 2.0 ** 64:
         return [*s], 1.0
-    scale = 2.0 ** (math.frexp(hi)[1] - 1)
+    scale = _power_of_two(hi)
     if lo < scale * sys.float_info.min:
         return [*map(Fraction, s)], 1
     return [c / scale for c in s], scale
+
+
+def _power_of_two(c: float) -> float:  # the power of two p with c/p in [1, 2), for c > 0 finite
+    return 2.0 ** (math.frexp(c)[1] - 1)
 
 
 def _rounded(value) -> float:
@@ -225,26 +229,22 @@ def t_a(s, xi) -> float:
 def t_a_closed(x: float, s: float) -> float:
     """Closed form t_A(x, s, s) = x(4s - x)/(3s) on the s1 = s2 slice at xi = 1.
 
-    Only certified where sigma(x, s, s) = x(4s - x) > 0, i.e. x < 4s.  Evaluated
-    as in `_float_or_exact`, so it has a value at any scale.
+    Only certified where sigma(x, s, s) = x(4s - x) > 0, i.e. 0 < x < 4s.  The float formula
+    inside [2^-64, 2^64), the exact value rounded once outside it (`_float_or_exact`).
     """
     with np.errstate(over="ignore"):   # 4s = inf where s > max/4, which still orders right
-        if not (_all((0.0 < x) & (x < math.inf)) and _all((0.0 < s) & (s < math.inf))):
-            raise DomainError(f"need finite x > 0 and s > 0, got ({x}, {s})")
-        if not _all(x < 4.0 * s):
-            raise DomainError(f"x = {x} >= 4s = {4 * s}: sigma <= 0, closed form not certified")
+        if not _all((0.0 < x) & (x < 4.0 * s)):   # a non-finite s fails in `_float_or_exact`
+            raise DomainError(f"need 0 < x < 4s, got ({x}, {s}): sigma <= 0, closed form not certified")
     return _float_or_exact(lambda x, s: x * (4 * s - x) / (3 * s), x, s)
 
 
 def a_tilde_inverse_slice(x: float, s: float) -> np.ndarray:
     """Closed-form inverse of A~(x, s, s), prefactor 1/((s-x)^2 (4s-x)); a stack (..., 3, 3) on arrays.
-    Evaluated as in `_float_or_exact` (an entry may be 0, at x = 3s)."""
+    Evaluated as `t_a_closed` is, entry by entry (an entry may be 0, at x = 3s)."""
     with np.errstate(over="ignore"):   # as in `t_a_closed`
-        if not (_all((0.0 < x) & (x < math.inf)) and _all((0.0 < s) & (s < math.inf))):
-            raise DomainError(f"need finite x > 0 and s > 0, got ({x}, {s})")
-        if not _all((x != s) & (x != 4.0 * s)):
-            raise DomainError(f"inverse prefactor vanishes at (x, s) = ({x}, {s})")
-    return _float_or_exact(_inverse_slice, x, s, lambda inv: np.where(inv == 0.0, inv[..., :1, :1], inv))
+        if not _all((0.0 < x) & (x != s) & (x != 4.0 * s)):   # a non-finite x or s fails in `_float_or_exact`
+            raise DomainError(f"need x > 0 off the inverse prefactor's poles x = s, 4s, got ({x}, {s})")
+    return _float_or_exact(_inverse_slice, x, s)
 
 
 def _inverse_slice(x, s):
@@ -257,28 +257,20 @@ def _inverse_slice(x, s):
     return np.moveaxis(inv, (0, 1), (-2, -1)).copy() if inv.ndim > 2 else inv
 
 
-def _float_or_exact(form, x, s, probe=lambda value: value):
-    """form(x, s) for a closed form written with integer literals, so that Fraction
-    inputs give its exact value.  On floats, elementwise on arrays, it keeps the bits
-    of the float evaluation wherever `probe` of that value is finite and normal;
-    where an intermediate over- or underflows (the evaluation raises, or the probe is
-    0, subnormal, inf or nan), it gives the exact value at the float inputs, rounded
-    once.  An array where any point fails is evaluated point by point."""
-    if isinstance(x, Fraction) or isinstance(s, Fraction):
+def _float_or_exact(form, x, s):
+    """form(x, s) for a closed form of degree <= 4 with integer literals: exact on Fractions.
+    On floats, elementwise on arrays, the float formula where x and s lie in `_scaled`'s band
+    [2^-64, 2^64), where no intermediate over- or underflows; elsewhere the exact value at the
+    float inputs, rounded once, for 0 <= x < inf and 0 < s < inf, else DomainError.  An array
+    with any point outside the band is evaluated point by point."""
+    if (isinstance(x, Fraction) or isinstance(s, Fraction)
+            or _all((2.0 ** -64 <= x) & (x < 2.0 ** 64) & (2.0 ** -64 <= s) & (s < 2.0 ** 64))):
         return form(x, s)
-    try:
-        with np.errstate(all="ignore"):
-            value = form(x, s)
-        size = abs(probe(value))
-        if _all((sys.float_info.min <= size) & (size < math.inf)):
-            return value
-    except (OverflowError, ZeroDivisionError):
-        pass
     if isinstance(x, np.ndarray) or isinstance(s, np.ndarray):
-        points = [_float_or_exact(form, a, b, probe) for a, b in np.broadcast(x, s)]
+        points = [_float_or_exact(form, a, b) for a, b in np.broadcast(x, s)]
         return np.reshape(points, np.broadcast(x, s).shape + np.shape(points[0]))
-    if not (abs(x) < math.inf and abs(s) < math.inf):
-        raise DomainError(f"need finite arguments, got ({x}, {s})")
+    if not (0.0 <= x < math.inf and 0.0 < s < math.inf):   # NaN too
+        raise DomainError(f"need finite x >= 0 and s > 0, got ({x}, {s})")
     exact = form(Fraction(x), Fraction(s))
     return np.vectorize(_rounded, otypes=[float])(exact) if isinstance(exact, np.ndarray) else _rounded(exact)
 
@@ -426,15 +418,9 @@ def _q(x, s):
 
 def normalized_region(x: float, s: float) -> str:
     """Region of the unit-volume plane: G (sec > 0), P (non-positive plane),
-    W (undetermined).  Ties q = 4x^3 s^4 - x^4 s^3 = 3 belong to P.  Where the
-    float value of q overflows, its exact value in Fraction decides."""
+    W (undetermined).  Ties q = 4x^3 s^4 - x^4 s^3 = 3 belong to P.  q is taken in floats
+    inside `_scaled`'s band [2^-64, 2^64), where it cannot over- or underflow, else in Fraction."""
     x, s = _reals([x, s], 2)
-    try:
-        q = _q(x, s)
-    except OverflowError:
-        q = math.inf
-    if not abs(q) < math.inf:   # an overflow (NaN where both terms overflow): decide on the exact value
-        q = _q(Fraction(x), Fraction(s))
-    if 3.0 >= q:
-        return "P"
-    return "G" if x < s else "W"
+    if not (2.0 ** -64 <= x < 2.0 ** 64 and 2.0 ** -64 <= s < 2.0 ** 64):
+        x, s = Fraction(x), Fraction(s)
+    return "P" if 3.0 >= _q(x, s) else "G" if x < s else "W"

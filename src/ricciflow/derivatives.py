@@ -180,8 +180,9 @@ def f_xi_prime0(xi, x):
 def two_param_ratio_derivative(t, s):
     """d/dl of t/s along the two-parameter flow: (-4s^2 - 5t^2 + 12ts)/s^3.
 
-    Pure arithmetic, so Fraction inputs stay exact; equals 3 at (1, 1).  Floats
-    get a value at any scale (`cone._float_or_exact`).
+    Pure arithmetic, so Fraction inputs stay exact; equals 3 at (1, 1).  Floats get the float
+    formula inside [2^-64, 2^64) and the exact value, rounded once, outside it; t < 0, s <= 0
+    or a non-finite input is a DomainError (`cone._float_or_exact`).
     """
     return cone._float_or_exact(lambda t, s: (-4 * s * s - 5 * t * t + 12 * t * s) / s**3, t, s)
 
@@ -189,7 +190,7 @@ def two_param_ratio_derivative(t, s):
 def berger_ratio_derivative(x1, x2):
     """d/dl of x1/(2 x2) along the Berger flow:
     (-9 x1^2 - 32 x2^2 + 40 x1 x2) / (4 x2^3); equals 3 at (2, 1).  Evaluated
-    as `two_param_ratio_derivative` is."""
+    and guarded as `two_param_ratio_derivative` is, with (x1, x2) for (t, s)."""
     return cone._float_or_exact(lambda x1, x2: (-9 * x1 * x1 - 32 * x2 * x2 + 40 * x1 * x2) / (4 * x2**3),
                                 x1, x2)
 

@@ -411,13 +411,15 @@ def cone_exit(family: str, init, config: IntegratorConfig | None = None,
 
 
 def post_exit_verdict(family: str, state, xi: float = 1.0,
-                      dt: float = 1e-3) -> cone.ConeVerdict:
+                      dt: float | None = None) -> cone.ConeVerdict:
     """Classify the metric a small flow time `dt` past `state`.
 
     Used to confirm that a detected boundary crossing really lands outside
     the cone; `family` and `xi` resolve as in `cone_exit`, and `state` is
-    the state that `cone_exit` returned.
+    the state that `cone_exit` returned.  The flow is scale covariant, so the default dt is
+    1e-3 lam, lam the power of two with max(state)/lam in [1, 2): the same step at any scale.
     """
     kind, fam, xi = _resolve(family, xi)
+    dt = 1e-3 * cone._power_of_two(max(state)) if dt is None else dt
     after = integrate(make_system(kind, xi), state, IntegratorConfig(max_time=dt)).final_state
     return fam.classify(after, xi)

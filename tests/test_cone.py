@@ -444,12 +444,17 @@ class TestTAClosed:
         assert t_a_closed(Fraction(x), Fraction(s)) == exact
 
     def test_keeps_the_bits_of_the_float_formula(self):
-        # wherever the float formula is finite and normal, its bits are kept
+        # inside the band [2^-64, 2^64) the float formula's bits are kept; outside it
+        # (s = 1e-100, 3e150) the value is the exact one, rounded once
         rng = np.random.default_rng(5)
         xs = np.concatenate([np.array(_TA_GRID), rng.uniform(0.01, 3.99, 2000)])
-        for s in (1.0, 1.2345, 1e-100, 3e150):
+        for s in (1.0, 1.2345):
             x = xs * s
             assert hexes(t_a_closed(x, s)) == hexes(x * (4.0 * s - x) / (3.0 * s))
+        for s in (1e-100, 3e150):
+            x = xs * s
+            assert hexes(t_a_closed(x, s)) == hexes(
+                [float(Fraction(a) * (4 * Fraction(s) - Fraction(a)) / (3 * Fraction(s))) for a in x.tolist()])
 
     def test_arrays_give_the_scalar_bits(self):
         xs = np.array(_TA_GRID)
@@ -509,7 +514,8 @@ class TestInverseSlice:
         assert hexes(stack) == hexes([a_tilde_inverse_slice(x, s), a_tilde_inverse_slice(0.5, 1.0)])
 
     def test_keeps_the_bits_of_the_float_formula(self):
-        # the formula as written in floats, kept wherever its entries are finite and normal
+        # the formula as written in floats, kept inside the band [2^-64, 2^64); outside
+        # it (s = 1e-50, 1e60) the same formula in Fraction, each entry rounded once
         def float_inverse(x, s):
             denom = (s - x) ** 2 * (4.0 * s - x)
             diag0, off0 = s ** 3 * x, s * s * x * (3.0 * s - x) / 2.0
@@ -517,12 +523,21 @@ class TestInverseSlice:
             off = s * (8.0 * s ** 3 + 9.0 * s * s * x - 6.0 * s * x * x + x ** 3) / 12.0
             return np.array([[diag0, off0, off0], [off0, diag, off], [off0, off, diag]]) / denom
 
+        def exact_inverse(x, s):
+            x, s = Fraction(x), Fraction(s)
+            denom = (s - x) ** 2 * (4 * s - x)
+            diag0, off0 = s ** 3 * x, s * s * x * (3 * s - x) / 2
+            diag = s * (16 * s ** 3 - 9 * s * s * x + 6 * s * x * x - x ** 3) / 12
+            off = s * (8 * s ** 3 + 9 * s * s * x - 6 * s * x * x + x ** 3) / 12
+            return [float(e / denom) for e in (diag0, off0, off0, off0, diag, off, off0, off, diag)]
+
         rng = np.random.default_rng(6)
         xs = np.concatenate([np.array(_TA_GRID), rng.uniform(0.01, 3.99, 500)])
-        for s in (1.0, 1.2345, 1e-50, 1e60):
+        for s, inverse in ((1.0, float_inverse), (1.2345, float_inverse),
+                           (1e-50, exact_inverse), (1e60, exact_inverse)):
             points = [(x * s, s) for x in xs.tolist() if x != 1.0]
             assert hexes(a_tilde_inverse_slice(np.array([x for x, _ in points]), s)) == hexes(
-                [float_inverse(x, s) for x, s in points])
+                [inverse(x, s) for x, s in points])
 
     def test_arrays_give_the_scalar_bits(self):
         # NumPy's array ** differs from Python's in the last bit on some

@@ -310,16 +310,31 @@ class TestRatioDerivatives:
         assert derivative(t, s) == float(exact) == pytest.approx(value, rel=1e-15)
 
     def test_keeps_the_bits_of_the_float_formula(self):
+        # the float formula's bits where t and s lie in the band [2^-64, 2^64), the
+        # exact value rounded once where either lies outside it (e^+-50 reaches both sides)
         rng = np.random.default_rng(7)
         for t, s in np.exp(rng.uniform(-50.0, 50.0, size=(2000, 2))).tolist() + [(1.0, 1.0), (2.0, 1.0)]:
-            assert two_param_ratio_derivative(t, s) == (-4.0 * s * s - 5.0 * t * t + 12.0 * t * s) / s**3
-            assert berger_ratio_derivative(t, s) == (-9.0 * t * t - 32.0 * s * s + 40.0 * t * s) / (4.0 * s**3)
+            if 2.0 ** -64 <= min(t, s) and max(t, s) < 2.0 ** 64:
+                assert two_param_ratio_derivative(t, s) == (-4.0 * s * s - 5.0 * t * t + 12.0 * t * s) / s**3
+                assert berger_ratio_derivative(t, s) == (-9.0 * t * t - 32.0 * s * s + 40.0 * t * s) / (4.0 * s**3)
+            else:
+                ft, fs = Fraction(t), Fraction(s)
+                assert two_param_ratio_derivative(t, s) == float((-4 * fs * fs - 5 * ft * ft + 12 * ft * fs) / fs**3)
+                assert berger_ratio_derivative(t, s) == float(
+                    (-9 * ft * ft - 32 * fs * fs + 40 * ft * fs) / (4 * fs**3))
 
     def test_non_finite_input_is_a_domain_error(self):
         with pytest.raises(DomainError):
             two_param_ratio_derivative(math.inf, 1.0)
         with pytest.raises(DomainError):
             berger_ratio_derivative(1.0, math.nan)
+
+    @pytest.mark.parametrize("t, s", [(1.0, 0.0), (0.0, 0.0), (1.0, -1.0), (-1.0, 1.0), (-0.0, -0.0)])
+    def test_zero_or_negative_input_is_a_domain_error(self, t, s):
+        # s must be > 0 and t >= 0: the forms divide by s^3, and a negative coefficient is no metric
+        for derivative in (two_param_ratio_derivative, berger_ratio_derivative):
+            with pytest.raises(DomainError):
+                derivative(t, s)
 
     @pytest.mark.parametrize("a,b", [(0.7, 1.3), (1.5, 1.3), (1.3, 0.6), (2.9, 1.7)])
     def test_two_param_quotient_rule(self, a, b):

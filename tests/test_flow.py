@@ -423,6 +423,16 @@ class TestConeExit:
         after = post_exit_verdict("aw2", state)
         assert after.classification is ConeClass.HAS_NONPOSITIVE_PLANE
 
+    @pytest.mark.parametrize("t0", [0.400000001, 0.4])
+    def test_aw2_exit_below_the_collapse_floor_is_classified(self, t0):
+        # these exits land at 9.9e-13 and 4.6e-23; the default dt, 1e-3 times the power
+        # of two of max(state), is the same step at any scale, as the flow is covariant
+        _, state = cone_exit("aw2", (t0, 1.0))
+        assert max(state) < flow.COLLAPSE_FLOOR
+        assert post_exit_verdict("aw2", state).classification is ConeClass.HAS_NONPOSITIVE_PLANE
+        with pytest.raises(NonPositiveState):   # an explicit dt is used as given
+            post_exit_verdict("aw2", state, dt=1e-3)
+
     def test_aw3(self):
         init = (t_a_closed(0.9, 1.0) - 1e-3, 0.9, 1.0)
         exit_time, state = cone_exit("aw3", init, TIGHT)
