@@ -37,9 +37,9 @@ import math
 import sys
 import warnings
 from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -77,12 +77,13 @@ def _real(c) -> float:
 
 
 def _reals(values, count: int) -> Sequence[float]:
-    """The guard of every coefficient tuple: `count` strictly positive finite floats
-    from a sequence of reals, else ValueError.  A list or tuple of such floats comes back as is."""
+    """The guard of every coefficient tuple: `count` strictly positive finite floats from an ordered
+    sequence of reals, else ValueError.  A list or tuple of such floats comes back as is."""
     try:
-        # a string iterates as its characters and an (n, 1) array as one-element rows
-        if type(values) not in (list, tuple) and (isinstance(values, (str, bytes))
-                                                 or getattr(values, "shape", (count,)) != (count,)):
+        # a string iterates as its characters, an (n, 1) array as one-element rows, a set in hash
+        # order: an array needs shape (count,), anything else without a shape must be a Sequence
+        if type(values) not in (list, tuple) and (isinstance(values, (str, bytes, bytearray)) or getattr(
+                values, "shape", None if isinstance(values, Sequence) else ()) not in (None, (count,))):
             raise TypeError
         for c in values:
             if type(c) is not float or not 0.0 < c < math.inf:
@@ -91,7 +92,7 @@ def _reals(values, count: int) -> Sequence[float]:
         if len(values) != count:
             raise TypeError
     except (TypeError, AttributeError, OverflowError):   # not a sequence of `count` reals
-        what = ("a pair", "a triple", "a 4-tuple")[count - 2]
+        what = {2: "a pair", 3: "a triple"}.get(count, f"a {count}-tuple")
         raise ValueError(f"expected {what} of reals, got {values!r}") from None
     except ValueError:
         raise ValueError(f"coefficients must be strictly positive and finite, got {values!r}") from None

@@ -20,7 +20,7 @@ class StepSizeUnderflow(RicciFlowError):
 
 
 class NonPositiveState(RicciFlowError):
-    """A metric coefficient is not strictly positive."""
+    """A run sampled a nonpositive state (a start that is not positive raises ValueError)."""
 
 
 class NoExitWithinHorizon(RicciFlowError):

@@ -14,9 +14,9 @@ system as one batch, every Trajectory bit for bit its own `integrate`.
 Termination modes of `integrate`:
   * "horizon"  - reached config.max_time,
   * "event"    - a terminal event fired (the event is recorded),
-  * "singular" - a state component fell below COLLAPSE_FLOOR (the flow is
-                 collapsing); the trajectory is truncated there and a
-                 "singular" event is recorded.
+  * "singular" - min(state) - COLLAPSE_FLOOR changed sign between step ends
+                 (a collapse; a start below the floor runs on); the trajectory
+                 is truncated at the root and a "singular" event is recorded.
 Each system kind is described once, in SYSTEMS (rows with a classifier are FAMILIES), and
 every entry point resolves a kind and its xi by the one lookup `_row`: only aw4 takes xi != 1.
 
@@ -255,14 +255,8 @@ class Trajectory:
 
 
 def _start(system: FlowSystem, init) -> list[float]:
-    """`init` as the list of floats the stepper takes, checked against `system`."""
-    y0 = np.asarray(init, dtype=float)
-    if y0.shape != (system.dim,):
-        raise ValueError(f"system {system.kind!r} needs {system.dim} components, got {y0.shape}")
-    y = y0.tolist()
-    if not all(0.0 < c < math.inf for c in y):
-        raise NonPositiveState(f"initial state must be positive and finite, got {y0}")
-    return y
+    """`init` as the list of floats the stepper takes: `system.dim` reals checked by `cone._reals`."""
+    return [*cone._reals(init, system.dim)]
 
 
 def _solver_args(cfg: IntegratorConfig, events: Sequence[EventSpec]) -> tuple:
@@ -292,11 +286,11 @@ def integrate(system: FlowSystem, init, config: IntegratorConfig | None = None,
               events: Sequence[EventSpec] = ()) -> Trajectory:
     """Integrate `system` from `init` with the adaptive Dormand-Prince 5(4) pair.
 
-    Stops at config.max_time, at the first terminal event, or when a state
-    component falls below COLLAPSE_FLOOR (collapsing flow; the run is
-    truncated with status "singular").  Raises StepSizeUnderflow when the
-    solver stalls and NonPositiveState for nonpositive initial or sampled
-    states.
+    Stops at config.max_time, at the first terminal event, or where min(state) -
+    COLLAPSE_FLOOR changes sign between step ends (status "singular"; a start below
+    the floor runs on).  Raises ValueError for an `init` that is not `system.dim`
+    positive finite reals, StepSizeUnderflow when the solver stalls and
+    NonPositiveState for a nonpositive sampled state.
     """
     cfg = config or _DEFAULT_CONFIG
     return _trajectory(_rk45.solve(system.rhs, _start(system, init), *_solver_args(cfg, events)), events)
@@ -343,22 +337,23 @@ def _resolve(family: str, xi) -> tuple[str, Family, float]:
 
 
 def _initial_state(kind: str, fam: Family, init) -> list[float]:
-    """The family's state from `init`, given as that state, as the reduced
-    slice state (aw4), or as the four coefficients (t, s0, s1, s2)."""
-    arr = np.asarray(init, dtype=float)
+    """The family's state from `init` (guarded by `cone._reals`): that state, the reduced slice
+    state (aw4), or the four coefficients (t, s0, s1, s2)."""
     if fam.coords is None:
-        if arr.shape != (fam.dim,):
-            raise ValueError(f"{kind} initial state must have {fam.dim} components, got {arr.shape}")
-        return arr.tolist()
-    if arr.shape == (4,):
-        first = [fam.coords.index(k) for k in range(fam.coords[-1] + 1)]
-        if not np.array_equal(arr[first][list(fam.coords)], arr):
+        return [*cone._reals(init, fam.dim)]
+    size = fam.coords[-1] + 1   # of the reduced state
+    try:
+        four = len(init) == 4
+    except TypeError:   # no length: `_reals` names what it expected
+        four = False
+    y = cone._reals(init, 4 if four else size)
+    if four:
+        reduced = [y[fam.coords.index(k)] for k in range(size)]
+        if [reduced[k] for k in fam.coords] != [*y]:
             form = ", ".join("abc"[k] for k in fam.coords)
-            raise ValueError(f"{kind} needs (t, s0, s1, s2) of the form ({form}), got {arr}")
-        arr = arr[first]
-    elif arr.shape != (fam.coords[-1] + 1,):   # the reduced state
-        raise ValueError(f"{kind} initial state must have {fam.coords[-1] + 1} or 4 components, got {arr.shape}")
-    return (arr[list(fam.coords)] if fam.dim == len(fam.coords) else arr).tolist()
+            raise ValueError(f"{kind} needs (t, s0, s1, s2) of the form ({form}), got {init!r}")
+        y = reduced
+    return [y[k] for k in fam.coords] if fam.dim == len(fam.coords) else [*y]
 
 
 def cone_events(kind: str, xi: float = 1.0) -> list[EventSpec]:
@@ -382,7 +377,7 @@ def cone_exit(family: str, init, config: IntegratorConfig | None = None,
     the boundary is not reached: "left the certified window at l = ..." when
     the window root comes first, even where the boundary would never have been
     reached; else "no cone exit within horizon ..." (the horizon or a collapse,
-    or an aw2 start with t/s <= 2/5).
+    or an aw2 start with t/s <= 2/5).  A bad `init` raises ValueError, as in `integrate`.
     """
     cfg = config or _DEFAULT_CONFIG
     kind, fam, xi = _resolve(family, xi)
@@ -414,12 +409,13 @@ def post_exit_verdict(family: str, state, xi: float = 1.0,
                       dt: float | None = None) -> cone.ConeVerdict:
     """Classify the metric a small flow time `dt` past `state`.
 
-    Used to confirm that a detected boundary crossing really lands outside
-    the cone; `family` and `xi` resolve as in `cone_exit`, and `state` is
-    the state that `cone_exit` returned.  The flow is scale covariant, so the default dt is
+    Used to confirm that a detected boundary crossing really lands outside the cone; `family` and
+    `xi` resolve as in `cone_exit`, and `state` is the state that `cone_exit` returned (a bad one
+    raises ValueError, as in `integrate`).  The flow is scale covariant, so the default dt is
     1e-3 lam, lam the power of two with max(state)/lam in [1, 2): the same step at any scale.
     """
     kind, fam, xi = _resolve(family, xi)
-    dt = 1e-3 * cone._power_of_two(max(state)) if dt is None else dt
-    after = integrate(make_system(kind, xi), state, IntegratorConfig(max_time=dt)).final_state
+    y = _start(system := make_system(kind, xi), state)
+    dt = 1e-3 * cone._power_of_two(max(y)) if dt is None else dt
+    after = integrate(system, y, IntegratorConfig(max_time=dt)).final_state
     return fam.classify(after, xi)

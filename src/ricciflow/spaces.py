@@ -121,7 +121,7 @@ def ricci_from_structure(k1: int, k2: int, coeffs):
     c = _family_values(k1, k2)
     try:
         x = np.asarray(coeffs, dtype=float)
-    except (TypeError, ValueError):  # a ragged stack, a non-number
+    except (TypeError, ValueError, OverflowError):  # a ragged stack, a non-number, an int past the float range
         x = None
     if x is None or x.ndim not in (1, 2) or x.shape[-1] != 4 or not np.all((0.0 < x) & (x < math.inf)):  # NaN too
         raise ValueError(f"need positive finite (t, s0, s1, s2) or an (N, 4) stack of them, got {coeffs!r}")

@@ -380,7 +380,7 @@ class TestConeExitCommand:
     def test_berger_init_length_is_config_error(self, capsys):
         code, out = run_cli(capsys, "cone-exit", "--family", "berger", "--init", "1.99,1,3")
         assert code == 2
-        assert "2 components" in out["error"]
+        assert "expected a pair of reals" in out["error"]
 
     def test_collapse_is_numerical_failure(self, capsys):
         code, out = run_cli(capsys, "cone-exit", "--family", "aw3",

@@ -106,7 +106,7 @@ def test_the_first_failing_row_in_input_order_raises():
     assert _bits(info.value.trajectory) == _bits(first.value.trajectory)
 
     # an invalid start before it raises first, and after it does not
-    with pytest.raises(ValueError, match="needs 2 components"):
+    with pytest.raises(ValueError, match="expected a pair of reals"):
         integrate_rows(BLOWUP, [*inits[:1], [1.0], *inits[1:]], BLOWUP_CFG)
     with pytest.raises(StepSizeUnderflow):
         integrate_rows(BLOWUP, [*inits, [1.0]], BLOWUP_CFG)

@@ -77,6 +77,11 @@ class TestMetricTypes:
             with pytest.raises(ValueError, match=r"\(t, s0, s1, s2\)"):
                 ricci_from_structure(1, 1, bad)
 
+    def test_an_int_past_the_float_range_gets_the_packages_message(self):
+        for bad in ([10**400, 1, 1, 1], [[1, 1, 1, 1], [1, 1, 1, -10**400]]):
+            with pytest.raises(ValueError, match=r"\(t, s0, s1, s2\)"):
+                ricci_from_structure(1, 1, bad)
+
     @pytest.mark.parametrize("bad", [-1.0, 0.0, math.inf, math.nan])
     @pytest.mark.parametrize("row", range(3))
     @pytest.mark.parametrize("column", range(4))
