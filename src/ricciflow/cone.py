@@ -44,7 +44,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .spaces import xi_value
+from .spaces import _is_real, _reals, _stack, xi_value
 
 __all__ = [
     "ConeClass",
@@ -64,39 +64,6 @@ __all__ = [
 ROUND_DIAGONAL_RTOL = 1e-13
 # Largest relative spread |s1 - s2| / mean that `classify_aw_slice` certifies.
 SLICE_RTOL = 0.05
-
-
-def _real(c) -> float:
-    """c as a strictly positive finite float.  A string has no `__float__`, and an
-    array of one element, which NumPy < 2.4 converts, is not a real."""
-    if type(c) is not int and getattr(c, "ndim", 0):   # an int skips the failing lookup
-        raise TypeError
-    if not 0.0 < (c := c.__float__()) < math.inf:   # NaN too
-        raise ValueError
-    return c
-
-
-def _reals(values, count: int) -> Sequence[float]:
-    """The guard of every coefficient tuple: `count` strictly positive finite floats from an ordered
-    sequence of reals, else ValueError.  A list or tuple of such floats comes back as is."""
-    try:
-        # a string iterates as its characters, an (n, 1) array as one-element rows, a set in hash
-        # order: an array needs shape (count,), anything else without a shape must be a Sequence
-        if type(values) not in (list, tuple) and (isinstance(values, (str, bytes, bytearray)) or getattr(
-                values, "shape", None if isinstance(values, Sequence) else ()) not in (None, (count,))):
-            raise TypeError
-        for c in values:
-            if type(c) is not float or not 0.0 < c < math.inf:
-                values = [c if type(c) is float and 0.0 < c < math.inf else _real(c) for c in values]
-                break
-        if len(values) != count:
-            raise TypeError
-    except (TypeError, AttributeError, OverflowError):   # not a sequence of `count` reals
-        what = {2: "a pair", 3: "a triple"}.get(count, f"a {count}-tuple")
-        raise ValueError(f"expected {what} of reals, got {values!r}") from None
-    except ValueError:
-        raise ValueError(f"coefficients must be strictly positive and finite, got {values!r}") from None
-    return values
 
 
 def _scaled(s: Sequence[float]) -> tuple[list, float]:
@@ -234,8 +201,8 @@ def t_a_closed(x: float, s: float) -> float:
     inside [2^-64, 2^64), the exact value rounded once outside it (`_float_or_exact`).
     """
     with np.errstate(over="ignore"):   # 4s = inf where s > max/4, which still orders right
-        if not _all((0.0 < x) & (x < 4.0 * s)):   # a non-finite s fails in `_float_or_exact`
-            raise DomainError(f"need 0 < x < 4s, got ({x}, {s}): sigma <= 0, closed form not certified")
+        if not (_is_real(x) and _is_real(s) and _all((0.0 < x) & (x < 4.0 * s))):   # non-finite s: `_float_or_exact`
+            raise DomainError(f"need reals 0 < x < 4s, got ({x!r}, {s!r}): closed form not certified")
     return _float_or_exact(lambda x, s: x * (4 * s - x) / (3 * s), x, s)
 
 
@@ -243,8 +210,8 @@ def a_tilde_inverse_slice(x: float, s: float) -> np.ndarray:
     """Closed-form inverse of A~(x, s, s), prefactor 1/((s-x)^2 (4s-x)); a stack (..., 3, 3) on arrays.
     Evaluated as `t_a_closed` is, entry by entry (an entry may be 0, at x = 3s)."""
     with np.errstate(over="ignore"):   # as in `t_a_closed`
-        if not _all((0.0 < x) & (x != s) & (x != 4.0 * s)):   # a non-finite x or s fails in `_float_or_exact`
-            raise DomainError(f"need x > 0 off the inverse prefactor's poles x = s, 4s, got ({x}, {s})")
+        if not (_is_real(x) and _is_real(s) and _all((0.0 < x) & (x != s) & (x != 4.0 * s))):   # as in `t_a_closed`
+            raise DomainError(f"need real x > 0 off the inverse prefactor's poles x = s, 4s, got ({x!r}, {s!r})")
     return _float_or_exact(_inverse_slice, x, s)
 
 
@@ -262,8 +229,10 @@ def _float_or_exact(form, x, s):
     """form(x, s) for a closed form of degree <= 4 with integer literals: exact on Fractions.
     On floats, elementwise on arrays, the float formula where x and s lie in `_scaled`'s band
     [2^-64, 2^64), where no intermediate over- or underflows; elsewhere the exact value at the
-    float inputs, rounded once, for 0 <= x < inf and 0 < s < inf, else DomainError.  An array
-    with any point outside the band is evaluated point by point."""
+    float inputs, rounded once, for 0 <= x < inf and 0 < s < inf, else DomainError, as for an input that
+    is not real (`_is_real`).  An array with any point outside the band is evaluated point by point."""
+    if not (_is_real(x) and _is_real(s)):   # a numpy complex compares, and would give a complex value
+        raise DomainError(f"need real x and s, got ({x!r}, {s!r})")
     if (isinstance(x, Fraction) or isinstance(s, Fraction)
             or _all((2.0 ** -64 <= x) & (x < 2.0 ** 64) & (2.0 ** -64 <= s) & (s < 2.0 ** 64))):
         return form(x, s)
@@ -285,12 +254,10 @@ def _pow(c, k):  # c ** k, per element on an array: NumPy's array `**` need not 
 
 
 def _rowwise(kernel, s, scalar) -> np.ndarray:
-    """`kernel(columns)` on an (N, 3) stack, and `scalar(row)` on the rows outside `_scaled`'s band
-    [2^-64, 2^64), where the scalar path scales, and on supersets of the rows where it branches.
-    Inside the band no intermediate over- or underflows, so the kernel has the scalar bits there."""
-    rows = np.asarray(s, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != 3 or not np.all((0.0 < rows) & (rows < math.inf)):
-        raise ValueError(f"expected an (N, 3) stack of positive finite reals, got {s!r}")
+    """`kernel(columns)` on an (N, 3) stack guarded by `_stack`, and `scalar(row)` on the rows outside
+    `_scaled`'s band [2^-64, 2^64), where the scalar path scales, and on supersets of the rows where it
+    branches.  Inside the band no intermediate over- or underflows, so the kernel has the scalar bits there."""
+    rows = _stack(s, 3)
     with np.errstate(all="ignore"):  # the rows that take `scalar` may overflow or divide by zero
         out = kernel(rows.T)
         top = rows.max(axis=1)

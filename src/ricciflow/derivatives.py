@@ -25,7 +25,7 @@ import numpy as np
 
 from . import cone, flow
 from .errors import DomainError
-from .spaces import xi_value
+from .spaces import _is_real, xi_value
 
 __all__ = [
     "gradient_anchor",
@@ -73,9 +73,9 @@ def d_roots() -> np.ndarray:
     return np.sort(np.concatenate([cubic, [-2.0, 0.0]]))
 
 
-def _check_x(x) -> None:  # x, or every entry of an array x, in (0, 1); nan is not
-    if not cone._all((0.0 < x) & (x < 1.0)):
-        raise DomainError(f"x must lie in (0, 1), got {x}")
+def _check_x(x) -> None:  # x a real, or an int or float array, in (0, 1) everywhere; nan is not
+    if not (_is_real(x) and cone._all((0.0 < x) & (x < 1.0))):
+        raise DomainError(f"x must lie in (0, 1), got {x!r}")
 
 
 def f1_prime0(x):

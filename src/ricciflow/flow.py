@@ -36,7 +36,7 @@ import numpy as np
 
 from . import _rk45, cone
 from .errors import NonPositiveState, NoExitWithinHorizon, StepSizeUnderflow
-from .spaces import aw_eigenvalue_tuple, berger_eigenvalue_tuple, xi_value
+from .spaces import _is_real, _reals, aw_eigenvalue_tuple, berger_eigenvalue_tuple, xi_value
 
 __all__ = [
     "IntegratorConfig",
@@ -193,13 +193,14 @@ class IntegratorConfig:
     max_time: float = 10.0
     direction: str = "forward"
 
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
-            raise ValueError("tolerances must be positive and finite")
-        if not self.max_step > 0.0:
-            raise ValueError("max_step must be positive")
-        if not 0.0 < self.max_time < math.inf:
-            raise ValueError("max_time must be positive and finite")
+    def __post_init__(self):   # each number a real (`_is_real`) first: a numpy complex compares
+        if not (_is_real(self.rel_tol) and _is_real(self.abs_tol)
+                and 0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise ValueError(f"tolerances must be positive and finite reals, got {self.rel_tol!r}, {self.abs_tol!r}")
+        if not (_is_real(self.max_step) and self.max_step > 0.0):
+            raise ValueError(f"max_step must be a positive real, got {self.max_step!r}")
+        if not (_is_real(self.max_time) and 0.0 < self.max_time < math.inf):
+            raise ValueError(f"max_time must be a positive and finite real, got {self.max_time!r}")
         if self.direction not in ("forward", "backward"):
             raise ValueError(f"direction must be 'forward' or 'backward', got {self.direction!r}")
 
@@ -255,8 +256,8 @@ class Trajectory:
 
 
 def _start(system: FlowSystem, init) -> list[float]:
-    """`init` as the list of floats the stepper takes: `system.dim` reals checked by `cone._reals`."""
-    return [*cone._reals(init, system.dim)]
+    """`init` as the list of floats the stepper takes: `system.dim` reals checked by `_reals`."""
+    return [*_reals(init, system.dim)]
 
 
 def _solver_args(cfg: IntegratorConfig, events: Sequence[EventSpec]) -> tuple:
@@ -337,16 +338,16 @@ def _resolve(family: str, xi) -> tuple[str, Family, float]:
 
 
 def _initial_state(kind: str, fam: Family, init) -> list[float]:
-    """The family's state from `init` (guarded by `cone._reals`): that state, the reduced slice
+    """The family's state from `init` (guarded by `_reals`): that state, the reduced slice
     state (aw4), or the four coefficients (t, s0, s1, s2)."""
     if fam.coords is None:
-        return [*cone._reals(init, fam.dim)]
+        return [*_reals(init, fam.dim)]
     size = fam.coords[-1] + 1   # of the reduced state
     try:
         four = len(init) == 4
     except TypeError:   # no length: `_reals` names what it expected
         four = False
-    y = cone._reals(init, 4 if four else size)
+    y = _reals(init, 4 if four else size)
     if four:
         reduced = [y[fam.coords.index(k)] for k in range(size)]
         if [reduced[k] for k in fam.coords] != [*y]:

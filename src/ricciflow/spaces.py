@@ -21,6 +21,8 @@ an (N, 4) array for an (N, 4) stack, each row with the bits of its 4-tuple.
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Sequence
 from itertools import permutations, product
 from math import gcd
 
@@ -35,17 +37,70 @@ __all__ = [
 ]
 
 
-def xi_value(xi: float) -> float:
-    """xi as a float, which must lie in (0, 1]."""
-    x = float(xi)
-    if not (0.0 < x <= 1.0):
-        raise ValueError(f"xi must lie in (0, 1], got {x}")
+def _real(c) -> float:
+    """c as a strictly positive finite float.  A real is a `numbers.Real` (a float, int, `Fraction`, numpy integer or
+    floating scalar), read by its `__float__`; not a string, an array or a complex (numpy's `__float__` drops 1j)."""
+    if not isinstance(c, numbers.Real):
+        raise TypeError
+    if not 0.0 < (c := c.__float__()) < math.inf:   # NaN too
+        raise ValueError
+    return c
+
+
+def _is_real(c) -> bool:   # a real (`_real`) or an int or float array, whose items are: a closed form's input
+    return isinstance(c, numbers.Real) or isinstance(c, np.ndarray) and c.dtype.kind in "iuf"
+
+
+def _reals(values, count: int) -> Sequence[float]:
+    """The guard of every coefficient tuple: `count` strictly positive finite floats from an ordered
+    sequence of reals (`_real`), else ValueError.  A list or tuple of such floats comes back as is."""
+    try:
+        # a string iterates as its characters, an (n, 1) array as one-element rows, a set in hash
+        # order: an array needs shape (count,), anything else without a shape must be a Sequence
+        if type(values) not in (list, tuple) and (isinstance(values, (str, bytes, bytearray)) or getattr(
+                values, "shape", None if isinstance(values, Sequence) else ()) not in (None, (count,))):
+            raise TypeError
+        for c in values:
+            if type(c) is not float or not 0.0 < c < math.inf:
+                values = [c if type(c) is float and 0.0 < c < math.inf else _real(c) for c in values]
+                break
+        if len(values) != count:
+            raise TypeError
+    except (TypeError, AttributeError, OverflowError):   # not a sequence of `count` reals
+        what = {2: "a pair", 3: "a triple"}.get(count, f"a {count}-tuple")
+        raise ValueError(f"expected {what} of reals, got {values!r}") from None
+    except ValueError:
+        raise ValueError(f"coefficients must be strictly positive and finite, got {values!r}") from None
+    return values
+
+
+def _stack(values, width: int) -> np.ndarray:
+    """The guard of every stack of coefficient tuples: the (N, width) floats of an ordered sequence of rows that
+    `_reals(row, width)` accepts, else ValueError.  An int or float array is read as it is, anything else by row."""
+    try:
+        if getattr(values, "ndim", None) == 2 and _is_real(values):
+            rows = values.astype(float, copy=False)
+            if rows.shape[1] != width or not ((0.0 < rows) & (rows < math.inf)).all():   # NaN too
+                raise ValueError
+            return rows
+        if not isinstance(values, (Sequence, np.ndarray)):   # a set, a dict or a generator is not ordered
+            raise ValueError
+        return np.array([_reals(row, width) for row in values], dtype=float).reshape(-1, width)
+    except (TypeError, ValueError):   # TypeError: a 0-d array does not iterate
+        raise ValueError(f"expected an (N, {width}) stack of positive finite reals, got {values!r}") from None
+
+
+def xi_value(xi) -> float:
+    """xi as a float: a real (as in `_real`) in (0, 1], else ValueError.  A float takes one type test."""
+    x = xi if type(xi) is float else xi.__float__() if isinstance(xi, numbers.Real) and 0 < xi <= 1 else math.nan
+    if not 0.0 < x <= 1.0:   # NaN too
+        raise ValueError(f"xi must lie in (0, 1], got {xi!r}")
     return x
 
 
 def _check_pair(k1: int, k2: int) -> None:
-    if not (0 < k1 <= k2):
-        raise ValueError(f"need 0 < k1 <= k2, got ({k1}, {k2})")
+    if not (isinstance(k1, numbers.Integral) and isinstance(k2, numbers.Integral) and 0 < k1 <= k2):
+        raise ValueError(f"need integers 0 < k1 <= k2, got ({k1!r}, {k2!r})")
     if gcd(k1, k2) != 1:
         raise ValueError(f"(k1, k2) must be coprime, got ({k1}, {k2})")
 
@@ -113,21 +168,24 @@ def ricci_from_structure(k1: int, k2: int, coeffs):
 
     with b_i = 12, d = (1, 2, 2, 2) and x = (t, s0, s1, s2).  Independent of
     the closed forms in `aw_eigenvalue_tuple`: the two agree to 3.3e-13
-    relative on the battery's sample.  The coefficients must be positive
-    and finite.  Four of them give the 4-tuple; an (N, 4) stack gives an
-    (N, 4) array, each row with the bits of its 4-tuple (one column formula
-    serves both, each bracket sum running left to right in (j, k) order).
+    relative on the battery's sample.  Both forms go through `_stack`, so the
+    coefficients are positive finite reals (`_real`): an (N, 4) stack gives an
+    (N, 4) array, and four coefficients, a stack of one, the 4-tuple; each row
+    has the bits of its 4-tuple (one column formula serves both, each bracket
+    sum running left to right in (j, k) order).
     """
     c = _family_values(k1, k2)
-    try:
-        x = np.asarray(coeffs, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # a ragged stack, a non-number, an int past the float range
-        x = None
-    if x is None or x.ndim not in (1, 2) or x.shape[-1] != 4 or not np.all((0.0 < x) & (x < math.inf)):  # NaN too
+    for form in (coeffs, [coeffs]):   # an (N, 4) stack, else the four coefficients as a stack of one
+        try:
+            x = _stack(form, 4)
+            break
+        except ValueError:
+            continue
+    else:
         raise ValueError(f"need positive finite (t, s0, s1, s2) or an (N, 4) stack of them, got {coeffs!r}")
-    cols = np.atleast_2d(x).T
+    cols = x.T
     r = np.array([_B_COEFF / (2.0 * cols[i])
                   - sum(c[f] * cols[j] / (cols[i] * cols[k]) for f, j, k in brackets) / (2.0 * d)
                   + sum(c[f] * cols[i] / (cols[j] * cols[k]) for f, j, k in brackets) / (4.0 * d)
                   for i, (d, brackets) in enumerate(zip(_MODULE_DIMS, _BRACKETS_BY_I))]).T
-    return r if x.ndim == 2 else tuple(r[0].tolist())
+    return r if form is coeffs else tuple(r[0].tolist())

@@ -159,31 +159,6 @@ def test_scale_factors_must_be_a_triple_of_reals(s):
         cone.t_a(s, 1.0)
 
 
-class OneElementRow:
-    """A one-element array row as NumPy < 2.4 treats it: float() converts it."""
-    ndim, shape = 1, (1,)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __float__(self):
-        return self.value
-
-
-class Column(list):
-    """The rows of an array of shape (3, 1), with that shape."""
-    shape = (3, 1)
-
-
-@pytest.mark.parametrize("s", [Column(map(OneElementRow, (1.0, 1.2, 0.9))),
-                               [OneElementRow(1.0), 1.2, 0.9], (1.0, 1.2, OneElementRow(0.9))],
-                         ids=["column", "list", "tuple"])
-def test_one_element_rows_are_not_reals_on_any_numpy(s):
-    # NumPy 2.4 raises on float(np.ones(1)) by itself; older versions do not
-    with pytest.raises(ValueError, match="expected a triple of reals"):
-        cone.t_a(s, 1.0)
-
-
 def test_rhs_on_a_list_of_large_ints_gets_numpy_values():
     # float ** overflows on 10**70 as an int too; the numpy rerun reads it as a float
     with warnings.catch_warnings():
