@@ -48,7 +48,7 @@ def _real(c) -> float:
 
 
 def _is_real(c) -> bool:   # a real (`_real`) or an int or float array, whose items are: a closed form's input
-    return isinstance(c, numbers.Real) or isinstance(c, np.ndarray) and c.dtype.kind in "iuf"
+    return type(c) is float or isinstance(c, numbers.Real) or isinstance(c, np.ndarray) and c.dtype.kind in "iuf"
 
 
 def _reals(values, count: int) -> Sequence[float]:
