@@ -48,7 +48,7 @@ def _real(c) -> float:
 
 
 def _is_real(c) -> bool:   # a real (`_real`) or an int or float array, whose items are: a closed form's input
-    return type(c) is float or isinstance(c, numbers.Real) or isinstance(c, np.ndarray) and c.dtype.kind in "iuf"
+    return type(c) is float or isinstance(c, np.ndarray) and c.dtype.kind in "iuf" or isinstance(c, numbers.Real)
 
 
 def _reals(values, count: int) -> Sequence[float]:
@@ -91,11 +91,12 @@ def _stack(values, width: int) -> np.ndarray:
 
 
 def xi_value(xi) -> float:
-    """xi as a float: a real (as in `_real`) in (0, 1], else ValueError.  A float takes one type test."""
-    x = xi if type(xi) is float else xi.__float__() if isinstance(xi, numbers.Real) and 0 < xi <= 1 else math.nan
-    if not 0.0 < x <= 1.0:   # NaN too
+    """xi as a float: a real (as in `_real`) in (0, 1], else ValueError.  A float in range takes one type test."""
+    if type(xi) is float and 0.0 < xi <= 1.0:
+        return xi
+    if not (isinstance(xi, numbers.Real) and 0 < xi <= 1):   # NaN too
         raise ValueError(f"xi must lie in (0, 1], got {xi!r}")
-    return x
+    return xi.__float__()
 
 
 def _check_pair(k1: int, k2: int) -> None:
@@ -175,7 +176,9 @@ def ricci_from_structure(k1: int, k2: int, coeffs):
     sum running left to right in (j, k) order).
     """
     c = _family_values(k1, k2)
-    for form in (coeffs, [coeffs]):   # an (N, 4) stack, else the four coefficients as a stack of one
+    # an (N, 4) stack, or the four coefficients as a stack of one (tried first for a 1-D array: a failed
+    # try formats the input, and an array's repr is slow)
+    for form in ([coeffs], coeffs) if getattr(coeffs, "ndim", 2) == 1 else (coeffs, [coeffs]):
         try:
             x = _stack(form, 4)
             break
