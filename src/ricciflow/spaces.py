@@ -38,8 +38,9 @@ __all__ = [
 
 
 def _real(c) -> float:
-    """c as a strictly positive finite float.  A real is a `numbers.Real` (a float, int, `Fraction`, numpy integer or
-    floating scalar), read by its `__float__`; not a string, an array or a complex (numpy's `__float__` drops 1j)."""
+    """c as a strictly positive finite float.  A real is a `numbers.Real`: a float, int, `Fraction`, numpy integer
+    or floating scalar, read by its `__float__`.  A string, an array or a complex is not one (a numpy complex's
+    `__float__` drops the imaginary part)."""
     if not isinstance(c, numbers.Real):
         raise TypeError
     if not 0.0 < (c := c.__float__()) < math.inf:   # NaN too
@@ -47,7 +48,7 @@ def _real(c) -> float:
     return c
 
 
-def _is_real(c) -> bool:   # a real (`_real`) or an int or float array, whose items are: a closed form's input
+def _is_real(c) -> bool:   # a real (`_real`), or an int or float array, whose items are reals: what a closed form takes
     return type(c) is float or isinstance(c, np.ndarray) and c.dtype.kind in "iuf" or isinstance(c, numbers.Real)
 
 
