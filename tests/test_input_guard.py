@@ -6,8 +6,8 @@ string, bytes, an array item, a complex (numpy's too, whose `__float__` drops
 the imaginary part) or an int past the float range is not one.  `spaces._reals`
 guards every coefficient tuple, `spaces._stack` every stack of them (an int or
 float array as it is, anything else row by row), and `spaces.xi_value` the
-parameter xi; the closed forms, which take int or float arrays too, and
-`IntegratorConfig` apply the same test (`spaces._is_real`).
+parameter xi; the closed forms, which take int or float arrays too, apply the
+same test (`spaces._is_real`), and `IntegratorConfig` the scalar test of `_real`.
 
 Each table below is one entry point per row.  Every accepted form of an input
 gives the bits of its list of floats, and every rejected form raises ValueError
@@ -308,7 +308,8 @@ def test_integrator_config_takes_positive_reals(field):
     for real in (Fraction(1, 100), np.float64(0.01), np.float32(0.5), 1):
         assert getattr(IntegratorConfig(**{field: real}), field) == real
     bad = {"str": "1e-10", "None": None, "complex": 0.01 + 0j, "numpy complex": np.complex128(0.01 + 1j),
-           "zero": 0.0, "negative": -1.0, "nan": math.nan}
+           "zero": 0.0, "negative": -1.0, "nan": math.nan, "one-element array": np.array([0.01]),
+           "(1, 1) array": np.array([[0.01]]), "int array": np.array([1]), "0-d array": np.array(0.01)}
     if field != "max_step":   # max_step may be inf
         bad["inf"] = math.inf
     forms = ((form, value, field.replace("rel_", "").replace("abs_", "") + "s?") for form, value in bad.items())
