@@ -102,8 +102,9 @@ def berger_rhs(x1, x2) -> tuple:
 @cone._on_floats
 def normalized_rhs(x, s) -> tuple:
     """Volume-one planar flow of the three-parameter family (t = x^-2 s^-4).  The powers are chains of
-    products, not `**` (libm `pow`): a call takes 290 against 440 ns, and over 20 000 points of [0.3, 2]^2
-    the median relative error is 2.8e-16 against 2.9e-16, as the cancelling numerators dominate it."""
+    products, not `**` (libm `pow`): a call takes 290 against 440 ns on a 2-vCPU AMD EPYC host, and over
+    20 000 points of [0.3, 2]^2 the median relative error is 2.8e-16 against 2.9e-16 (the cancelling
+    numerators dominate it)."""
     x2, s2 = x * x, s * s
     x3, s4 = x2 * x, s2 * s2
     x4, s5 = x3 * x, s4 * s
