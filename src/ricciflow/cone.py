@@ -62,6 +62,9 @@ __all__ = [
 
 # Relative width of the numerical round diagonal {s0 = s1 = s2}.
 ROUND_DIAGONAL_RTOL = 1e-13
+# The band [_BAND_LO, _BAND_HI) of every float-or-exact decision: on inputs inside it no intermediate of a
+# kernel of degree <= 4 over- or underflows, so the float formula needs neither scaling nor Fractions.
+_BAND_LO, _BAND_HI = 2.0 ** -64, 2.0 ** 64
 # Largest relative spread |s1 - s2| / mean that `classify_aw_slice` certifies.
 SLICE_RTOL = 0.05
 
@@ -69,13 +72,13 @@ SLICE_RTOL = 0.05
 def _scaled(s: Sequence[float]) -> tuple[list, float]:
     """The guarded floats s as a list divided by a power of two `scale`, and `scale`.
     A kernel of degree d on the scaled s, times scale**d, has no intermediate over- or
-    underflow and the bits of the kernel on s itself.  Inside [2^-64, 2^64) s itself
+    underflow and the bits of the kernel on s itself.  Inside the band s itself
     has neither, so scale is 1; else scale brings max(s) into [1, 2).  Where a scaled
     component would be subnormal (max(s)/min(s) >= 2^1022), s comes back as exact
     Fractions with scale 1: the kernels compute in the number type of s, so they are
     exact there, and `_rounded` rounds their result once."""
     lo, hi = min(s), max(s)
-    if 2.0 ** -64 <= lo and hi < 2.0 ** 64:
+    if _BAND_LO <= lo and hi < _BAND_HI:
         return [*s], 1.0
     scale = _power_of_two(hi)
     if lo < scale * sys.float_info.min:
@@ -97,9 +100,10 @@ def _rounded(value) -> float:
 
 def _on_floats(kernel):
     """`kernel(*state)` as `f(state)`, or as `f(state, xi)` where its last parameter is xi or _xi
-    (chosen here, not per call), on Python floats (a list is taken to hold them): the bits of
-    numpy float64 scalars at half the cost.  Where float `**` or `/` raises and numpy gives inf
-    or nan, the kernel runs again on numpy scalars, so a stage that overflows is rejected, not raised."""
+    (chosen here, not per call), on Python floats: the bits of numpy float64 scalars at half the cost.
+    A list must hold floats and is passed as it is (a conversion costs a third of a call); any other
+    sequence is converted.  Where float `**` or `/` raises and numpy gives inf or nan, the kernel runs
+    again on numpy scalars, so a stage that overflows is rejected, not raised."""
     def f(state):
         state = state if type(state) is list else np.asarray(state, dtype=float).tolist()
         try:
@@ -184,7 +188,7 @@ def t_a(s, xi) -> float:
     if type(s) is list and len(s) == 3:   # the flow's events pass a list of floats
         s0, s1, s2 = s
         if (type(s0) is type(s1) is type(s2) is float   # then `_reals` and `_scaled` give s with scale 1
-                and 2.0 ** -64 <= s0 < 2.0 ** 64 and 2.0 ** -64 <= s1 < 2.0 ** 64 and 2.0 ** -64 <= s2 < 2.0 ** 64):
+                and _BAND_LO <= s0 < _BAND_HI and _BAND_LO <= s1 < _BAND_HI and _BAND_LO <= s2 < _BAND_HI):
             x = xi_value(xi)
             return 0.0 if _is_round(s0, s1, s2) else _t_a(s0, s1, s2, x)   # a float: `_rounded` keeps it
     (s0, s1, s2), scale = _scaled(_reals(s, 3))
@@ -198,7 +202,7 @@ def t_a_closed(x: float, s: float) -> float:
     """Closed form t_A(x, s, s) = x(4s - x)/(3s) on the s1 = s2 slice at xi = 1.
 
     Only certified where sigma(x, s, s) = x(4s - x) > 0, i.e. 0 < x < 4s.  The float formula
-    inside [2^-64, 2^64), the exact value rounded once outside it (`_float_or_exact`).
+    inside the band, the exact value rounded once outside it (`_float_or_exact`).
     """
     with np.errstate(over="ignore"):   # 4s = inf where s > max/4, which still orders right
         if not (_is_real(x) and _is_real(s) and _all((0.0 < x) & (x < 4.0 * s))):   # non-finite s: `_float_or_exact`
@@ -226,15 +230,14 @@ def _inverse_slice(x, s):
 
 
 def _float_or_exact(form, x, s):
-    """form(x, s) for a closed form of degree <= 4 with integer literals: exact on Fractions.
-    On floats, elementwise on arrays, the float formula where x and s lie in `_scaled`'s band
-    [2^-64, 2^64), where no intermediate over- or underflows; elsewhere the exact value at the
-    float inputs, rounded once, for 0 <= x < inf and 0 < s < inf, else DomainError, as for an input that
-    is not real (`_is_real`).  An array with any point outside the band is evaluated point by point."""
+    """form(x, s) for a closed form of degree <= 4 with integer literals: exact on Fractions.  On floats,
+    elementwise on arrays, the float formula where x and s lie in the band; elsewhere the exact value at the
+    float inputs, rounded once, for 0 <= x < inf and 0 < s < inf, else DomainError, as for an input that is
+    not real (`_is_real`).  An array with any point outside the band is evaluated point by point."""
     if not (_is_real(x) and _is_real(s)):   # a numpy complex compares, and would give a complex value
         raise DomainError(f"need real x and s, got ({x!r}, {s!r})")
     if (isinstance(x, Fraction) or isinstance(s, Fraction)
-            or _all((2.0 ** -64 <= x) & (x < 2.0 ** 64) & (2.0 ** -64 <= s) & (s < 2.0 ** 64))):
+            or _all((_BAND_LO <= x) & (x < _BAND_HI) & (_BAND_LO <= s) & (s < _BAND_HI))):
         return form(x, s)
     if isinstance(x, np.ndarray) or isinstance(s, np.ndarray):
         points = [_float_or_exact(form, a, b) for a, b in np.broadcast(x, s)]
@@ -255,13 +258,13 @@ def _pow(c, k):  # c ** k, per element on an array: NumPy's array `**` need not 
 
 def _rowwise(kernel, s, scalar) -> np.ndarray:
     """`kernel(columns)` on an (N, 3) stack guarded by `_stack`, and `scalar(row)` on the rows outside
-    `_scaled`'s band [2^-64, 2^64), where the scalar path scales, and on supersets of the rows where it
-    branches.  Inside the band no intermediate over- or underflows, so the kernel has the scalar bits there."""
+    the band, where the scalar path scales, and on supersets of the rows where it branches.  Inside
+    the band no intermediate over- or underflows, so the kernel has the scalar bits there."""
     rows = _stack(s, 3)
     with np.errstate(all="ignore"):  # the rows that take `scalar` may overflow or divide by zero
         out = kernel(rows.T)
         top = rows.max(axis=1)
-        fallback = ((rows.min(axis=1) < 2.0 ** -64) | (top >= 2.0 ** 64)
+        fallback = ((rows.min(axis=1) < _BAND_LO) | (top >= _BAND_HI)
                     | (np.ptp(rows, axis=1) <= 4 * ROUND_DIAGONAL_RTOL * top)  # round: <= 2 RTOL mean
                     | (15 * _sigma(*rows.T) < np.square(rows.sum(axis=1))))  # 16 sigma < sum**2
     for i in np.flatnonzero(fallback):
@@ -387,8 +390,8 @@ def _q(x, s):
 def normalized_region(x: float, s: float) -> str:
     """Region of the unit-volume plane: G (sec > 0), P (non-positive plane),
     W (undetermined).  Ties q = 4x^3 s^4 - x^4 s^3 = 3 belong to P.  q is taken in floats
-    inside `_scaled`'s band [2^-64, 2^64), where it cannot over- or underflow, else in Fraction."""
+    inside the band, else in Fraction."""
     x, s = _reals([x, s], 2)
-    if not (2.0 ** -64 <= x < 2.0 ** 64 and 2.0 ** -64 <= s < 2.0 ** 64):
+    if not (_BAND_LO <= x < _BAND_HI and _BAND_LO <= s < _BAND_HI):
         x, s = Fraction(x), Fraction(s)
     return "P" if 3.0 >= _q(x, s) else "G" if x < s else "W"

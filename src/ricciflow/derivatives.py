@@ -181,7 +181,7 @@ def two_param_ratio_derivative(t, s):
     """d/dl of t/s along the two-parameter flow: (-4s^2 - 5t^2 + 12ts)/s^3.
 
     Pure arithmetic, so Fraction inputs stay exact; equals 3 at (1, 1).  Floats get the float
-    formula inside [2^-64, 2^64) and the exact value, rounded once, outside it; t < 0, s <= 0
+    formula inside `cone`'s band and the exact value, rounded once, outside it; t < 0, s <= 0
     or a non-finite input is a DomainError (`cone._float_or_exact`).
     """
     return cone._float_or_exact(lambda t, s: (-4 * s * s - 5 * t * t + 12 * t * s) / s**3, t, s)

@@ -29,7 +29,6 @@ in closed form (`_aw2_exit`); the tolerances of the config do not apply to it.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -37,7 +36,7 @@ import numpy as np
 
 from . import _rk45, cone
 from .errors import NonPositiveState, NoExitWithinHorizon, StepSizeUnderflow
-from .spaces import _reals, aw_eigenvalue_tuple, berger_eigenvalue_tuple, xi_value
+from .spaces import _real, _reals, aw_eigenvalue_tuple, berger_eigenvalue_tuple, xi_value
 
 __all__ = [
     "IntegratorConfig",
@@ -69,14 +68,16 @@ COLLAPSE_FLOOR = 1e-12
 
 @cone._on_floats
 def aw_rhs(t, s0, s1, s2, xi) -> tuple:
-    """Four-parameter Aloff-Wallach flow: (t', s0', s1', s2') = -2 r_i * state."""
+    """Four-parameter Aloff-Wallach flow: (t', s0', s1', s2') = -2 r_i * state.  A list state must
+    hold floats; any other sequence is converted."""
     r0, r1, r2, r3 = aw_eigenvalue_tuple(t, s0, s1, s2, xi_value(xi))
     return -2.0 * r0 * t, -2.0 * r1 * s0, -2.0 * r2 * s1, -2.0 * r3 * s2
 
 
 @cone._on_floats
 def aw3_rhs(t, x, s) -> tuple:
-    """Three-parameter slice (t, x, s) at xi = 1, eigenvalues in reduced form."""
+    """Three-parameter slice (t, x, s) at xi = 1, eigenvalues in reduced form.  A list state must
+    hold floats; any other sequence is converted."""
     r0 = t * (2.0 * s * s + x * x) / (x * x * s * s)
     r1 = (4.0 * x * s * s - 2.0 * t * s * s + x**3) / (x * x * s * s)
     r2 = (12.0 * s - t - 2.0 * x) / (2.0 * s * s)
@@ -85,8 +86,8 @@ def aw3_rhs(t, x, s) -> tuple:
 
 @cone._on_floats
 def aw2_rhs(t, s) -> tuple:
-    """Two-parameter slice (t, s) at xi = 1: r0 = (2s^2+t^2)/(ts^2),
-    r2 = 3(4s-t)/(2s^2)."""
+    """Two-parameter slice (t, s) at xi = 1: r0 = (2s^2+t^2)/(ts^2), r2 = 3(4s-t)/(2s^2).  A list
+    state must hold floats; any other sequence is converted."""
     r0 = (2.0 * s * s + t * t) / (t * s * s)
     r2 = 3.0 * (4.0 * s - t) / (2.0 * s * s)
     return -2.0 * r0 * t, -2.0 * r2 * s
@@ -94,7 +95,7 @@ def aw2_rhs(t, s) -> tuple:
 
 @cone._on_floats
 def berger_rhs(x1, x2) -> tuple:
-    """Berger flow (x1', x2') = (-2 r1 x1, -2 r2 x2)."""
+    """Berger flow (x1', x2') = -2 (r1 x1, r2 x2).  A list state must hold floats; any other sequence is converted."""
     r1, r2 = berger_eigenvalue_tuple(x1, x2)
     return -2.0 * r1 * x1, -2.0 * r2 * x2
 
@@ -104,7 +105,7 @@ def normalized_rhs(x, s) -> tuple:
     """Volume-one planar flow of the three-parameter family (t = x^-2 s^-4).  The powers are chains of
     products, not `**` (libm `pow`): a call takes 290 against 440 ns on a 2-vCPU AMD EPYC host, and over
     20 000 points of [0.3, 2]^2 the median relative error is 2.8e-16 against 2.9e-16 (the cancelling
-    numerators dominate it)."""
+    numerators dominate it).  A list state must hold floats; any other sequence is converted."""
     x2, s2 = x * x, s * s
     x3, s4 = x2 * x, s2 * s2
     x4, s5 = x3 * x, s4 * s
@@ -191,10 +192,6 @@ def make_system(kind: str, xi: float | None = None) -> FlowSystem:
     return FlowSystem(kind, fam.dim, (lambda state: rhs(state, x)) if fam.takes_xi else rhs)
 
 
-def _scalar_real(c) -> bool:   # a real as `_real` takes it, a float tested first: not an array
-    return type(c) is float or isinstance(c, numbers.Real)
-
-
 @dataclass(frozen=True)
 class IntegratorConfig:
     rel_tol: float = 1e-10
@@ -203,14 +200,15 @@ class IntegratorConfig:
     max_time: float = 10.0
     direction: str = "forward"
 
-    def __post_init__(self):   # each number a scalar real first: an array or a numpy complex compares
-        if not (_scalar_real(self.rel_tol) and _scalar_real(self.abs_tol)
-                and 0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
-            raise ValueError(f"tolerances must be positive and finite reals, got {self.rel_tol!r}, {self.abs_tol!r}")
-        if not (_scalar_real(self.max_step) and self.max_step > 0.0):
-            raise ValueError(f"max_step must be a positive real, got {self.max_step!r}")
-        if not (_scalar_real(self.max_time) and 0.0 < self.max_time < math.inf):
-            raise ValueError(f"max_time must be a positive and finite real, got {self.max_time!r}")
+    def __post_init__(self):   # each number a real (`_real`), so not an array or a complex, which compare
+        for name in ("rel_tol", "abs_tol", "max_step", "max_time"):
+            value = getattr(self, name)
+            try:
+                _real(value)
+            except (TypeError, ValueError, OverflowError) as exc:   # ValueError: a real, not positive and finite
+                if not (type(exc) is ValueError and name == "max_step" and value == math.inf):   # inf: no limit
+                    finite = "" if name == "max_step" else " and finite"
+                    raise ValueError(f"{name} must be a positive{finite} real, got {value!r}") from None
         if self.direction not in ("forward", "backward"):
             raise ValueError(f"direction must be 'forward' or 'backward', got {self.direction!r}")
 

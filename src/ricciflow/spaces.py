@@ -14,8 +14,7 @@ eigenvalues are
 All eigenvalues are homogeneous of degree -1 in the metric coefficients.
 `ricci_from_structure` recomputes the same eigenvalues from the structure
 constants [ijk] of the isotropy decomposition and serves as an independent
-cross-check of the closed forms: a 4-tuple for one metric (t, s0, s1, s2),
-an (N, 4) array for an (N, 4) stack, each row with the bits of its 4-tuple.
+cross-check of the closed forms, on an (N, 4) stack of metrics (t, s0, s1, s2).
 """
 
 from __future__ import annotations
@@ -161,35 +160,21 @@ _B_COEFF = 12.0
 _MODULE_DIMS = (1.0, 2.0, 2.0, 2.0)
 
 
-def ricci_from_structure(k1: int, k2: int, coeffs):
-    """Eigenvalues (r0, r1, r2, r3) of the metric `coeffs` = (t, s0, s1, s2)
-    from the general structure-constant formula.
+def ricci_from_structure(k1: int, k2: int, coeffs) -> np.ndarray:
+    """Eigenvalues (r0, r1, r2, r3) of each metric (t, s0, s1, s2) of the (N, 4) stack `coeffs`
+    (guarded by `_stack`), as an (N, 4) array, from the general structure-constant formula
 
         r_i = b_i/(2 x_i) - (1/2d_i) sum [ijk] x_j/(x_i x_k)
                           + (1/4d_i) sum [ijk] x_i/(x_j x_k)
 
-    with b_i = 12, d = (1, 2, 2, 2) and x = (t, s0, s1, s2).  Independent of
-    the closed forms in `aw_eigenvalue_tuple`: the two agree to 3.3e-13
-    relative on the battery's sample.  Both forms go through `_stack`, so the
-    coefficients are positive finite reals (`_real`): an (N, 4) stack gives an
-    (N, 4) array, and four coefficients, a stack of one, the 4-tuple; each row
-    has the bits of its 4-tuple (one column formula serves both, each bracket
-    sum running left to right in (j, k) order).
+    with b_i = 12, d = (1, 2, 2, 2) and x = (t, s0, s1, s2).  Independent of the closed forms in
+    `aw_eigenvalue_tuple`: the two agree to 3.3e-13 relative on the battery's sample.  Each row has
+    the bits of a stack of that row alone: the formula runs on columns, each bracket sum left to right
+    in (j, k) order.
     """
     c = _family_values(k1, k2)
-    # an (N, 4) stack, or the four coefficients as a stack of one (tried first for a 1-D array: a failed
-    # try formats the input, and an array's repr is slow)
-    for form in ([coeffs], coeffs) if getattr(coeffs, "ndim", 2) == 1 else (coeffs, [coeffs]):
-        try:
-            x = _stack(form, 4)
-            break
-        except ValueError:
-            continue
-    else:
-        raise ValueError(f"need positive finite (t, s0, s1, s2) or an (N, 4) stack of them, got {coeffs!r}")
-    cols = x.T
-    r = np.array([_B_COEFF / (2.0 * cols[i])
-                  - sum(c[f] * cols[j] / (cols[i] * cols[k]) for f, j, k in brackets) / (2.0 * d)
-                  + sum(c[f] * cols[i] / (cols[j] * cols[k]) for f, j, k in brackets) / (4.0 * d)
-                  for i, (d, brackets) in enumerate(zip(_MODULE_DIMS, _BRACKETS_BY_I))]).T
-    return r if form is coeffs else tuple(r[0].tolist())
+    cols = _stack(coeffs, 4).T
+    return np.array([_B_COEFF / (2.0 * cols[i])
+                     - sum(c[f] * cols[j] / (cols[i] * cols[k]) for f, j, k in brackets) / (2.0 * d)
+                     + sum(c[f] * cols[i] / (cols[j] * cols[k]) for f, j, k in brackets) / (4.0 * d)
+                     for i, (d, brackets) in enumerate(zip(_MODULE_DIMS, _BRACKETS_BY_I))]).T

@@ -57,20 +57,20 @@ def scan_metrics(k1, k2):
 @pytest.mark.parametrize("k1,k2", PAIRS + ((3, 7), (5, 8)))
 def test_ricci_from_structure_matches_the_table_scan(k1, k2):
     for coeffs in scan_metrics(k1, k2):
-        assert bits(ricci_from_structure(k1, k2, coeffs)) == bits(table_scan_ricci(k1, k2, coeffs))
+        assert bits(ricci_from_structure(k1, k2, [coeffs])) == bits(table_scan_ricci(k1, k2, coeffs))
 
 
 @pytest.mark.parametrize("k1,k2", PAIRS + ((3, 7), (5, 8)))
 def test_ricci_from_structure_stack_matches_the_row_calls(k1, k2):
+    # each row of the stack against a stack of that row alone, as a list and as a (1, 4) array
     metrics = scan_metrics(k1, k2)
-    rows = [ricci_from_structure(k1, k2, coeffs) for coeffs in metrics.tolist()]
-    assert all(type(r) is tuple and all(type(v) is float for v in r) for r in rows)
+    rows = [ricci_from_structure(k1, k2, [coeffs]) for coeffs in metrics.tolist()]
+    assert all(r.dtype == float and r.shape == (1, 4) for r in rows)
     stacked = ricci_from_structure(k1, k2, metrics)
     assert stacked.shape == (100, 4)
     assert bits(stacked) == bits(rows)
-    for i in (0, 99):  # an N = 1 stack, in the uniform and the exp(+-30) half
-        one = ricci_from_structure(k1, k2, metrics[i:i + 1])
-        assert one.shape == (1, 4) and bits(one) == bits(rows[i])
+    for i in (0, 99):  # in the uniform and the exp(+-30) half
+        assert bits(ricci_from_structure(k1, k2, metrics[i:i + 1])) == bits(rows[i])
 
 
 def test_oracle_draws_the_per_metric_stream():
@@ -93,13 +93,13 @@ def scalar_eigenvalue_oracle():
 
 
 def per_metric_eigenvalue_oracle():
-    """`_check_eigenvalue_oracle` as one scalar call of each form per metric."""
+    """`_check_eigenvalue_oracle` as one call of each form per metric, the oracle's on a stack of one."""
     rng = np.random.default_rng(20240810)
     worst = 0.0
     for k1, k2 in PAIRS:
         for coeffs in rng.uniform(0.5, 2.0, size=(100, 4)).tolist():
             closed = aw_eigenvalue_tuple(*coeffs, k1 / k2)
-            general = ricci_from_structure(k1, k2, coeffs)
+            (general,) = ricci_from_structure(k1, k2, [coeffs]).tolist()
             worst = max(worst, *(abs(c - g) / abs(g) for c, g in zip(closed, general)))
     return worst
 

@@ -6,6 +6,7 @@ import random
 import sys
 import warnings
 from fractions import Fraction
+from itertools import permutations
 
 import mpmath
 import numpy as np
@@ -602,6 +603,22 @@ class TestRowwise:
         stack = [*SPREAD, *((1e-160 * a, 1e160 * b, 1e160 * c)
                             for a, b, c in rng.uniform(0.5, 2.0, (20, 3)).tolist())]
         assert_rows_match(stack, 0.8)
+
+    @pytest.mark.parametrize("edge, inside", [
+        (cone._BAND_LO, True), (math.nextafter(cone._BAND_LO, 0.0), False),
+        (math.nextafter(cone._BAND_HI, 0.0), True), (cone._BAND_HI, False)],
+        ids=["lower bound", "below the lower bound", "below the upper bound", "upper bound"])
+    def test_band_edges(self, monkeypatch, edge, inside):
+        # the smallest component at a lower edge and the largest at an upper one, in every position: one
+        # pair of constants sends the rows inside the band to the array path and the rest to `t_a`
+        factors = (1.0, 1.1, 1.25) if edge < 1.0 else (1.0, 1 / 1.1, 1 / 1.25)
+        stack = [[edge * f for f in order] for order in permutations(factors)]
+        for xi in (1.0, 0.7):
+            assert_rows_match(stack, xi)
+        calls = []
+        monkeypatch.setattr(cone, "t_a", lambda s, xi: calls.append(s) or t_a(s, xi))
+        cone._t_a_rows(stack, 0.7)
+        assert len(calls) == (0 if inside else len(stack))
 
     @pytest.mark.parametrize("stack", [
         [1.0, 1.0, 1.0], [[1.0, 1.0]], [[[1.0], [1.0], [1.0]]], [[1.0, 1.0, 1.0], [1.0, 1.0]],

@@ -7,7 +7,7 @@ the imaginary part) or an int past the float range is not one.  `spaces._reals`
 guards every coefficient tuple, `spaces._stack` every stack of them (an int or
 float array as it is, anything else row by row), and `spaces.xi_value` the
 parameter xi; the closed forms, which take int or float arrays too, apply the
-same test (`spaces._is_real`), and `IntegratorConfig` the scalar test of `_real`.
+same test (`spaces._is_real`), and `IntegratorConfig` calls `_real` on each number.
 
 Each table below is one entry point per row.  Every accepted form of an input
 gives the bits of its list of floats, and every rejected form raises ValueError
@@ -30,11 +30,10 @@ SHORT = IntegratorConfig(max_time=1e-3)
 # `call` on the input; `valid` integer coefficients (distinct, so that a set keeps them all), a row
 # of them per stack row; `kind` "args" (the coefficients as separate arguments), "tuple" (as one
 # sequence) or "stack" (a sequence of rows); the messages of a form or item that is not a real and
-# of a real that is not positive and finite; `exempt`, malformed forms the entry point reads as another.
-Entry = namedtuple("Entry", "call valid kind not_real not_positive exempt", defaults=((),))
+# of a real that is not positive and finite.
+Entry = namedtuple("Entry", "call valid kind not_real not_positive")
 TUPLE = r"expected (a pair|a triple|a \d-tuple) of reals", "strictly positive and finite"
-RICCI = (r"\(t, s0, s1, s2\) or an \(N, 4\) stack",) * 2
-ROWS3 = (r"expected an \(N, 3\) stack of positive finite reals",) * 2
+ROWS3, ROWS4 = ((rf"expected an \(N, {n}\) stack of positive finite reals",) * 2 for n in (3, 4))
 
 ENTRY_POINTS = {
     "integrate": Entry(lambda v: integrate(make_system("aw2"), v, SHORT), (1, 2), "tuple", *TUPLE),
@@ -49,11 +48,8 @@ ENTRY_POINTS = {
     "classify_berger": Entry(lambda v: cone.classify_berger(*v), (3, 2), "args", *TUPLE),
     "classify_aw_slice": Entry(lambda v: cone.classify_aw_slice(v, 0.7), (20, 40, 60, 61), "tuple", *TUPLE),
     "normalized_region": Entry(lambda v: cone.normalized_region(*v), (1, 2), "args", *TUPLE),
-    # a (1, 4) array is a stack of one metric
-    "ricci_from_structure": Entry(lambda v: spaces.ricci_from_structure(1, 2, v), (1, 2, 3, 4), "tuple", *RICCI,
-                                  exempt=("row",)),
-    "ricci_from_structure stack": Entry(lambda v: spaces.ricci_from_structure(1, 2, v),
-                                        ((1, 2, 3, 4), (5, 4, 3, 2)), "stack", *RICCI),
+    "ricci_from_structure": Entry(lambda v: spaces.ricci_from_structure(1, 2, v), ((1, 2, 3, 4), (5, 4, 3, 2)),
+                                  "stack", *ROWS4),
     "_t_a_rows": Entry(lambda v: cone._t_a_rows(v, 0.7), ((9, 10, 11), (10, 12, 11)), "stack", *ROWS3),
     "_a_tilde_rows": Entry(cone._a_tilde_rows, ((9, 10, 11), (10, 12, 11)), "stack", *ROWS3),
 }
@@ -177,7 +173,7 @@ def rejected_forms(entry):
     valid, kind = entry.valid, entry.kind
     if kind == "stack":
         for r, row in enumerate(valid):
-            for form, bad, match in rejected_forms(entry._replace(valid=row, kind="tuple", exempt=())):
+            for form, bad, match in rejected_forms(entry._replace(valid=row, kind="tuple")):
                 yield f"{form} in row {r}", [*valid[:r], bad, *valid[r + 1:]], match
         for name, bad in NOT_POSITIVE.items():   # the array read as it is
             for dtype in (float, int) if type(bad) is int else (float,):
@@ -194,8 +190,7 @@ def rejected_forms(entry):
                 if table is NOT_POSITIVE:
                     yield f"{name} at {i} in an ndarray", np.array([*valid[:i], bad, *valid[i + 1:]], float), match
     if kind == "tuple":
-        yield from ((form, make(valid), entry.not_real) for form, make in MALFORMED.items()
-                    if form not in entry.exempt)
+        yield from ((form, make(valid), entry.not_real) for form, make in MALFORMED.items())
 
 
 def escaped(call, forms):
@@ -320,10 +315,11 @@ def test_integrator_config_takes_positive_reals(field):
 def test_a_pair_k1_k2_must_be_coprime_integers():
     for k1, k2 in ((1, 2), (np.int64(1), np.int64(2)), (np.int32(1), 2)):
         assert spaces.xi_from_integers(k1, k2) == 0.5
-        assert spaces.ricci_from_structure(k1, k2, (1, 1, 1, 1)) == spaces.ricci_from_structure(1, 2, (1, 1, 1, 1))
+        assert bits(spaces.ricci_from_structure(k1, k2, [(1, 1, 1, 1)])) == bits(
+            spaces.ricci_from_structure(1, 2, [(1, 1, 1, 1)]))
     bad = {"floats": (1.0, 2.0), "a fraction": (1.5, 2), "str": ("1", "2"), "None": (None, 2),
            "complex": (1 + 0j, 2), "zero": (0, 1), "descending": (2, 1), "common factor": (2, 4)}
     forms = [(form, pair, "need integers 0 < k1 <= k2|coprime") for form, pair in bad.items()]
     wrong = (escaped(lambda pair: spaces.xi_from_integers(*pair), forms)
-             + escaped(lambda pair: spaces.ricci_from_structure(*pair, (1, 1, 1, 1)), forms))
+             + escaped(lambda pair: spaces.ricci_from_structure(*pair, [(1, 1, 1, 1)]), forms))
     assert not wrong, "; ".join(wrong)

@@ -169,7 +169,8 @@ def test_scale_factors_must_be_a_triple_of_reals(s):
 
 
 def test_rhs_on_a_list_of_large_ints_gets_numpy_values():
-    # float ** overflows on 10**70 as an int too; the numpy rerun reads it as a float
+    # a list is passed as it is, so x**5 = 10**350 stays an int until 18.0 * x5 converts it and raises
+    # OverflowError; the numpy rerun reads 10**70 as a float
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         assert bits(flow.normalized_rhs([10**70, 1])) == bits(flow.normalized_rhs(np.array([1e70, 1.0])))
