@@ -48,8 +48,8 @@ ENTRY_POINTS = {
     "classify_berger": Entry(lambda v: cone.classify_berger(*v), (3, 2), "args", *TUPLE),
     "classify_aw_slice": Entry(lambda v: cone.classify_aw_slice(v, 0.7), (20, 40, 60, 61), "tuple", *TUPLE),
     "normalized_region": Entry(lambda v: cone.normalized_region(*v), (1, 2), "args", *TUPLE),
-    "ricci_from_structure": Entry(lambda v: spaces.ricci_from_structure(1, 2, v), ((1, 2, 3, 4), (5, 4, 3, 2)),
-                                  "stack", *ROWS4),
+    "ricci_from_structure stack": Entry(lambda v: spaces.ricci_from_structure(1, 2, v),
+                                        ((1, 2, 3, 4), (5, 4, 3, 2)), "stack", *ROWS4),
     "_t_a_rows": Entry(lambda v: cone._t_a_rows(v, 0.7), ((9, 10, 11), (10, 12, 11)), "stack", *ROWS3),
     "_a_tilde_rows": Entry(cone._a_tilde_rows, ((9, 10, 11), (10, 12, 11)), "stack", *ROWS3),
 }
