@@ -271,10 +271,11 @@ def solve_rows(fun, y0s: list, t_bound: float, rtol: float, atol: float,
     row to the BLAS routine of its own `.dot`; `Y + D * H` does the IEEE operations of
     `yi + di * h`.  The stacks are built once per count of live rows and computed into in
     place.  `fun`, the events and the row's `_run` run per row.  Below four rows, each goes
-    through `solve`, which is then the faster: per row and step attempt the stack took 25.4 us
-    at 1 row, 15.2 at 2, 12.1 at 3, 9.6 at 4 (0.96-1.06 times `solve` over two seed sets), 9.3
-    at 5, 7.1 at 8, 5.8 at 16 and 5.0 at 32, against 10.0 for `solve` (the normalized flow to
-    l = 10 from portrait seeds)."""
+    through `solve`.  Per row and step attempt the stack took 25.4 us at 1 row, 15.2 at 2, 12.1
+    at 3, 9.6 at 4, 9.3 at 5, 8.0 at 6, 7.1 at 8, 5.8 at 16 and 5.0 at 32, against 10.0 for
+    `solve`; as a ratio to `solve`, 1.15-1.25 at 3 rows, 0.90-0.94 at 5, and 0.94-1.12 at 4 by how
+    unequal the rows' lengths are, so 4 rows are about break-even (the normalized flow to l = 10
+    from portrait seeds, min of 7 interleaved rounds, on a 2-vCPU AMD EPYC host)."""
     if len(y0s) < 4:
         return [solve(fun, y0, t_bound, rtol, atol, max_step, floor, events) for y0 in y0s]
     rtol = _checked_rtol(rtol)

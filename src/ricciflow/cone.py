@@ -44,21 +44,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .spaces import _is_real, _reals, _stack, xi_value
-
-__all__ = [
-    "ConeClass",
-    "ConeVerdict",
-    "a_tilde",
-    "t_a",
-    "t_a_closed",
-    "a_tilde_inverse_slice",
-    "classify_2param",
-    "classify_3param",
-    "classify_berger",
-    "classify_aw_slice",
-    "normalized_region",
-]
+from .spaces import _is_real, _public, _reals, _stack, xi_value
 
 # Relative width of the numerical round diagonal {s0 = s1 = s2}.
 ROUND_DIAGONAL_RTOL = 1e-13
@@ -395,3 +381,6 @@ def normalized_region(x: float, s: float) -> str:
     if not (_BAND_LO <= x < _BAND_HI and _BAND_LO <= s < _BAND_HI):
         x, s = Fraction(x), Fraction(s)
     return "P" if 3.0 >= _q(x, s) else "G" if x < s else "W"
+
+
+__all__ = _public(globals())

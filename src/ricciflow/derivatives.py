@@ -21,26 +21,13 @@ between the two positive irrational roots of D.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from . import cone, flow
 from .errors import DomainError
-from .spaces import _is_real, xi_value
-
-__all__ = [
-    "gradient_anchor",
-    "d_polynomial",
-    "d_roots",
-    "f1_prime0",
-    "grad_f",
-    "initial_velocity",
-    "k_polynomial",
-    "f_xi_prime0",
-    "two_param_ratio_derivative",
-    "berger_ratio_derivative",
-    "einstein_points",
-    "REFERENCE_SEEDS",
-]
+from .spaces import _is_real, _public, xi_value
 
 
 def _quartic(x):
@@ -73,8 +60,8 @@ def d_roots() -> np.ndarray:
     return np.sort(np.concatenate([cubic, [-2.0, 0.0]]))
 
 
-def _check_x(x) -> None:  # x a real, or an int or float array, in (0, 1) everywhere; nan is not
-    if not (_is_real(x) and cone._all((0.0 < x) & (x < 1.0))):
+def _check_x(x, scalar: bool = False) -> None:  # a real, or an int or float array unless `scalar`, in (0, 1)
+    if not ((isinstance(x, numbers.Real) if scalar else _is_real(x)) and cone._all((0.0 < x) & (x < 1.0))):
         raise DomainError(f"x must lie in (0, 1), got {x!r}")
 
 
@@ -90,8 +77,8 @@ def f1_prime0(x):
 
 def gradient_anchor(x: float) -> np.ndarray:
     """Anchor tuple (x(4-x)/3, x, 1, 1) at which the closed forms below
-    are the exact gradient data, for every xi."""
-    _check_x(x)
+    are the exact gradient data, for every xi; x is a real (a `numbers.Real`), not an array."""
+    _check_x(x, scalar=True)
     return np.array([cone.t_a_closed(x, 1.0), x, 1.0, 1.0])
 
 
@@ -109,9 +96,9 @@ def _f_denominator(x, xi):
 
 def grad_f(x: float, xi) -> np.ndarray:
     """Gradient (d_t, d_s0, d_s1, d_s2) of F(t, s, xi) = t_A(s, xi)/t at
-    the anchor tuple; d_t < 0 there."""
+    the anchor tuple, for a real x as in `gradient_anchor`; d_t < 0 there."""
     xi = xi_value(xi)
-    _check_x(x)
+    _check_x(x, scalar=True)
     g = xi * xi + xi + 1.0
     r = _r_factor(x, xi)
     d_t = -48.0 * g / (x * (x - 4.0) * r)
@@ -128,7 +115,7 @@ def grad_f(x: float, xi) -> np.ndarray:
 
 
 def initial_velocity(x: float, xi) -> np.ndarray:
-    """Flow velocities (t', s0', s1', s2') at time 0 from the anchor tuple."""
+    """Flow velocities (t', s0', s1', s2') at time 0 from the anchor tuple of a real x (`gradient_anchor`)."""
     return np.array(flow.aw_rhs(gradient_anchor(x), xi))
 
 
@@ -212,3 +199,6 @@ def einstein_points() -> tuple[np.ndarray, np.ndarray]:
     c_minus = (1.0 / 8.0) ** (1.0 / 7.0)
     return (np.array([0.4 * c_plus, c_plus]),
             np.array([2.0 * c_minus, c_minus]))
+
+
+__all__ = _public(globals(), "REFERENCE_SEEDS")

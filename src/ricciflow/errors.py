@@ -1,6 +1,6 @@
 """Exception types shared across the package."""
 
-__all__ = ["RicciFlowError", "DomainError", "StepSizeUnderflow", "NonPositiveState", "NoExitWithinHorizon"]
+from .spaces import _public
 
 
 class RicciFlowError(Exception):
@@ -25,3 +25,6 @@ class NonPositiveState(RicciFlowError):
 
 class NoExitWithinHorizon(RicciFlowError):
     """The flow never crossed the positivity-cone boundary before max_time."""
+
+
+__all__ = _public(globals())

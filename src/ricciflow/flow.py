@@ -36,31 +36,7 @@ import numpy as np
 
 from . import _rk45, cone
 from .errors import NonPositiveState, NoExitWithinHorizon, StepSizeUnderflow
-from .spaces import _real, _reals, aw_eigenvalue_tuple, berger_eigenvalue_tuple, xi_value
-
-__all__ = [
-    "IntegratorConfig",
-    "EventSpec",
-    "FlowEvent",
-    "Trajectory",
-    "FlowSystem",
-    "make_system",
-    "aw_rhs",
-    "aw3_rhs",
-    "aw2_rhs",
-    "berger_rhs",
-    "normalized_rhs",
-    "integrate",
-    "integrate_rows",
-    "cone_exit",
-    "cone_events",
-    "boundary_event",
-    "window_event",
-    "post_exit_verdict",
-    "Family",
-    "SYSTEMS",
-    "FAMILIES",
-]
+from .spaces import _public, _real, _reals, aw_eigenvalue_tuple, berger_eigenvalue_tuple, xi_value
 
 # A state component below this value ends an integration as "singular".
 COLLAPSE_FLOOR = 1e-12
@@ -176,9 +152,10 @@ class FlowSystem:
 def _row(kind: str, xi: float | None = None, table: dict[str, Family] = SYSTEMS) -> tuple[Family, float]:
     """The row of `kind` in `table` and xi as a float, default 1.  Only a row that takes xi
     (aw4) accepts xi != 1: aw2/aw3 are flow-invariant only at xi = 1, berger and normalized have none."""
-    if kind not in table:
-        raise ValueError(f"unknown {'system kind' if table is SYSTEMS else 'cone-exit family'} {kind!r}, "
-                         f"expected one of {tuple(table)}")
+    if kind not in table:   # a kind of SYSTEMS that FAMILIES lacks has no classifier: no cone
+        what = (f"system {kind!r} has no cone" if kind in SYSTEMS
+                else f"unknown {'system kind' if table is SYSTEMS else 'cone-exit family'} {kind!r}")
+        raise ValueError(f"{what}, expected one of {tuple(table)}")
     x = 1.0 if xi is None else xi_value(xi)
     if x != 1.0 and not table[kind].takes_xi:
         raise ValueError(f"system {kind!r} takes only xi = 1, got xi = {xi}")
@@ -428,3 +405,6 @@ def post_exit_verdict(family: str, state, xi: float = 1.0,
     dt = 1e-3 * cone._power_of_two(max(y)) if dt is None else dt
     after = integrate(system, y, IntegratorConfig(max_time=dt)).final_state
     return fam.classify(after, xi)
+
+
+__all__ = _public(globals(), "SYSTEMS", "FAMILIES")

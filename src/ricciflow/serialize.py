@@ -11,13 +11,7 @@ import json
 from pathlib import Path
 
 from .flow import Trajectory
-
-__all__ = [
-    "write_trajectory_csv",
-    "write_events_json",
-    "write_region_csv",
-    "write_json",
-]
+from .spaces import _public
 
 
 def _open_lf(path):
@@ -59,3 +53,6 @@ def write_json(path, obj) -> Path:
         fh.write(json.dumps(obj, indent=2))
         fh.write("\n")
     return path
+
+
+__all__ = _public(globals())

@@ -24,16 +24,9 @@ import numbers
 from collections.abc import Sequence
 from itertools import permutations, product
 from math import gcd
+from types import FunctionType
 
 import numpy as np
-
-__all__ = [
-    "xi_value",
-    "xi_from_integers",
-    "aw_eigenvalue_tuple",
-    "berger_eigenvalue_tuple",
-    "ricci_from_structure",
-]
 
 
 def _real(c) -> float:
@@ -178,3 +171,13 @@ def ricci_from_structure(k1: int, k2: int, coeffs) -> np.ndarray:
                      - sum(c[f] * cols[j] / (cols[i] * cols[k]) for f, j, k in brackets) / (2.0 * d)
                      + sum(c[f] * cols[i] / (cols[j] * cols[k]) for f, j, k in brackets) / (4.0 * d)
                      for i, (d, brackets) in enumerate(zip(_MODULE_DIMS, _BRACKETS_BY_I))]).T
+
+
+def _public(namespace: dict, *constants: str) -> list[str]:
+    """A module's `__all__` from its `globals()`: the functions and classes it defines under a name without a
+    leading underscore, in definition order, then the names of the `constants` it exports."""
+    return [name for name, value in namespace.items() if not name.startswith("_") and isinstance(
+        value, (type, FunctionType)) and value.__module__ == namespace["__name__"]] + [*constants]
+
+
+__all__ = _public(globals())

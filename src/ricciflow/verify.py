@@ -31,9 +31,7 @@ import numpy as np
 
 from . import cone, derivatives, flow
 from .errors import RicciFlowError
-from .spaces import aw_eigenvalue_tuple, berger_eigenvalue_tuple, ricci_from_structure
-
-__all__ = ["CheckResult", "run_all"]
+from .spaces import _public, aw_eigenvalue_tuple, berger_eigenvalue_tuple, ricci_from_structure
 
 
 @dataclass(frozen=True)
@@ -299,3 +297,6 @@ def run_all() -> list[CheckResult]:
     order, afresh on each call; the names of its results are the registry of checks."""
     return [result for name, group in list(globals().items()) if name.startswith("_check_")
             for result in group()]
+
+
+__all__ = _public(globals())

@@ -5,10 +5,11 @@ are expected to be red: the packaged two-digit brackets for the outer
 irrational roots of the derivative quintic do not contain the true roots
 -7.489652155... and 2.697788435... (the root values themselves are verified
 by the exact-pair and residual checks); see the verification report notes.
-The module also checks that each package module's `__all__` matches what
-the module defines, that the package exports exactly the names in the
-`__all__` of its library modules, and that the program itself calls every
-name those lists make public.
+The module also checks that each package module's `__all__`, which
+`spaces._public` derives from the module's globals, names each public function
+and class the module defines once and no other, that the package exports
+exactly the names in the `__all__` of its library modules, and that the
+program itself calls every name those lists make public.
 """
 
 import ast

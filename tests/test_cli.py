@@ -2,10 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import ricciflow
 from ricciflow import NoExitWithinHorizon, flow, serialize, verify
 from ricciflow.cli import build_parser, main
 from ricciflow.cone import normalized_region
@@ -132,6 +136,7 @@ class TestFlowCommand:
         code, out = run_cli(capsys, "flow", "--system", "normalized", "--init", "1,1",
                             "--event", "cone", "--out", str(tmp_path))
         assert code == 2
+        assert out["error"] == "system 'normalized' has no cone, expected one of ('aw2', 'aw3', 'aw4', 'berger')"
 
     def test_backward_direction(self, tmp_path, capsys):
         code, out = run_cli(capsys, "flow", "--system", "aw2", "--init", "0.9,1",
@@ -442,3 +447,13 @@ class TestVerifyCommand:
                      "sign_theorem_xi1", "cone_exit_aw2", "seed_p2_enters_pink"):
             assert report[name]["headroom"] is None, name
         assert 0.0 < report["t_a_closed_form_grid"]["headroom"] < 1.0
+
+
+@pytest.mark.parametrize("argv, code", [(["roots"], 0), (["cone-exit", "--family", "aw3", "--init", "0.9,1"], 2)])
+def test_module_entry_point_exits_with_the_code_of_main(argv, code):
+    # `python -m ricciflow.cli`, as the README documents it
+    src = os.path.dirname(os.path.dirname(ricciflow.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "ricciflow.cli", *argv], env=env, capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+    assert json.loads(proc.stdout)["status"] == ("ok" if code == 0 else "error")

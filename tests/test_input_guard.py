@@ -39,6 +39,7 @@ ENTRY_POINTS = {
     "integrate": Entry(lambda v: integrate(make_system("aw2"), v, SHORT), (1, 2), "tuple", *TUPLE),
     "integrate_rows": Entry(lambda v: flow.integrate_rows(make_system("aw2"), [v], SHORT), (1, 2), "tuple", *TUPLE),
     "cone_exit": Entry(lambda v: flow.cone_exit("berger", v), (3, 2), "tuple", *TUPLE),
+    "cone_exit aw2": Entry(lambda v: flow.cone_exit("aw2", v), (1, 2), "tuple", *TUPLE),   # a start of 2 or 4
     "post_exit_verdict": Entry(lambda v: flow.post_exit_verdict("berger", v), (2, 1), "tuple", *TUPLE),
     "_reals": Entry(lambda v: spaces._reals(v, 3), (9, 10, 11), "tuple", *TUPLE),
     "t_a": Entry(lambda v: cone.t_a(v, 0.7), (9, 10, 11), "tuple", *TUPLE),
@@ -111,6 +112,7 @@ MALFORMED = {
     "generator": lambda v: (float(c) for c in v),
     "None": lambda v: None,
     "scalar": lambda v: float(v[0]),
+    "0-d array": lambda v: np.array(float(v[0])),   # has `__len__`, but len() raises TypeError
     "nested": lambda v: [[float(c)] for c in v],
     "column": lambda v: np.array(v, dtype=float).reshape(-1, 1),
     "row": lambda v: np.array(v, dtype=float).reshape(1, -1),
@@ -269,7 +271,8 @@ def test_every_xi_that_is_not_a_real_in_the_unit_interval_raises_value_error(nam
     assert not wrong, "; ".join(wrong)
 
 
-# the closed forms take a real or an int or float array (`spaces._is_real`) in each argument; a numpy
+# the closed forms take a real or an int or float array (`spaces._is_real`) in each argument, but for the x
+# of `grad_f`, `gradient_anchor` and `initial_velocity`, which take a real only (SCALAR_X); a numpy
 # complex compares, so without the test they return complex values
 CLOSED_FORMS = {
     "t_a_closed x": (lambda v: cone.t_a_closed(v, 1.0), "need reals 0 < x < 4s"),
@@ -289,12 +292,16 @@ CLOSED_FORMS = {
 NOT_REAL_ARGUMENT = {"str": "0.5", "bytes": b"0.5", "None": None, "complex": 0.5 + 2j,
                      "numpy complex": np.complex128(0.5 + 2j), "complex ndarray": np.array([0.5 + 2j, 0.25]),
                      "str ndarray": np.array(["0.5", "0.25"])}
+SCALAR_X = {"grad_f", "gradient_anchor", "initial_velocity"}
+NOT_SCALAR_ARGUMENT = {"float ndarray": np.array([0.5, 0.25]), "one-element ndarray": np.array([0.5]),
+                       "0-d ndarray": np.array(0.5)}
 
 
 @pytest.mark.parametrize("name", CLOSED_FORMS)
 def test_a_closed_form_rejects_an_argument_that_is_not_real(name):
     call, match = CLOSED_FORMS[name]
-    wrong = escaped(call, ((form, value, match) for form, value in NOT_REAL_ARGUMENT.items()))
+    forms = {**NOT_REAL_ARGUMENT, **(NOT_SCALAR_ARGUMENT if name in SCALAR_X else {})}
+    wrong = escaped(call, ((form, value, match) for form, value in forms.items()))
     assert not wrong, "; ".join(wrong)
 
 
