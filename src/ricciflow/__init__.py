@@ -4,9 +4,9 @@ positive-sectional-curvature cone and its boundary scale t_A, flow
 integration with cone-exit detection, and the closed-form derivative
 machinery certifying that positively curved metrics exit the cone.
 
-Each module's `__all__` is derived from what it defines (`spaces._public`);
-every name in those of `spaces`, `cone`, `flow`, `derivatives` and `errors` is
-importable from the package itself; `cli`, `serialize`, `verify` on their own."""
+Each module's `__all__` is derived from what it defines (`spaces._public`).
+The names in those of `spaces`, `cone`, `flow`, `derivatives` and `errors` are
+importable from the package; `cli`, `serialize` and `verify` are imported apart."""
 
 from .cone import *
 from .derivatives import *
