@@ -36,7 +36,7 @@ import numpy as np
 
 from . import _rk45, cone
 from .errors import NonPositiveState, NoExitWithinHorizon, StepSizeUnderflow
-from .spaces import _public, _real, _reals, aw_eigenvalue_tuple, berger_eigenvalue_tuple, xi_value
+from .spaces import _ordered, _public, _real, _reals, aw_eigenvalue_tuple, berger_eigenvalue_tuple, xi_value
 
 # A state component below this value ends an integration as "singular".
 COLLAPSE_FLOOR = 1e-12
@@ -247,6 +247,8 @@ def _start(system: FlowSystem, init) -> list[float]:
 
 def _solver_args(cfg: IntegratorConfig, events: Sequence[EventSpec]) -> tuple:
     """The arguments of `_rk45.solve` after y0: COLLAPSE_FLOOR, the stepper's event 0, then the caller's events."""
+    if not _ordered(events):   # `_trajectory` reads them again
+        raise ValueError(f"events must be an ordered sequence, got {events!r}")
     sign = 1.0 if cfg.direction == "forward" else -1.0
     return (sign * cfg.max_time, cfg.rel_tol, cfg.abs_tol, cfg.max_step, COLLAPSE_FLOOR,
             [(spec.fn, spec.terminal, spec.direction) for spec in events])
@@ -272,11 +274,10 @@ def integrate(system: FlowSystem, init, config: IntegratorConfig | None = None,
               events: Sequence[EventSpec] = ()) -> Trajectory:
     """Integrate `system` from `init` with the adaptive Dormand-Prince 5(4) pair.
 
-    Stops at config.max_time, at the first terminal event, or where min(state) -
-    COLLAPSE_FLOOR changes sign between step ends (status "singular"; a start below
-    the floor runs on).  Raises ValueError for an `init` that is not `system.dim`
-    positive finite reals, StepSizeUnderflow when the solver stalls and
-    NonPositiveState for a nonpositive sampled state.
+    Stops at config.max_time, at the first terminal event, or where min(state) - COLLAPSE_FLOOR changes sign
+    between step ends (status "singular"; a start below the floor runs on).  Raises ValueError for an `init` that
+    is not `system.dim` positive finite reals or `events` that are not an ordered sequence (`spaces._ordered`: a
+    generator is not), StepSizeUnderflow when the solver stalls and NonPositiveState for a nonpositive sampled state.
     """
     cfg = config or _DEFAULT_CONFIG
     return _trajectory(_rk45.solve(system.rhs, _start(system, init), *_solver_args(cfg, events)), events)
@@ -284,10 +285,11 @@ def integrate(system: FlowSystem, init, config: IntegratorConfig | None = None,
 
 def integrate_rows(system: FlowSystem, inits: Sequence, config: IntegratorConfig | None = None,
                    events: Sequence[EventSpec] = ()) -> list[Trajectory]:
-    """`integrate` from each of `inits` as one batch (`_rk45.solve_rows`), every
-    Trajectory bit for bit that of its own `integrate` call; fewer than four rows
-    run one at a time.  Raises the error of the first failing row in input order,
-    as a loop over `integrate` does."""
+    """`integrate` from each of `inits` as one batch (`_rk45.solve_rows`), every Trajectory bit for bit that of its
+    own `integrate` call; fewer than four rows run one at a time.  Raises the error of the first failing row in input
+    order, as a loop over `integrate` does, and ValueError where `inits`, too, are not an ordered sequence."""
+    if not _ordered(inits):   # read again after a failing row
+        raise ValueError(f"inits must be an ordered sequence, got {inits!r}")
     cfg = config or _DEFAULT_CONFIG
     try:
         sols = _rk45.solve_rows(system.rhs, [_start(system, init) for init in inits],
@@ -343,8 +345,7 @@ def _initial_state(kind: str, fam: Family, init) -> list[float]:
 
 
 def cone_events(kind: str, xi: float = 1.0) -> list[EventSpec]:
-    """The cone-boundary event of system `kind`, followed by the
-    certified-window monitor where the family has one."""
+    """The cone-boundary event of system `kind`, then the certified-window monitor where the family has one."""
     boundary = boundary_event(kind, xi)   # resolves `kind` and `xi`
     return [boundary] if cone._CONES[kind].window is None else [boundary, window_event(kind)]
 
@@ -353,17 +354,14 @@ def cone_exit(family: str, init, config: IntegratorConfig | None = None,
               xi: float = 1.0) -> tuple[float, np.ndarray]:
     """First crossing of the positivity-cone boundary along the flow.
 
-    The initial metric must classify PositivelyCurved for its family.  For
-    family "aw3" with xi != 1 the slice is not flow-invariant, so the full
-    four-parameter system is integrated with the general boundary event;
-    aw2 and berger take only xi = 1.  The aw2 exit is exact (`_aw2_exit`),
-    whatever the tolerances.  An integrated run ends at the first root of the
-    boundary event or of the certified-window event (aw3, aw4), which here,
-    unlike in `cone_events`, is terminal too.  Raises NoExitWithinHorizon if
-    the boundary is not reached: "left the certified window at l = ..." when
-    the window root comes first, even where the boundary would never have been
-    reached; else "no cone exit within horizon ..." (the horizon or a collapse,
-    or an aw2 start with t/s <= 2/5).  A bad `init` raises ValueError, as in `integrate`.
+    The initial metric must classify PositivelyCurved for its family.  For family "aw3" with xi != 1 the slice is not
+    flow-invariant, so the full four-parameter system is integrated with the general boundary event; aw2 and berger
+    take only xi = 1.  The aw2 exit is exact (`_aw2_exit`), whatever the tolerances.  An integrated run ends at the
+    first root of an event of `cone_events`: the boundary, or the certified window (aw3, aw4), which here is
+    terminal too, since nothing after its root changes the outcome.  Raises NoExitWithinHorizon if the boundary is
+    not reached: "left the certified window at l = ..." when the window root comes first, even where the boundary
+    would never have been reached; else "no cone exit within horizon ..." (the horizon or a collapse, or an aw2
+    start with t/s <= 2/5).  A bad `init` raises ValueError, as in `integrate`.
     """
     cfg = config or _DEFAULT_CONFIG
     kind, fam, xi = _resolve(family, xi)
@@ -379,9 +377,7 @@ def cone_exit(family: str, init, config: IntegratorConfig | None = None,
         if time > cfg.max_time:
             raise NoExitWithinHorizon(f"no cone exit within horizon {cfg.max_time} (status: horizon)")
         return time, np.array(exit_state)
-    events = [boundary_event(kind, xi)]
-    if cone._CONES[kind].window is not None:   # nothing after a window root changes the outcome, so it ends the run
-        events.append(EventSpec("window_exit", window_event(kind).fn, True, -1.0))
+    events = [e if e.terminal else EventSpec(e.name, e.fn, True, e.direction) for e in cone_events(kind, xi)]
     traj = integrate(make_system(kind, xi), state, cfg, events)
     hit = traj.events[0] if traj.events else None   # every event is terminal: the run records at most one
     if hit is not None and hit.name == "window_exit":

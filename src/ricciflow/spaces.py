@@ -67,6 +67,10 @@ def _reals(values, count: int) -> Sequence[float]:
     return values
 
 
+def _ordered(values) -> bool:   # a list or tuple (one type test), another Sequence or an array; not a set or generator
+    return type(values) in (list, tuple) or isinstance(values, (Sequence, np.ndarray))
+
+
 def _stack(values, width: int) -> np.ndarray:
     """The guard of every stack of coefficient tuples: the (N, width) floats of an ordered sequence of rows that
     `_reals(row, width)` accepts, else ValueError.  An int or float array is read as it is, anything else by row."""
@@ -76,7 +80,7 @@ def _stack(values, width: int) -> np.ndarray:
             if rows.shape[1] != width or not ((0.0 < rows) & (rows < math.inf)).all():   # NaN too
                 raise ValueError
             return rows
-        if not isinstance(values, (Sequence, np.ndarray)):   # a set, a dict or a generator is not ordered
+        if not _ordered(values):
             raise ValueError
         return np.array([_reals(row, width) for row in values], dtype=float).reshape(-1, width)
     except (TypeError, ValueError):   # TypeError: a 0-d array does not iterate

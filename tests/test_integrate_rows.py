@@ -123,6 +123,19 @@ def test_the_first_failing_row_in_input_order_raises():
         integrate_rows(BLOWUP, late[::-1], BLOWUP_CFG, [EventSpec("guard", guard)])
 
 
+@pytest.mark.parametrize("form", [lambda rows: (row for row in rows), set, dict.fromkeys],
+                         ids=["generator", "set", "dict"])
+def test_inits_must_be_an_ordered_sequence(form):
+    # they are read again after a failing row: a generator returned the trajectories of the rows after it
+    system, cfg = make_system("normalized"), IntegratorConfig(max_time=0.01)
+    inits = [(0.9, 1.1), (0.8, 1.0), (-1.0, 1.0), (0.7, 1.0), (0.6, 1.0)]
+    with pytest.raises(ValueError, match="strictly positive"):
+        integrate_rows(system, inits, cfg)
+    for rows in (inits, inits[3:] * 2):
+        with pytest.raises(ValueError, match="inits must be an ordered sequence"):
+            integrate_rows(system, form(rows), cfg)
+
+
 def test_a_too_small_rel_tol_is_raised_as_in_integrate():
     system, cfg = make_system("aw3"), IntegratorConfig(rel_tol=1e-17, max_time=0.05)
     inits = [[0.8 + 0.02 * r, 0.9, 1.0] for r in range(5)]
