@@ -67,7 +67,7 @@ def _reals(values, count: int) -> Sequence[float]:
     return values
 
 
-def _ordered(values) -> bool:   # a list or tuple (one type test), another Sequence or an array; not a set or generator
+def _ordered(values) -> bool:   # a list, a tuple (one type test), a Sequence, an array; not a set, dict or generator
     return type(values) in (list, tuple) or isinstance(values, (Sequence, np.ndarray))
 
 

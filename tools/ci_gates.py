@@ -85,7 +85,7 @@ TRACE = [
 ]
 
 
-def _must_run(case: ET.Element) -> bool:   # the module or a class in it; a module skipped whole has no classname
+def _listed(case: ET.Element) -> bool:   # the module or a class in it; a module skipped whole has no classname
     return f"{case.get('classname') or case.get('name')}.".startswith(tuple(m + "." for m in MUST_RUN))
 
 
@@ -95,7 +95,7 @@ def junit(paths: list[str], must_run: bool) -> bool:
         cases = list(ET.parse(path).getroot().iter("testcase"))
         failed = sorted(c.get("name") for c in cases if c.find("failure") is not None or c.find("error") is not None)
         skipped = sorted(f"{c.get('classname')}::{c.get('name')}" for c in cases
-                         if must_run and c.find("skipped") is not None and _must_run(c))
+                         if must_run and c.find("skipped") is not None and _listed(c))
         print(f"{path}: {len(cases)} test cases; failed: {failed}; tests that must run skipped: {skipped}")
         ok &= failed == [f"test_criterion[{name}]" for name in BRACKETS] and not skipped
     return ok
@@ -142,8 +142,8 @@ def main(argv: list[str] | None = None) -> int:
     gates.add_parser("console")
     gates.add_parser("trace").add_argument("directory")
     args = parser.parse_args(argv)
-    ok = junit(args.paths, args.must_run) if args.gate == "junit" else trace(args.directory) if args.gate == "trace" \
-        else console()
+    ok = (junit(args.paths, args.must_run) if args.gate == "junit"
+          else trace(args.directory) if args.gate == "trace" else console())
     return 0 if ok else 1
 
 
