@@ -117,15 +117,15 @@ class Family:
 
     `rhs` names this module's right-hand side and `classify` calls
     `cone.classify_*` by name, so a rebinding of either is seen at each use.
-    `coords` maps (t, s0, s1, s2) onto the reduced state (equal indices mark
-    equal coefficients; aw4 integrates the expanded (t, x, s, s)).  `exact_exit`
-    gives the cone exit (l, state) of a state in closed form, where there is one.
+    `coords` embeds a slice state in (t, s0, s1, s2): coefficient i is
+    state[coords[i]].  `exact_exit` gives the cone exit (l, state) of a state
+    in closed form, where there is one.
     """
 
     dim: int
     rhs: str
     takes_xi: bool   # varies with xi; all others accept only xi = 1
-    coords: tuple[int, ...] | None = None   # None: the state is taken as given
+    coords: tuple[int, ...] | None = None   # None: not a slice of aw4
     classify: Callable[[Sequence[float], float], cone.ConeVerdict] | None = None
     exact_exit: Callable[..., tuple[float, list[float]]] | None = None   # None: `integrate` finds it
 
@@ -133,7 +133,7 @@ class Family:
 SYSTEMS = {
     "aw2": Family(2, "aw2_rhs", False, (0, 0, 1, 1), lambda y, _xi: cone.classify_2param(*y), _aw2_exit),
     "aw3": Family(3, "aw3_rhs", False, (0, 1, 2, 2), lambda y, _xi: cone.classify_3param(*y)),
-    "aw4": Family(4, "aw_rhs", True, (0, 1, 2, 2), lambda y, xi: cone.classify_aw_slice(y, xi)),
+    "aw4": Family(4, "aw_rhs", True, None, lambda y, xi: cone.classify_aw_slice(y, xi)),
     "berger": Family(2, "berger_rhs", False, None, lambda y, _xi: cone.classify_berger(*y)),
     "normalized": Family(2, "normalized_rhs", False),
 }
@@ -324,26 +324,6 @@ def _resolve(family: str, xi) -> tuple[str, Family, float]:
     return kind, *_row(kind, xi, FAMILIES)
 
 
-def _initial_state(kind: str, fam: Family, init) -> list[float]:
-    """The family's state from `init` (guarded by `_reals`): that state, the reduced slice
-    state (aw4), or the four coefficients (t, s0, s1, s2)."""
-    if fam.coords is None:
-        return [*_reals(init, fam.dim)]
-    size = fam.coords[-1] + 1   # of the reduced state
-    try:
-        four = len(init) == 4
-    except TypeError:   # no length: `_reals` names what it expected
-        four = False
-    y = _reals(init, 4 if four else size)
-    if four:
-        reduced = [y[fam.coords.index(k)] for k in range(size)]
-        if [reduced[k] for k in fam.coords] != [*y]:
-            form = ", ".join("abc"[k] for k in fam.coords)
-            raise ValueError(f"{kind} needs (t, s0, s1, s2) of the form ({form}), got {init!r}")
-        y = reduced
-    return [y[k] for k in fam.coords] if fam.dim == len(fam.coords) else [*y]
-
-
 def cone_events(kind: str, xi: float = 1.0) -> list[EventSpec]:
     """The cone-boundary event of system `kind`, then the certified-window monitor where the family has one."""
     boundary = boundary_event(kind, xi)   # resolves `kind` and `xi`
@@ -354,10 +334,11 @@ def cone_exit(family: str, init, config: IntegratorConfig | None = None,
               xi: float = 1.0) -> tuple[float, np.ndarray]:
     """First crossing of the positivity-cone boundary along the flow.
 
-    The initial metric must classify PositivelyCurved for its family.  For family "aw3" with xi != 1 the slice is not
-    flow-invariant, so the full four-parameter system is integrated with the general boundary event; aw2 and berger
-    take only xi = 1.  The aw2 exit is exact (`_aw2_exit`), whatever the tolerances.  An integrated run ends at the
-    first root of an event of `cone_events`: the boundary, or the certified window (aw3, aw4), which here is
+    `init` is the family's own state, (t, s) for aw2, (t, x, s) for aw3, (t, s0, s1, s2) for aw4 and (x1, x2) for
+    berger, and must classify PositivelyCurved for its family.  For family "aw3" with xi != 1 the slice is not
+    flow-invariant, so aw4 is integrated with the general boundary event from the slice point (t, x, s, s); aw2 and
+    berger take only xi = 1.  The aw2 exit is exact (`_aw2_exit`), whatever the tolerances.  An integrated run ends
+    at the first root of an event of `cone_events`: the boundary, or the certified window (aw3, aw4), which here is
     terminal too, since nothing after its root changes the outcome.  Raises NoExitWithinHorizon if the boundary is
     not reached: "left the certified window at l = ..." when the window root comes first, even where the boundary
     would never have been reached; else "no cone exit within horizon ..." (the horizon or a collapse, or an aw2
@@ -365,7 +346,9 @@ def cone_exit(family: str, init, config: IntegratorConfig | None = None,
     """
     cfg = config or _DEFAULT_CONFIG
     kind, fam, xi = _resolve(family, xi)
-    state = _initial_state(kind, fam, init)
+    state = [*_reals(init, FAMILIES[family].dim)]
+    if kind != family:   # aw3 off xi = 1: aw4 from the slice point (t, x, s, s)
+        state = [state[k] for k in FAMILIES[family].coords]
     verdict = fam.classify(state, xi)
     if verdict.classification is not cone.ConeClass.POSITIVELY_CURVED:
         raise ValueError(f"initial metric is not positively curved ({verdict.classification.value})")

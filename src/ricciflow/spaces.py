@@ -44,14 +44,18 @@ def _is_real(c) -> bool:   # a real (`_real`), or an int or float array, whose i
     return type(c) is float or isinstance(c, np.ndarray) and c.dtype.kind in "iuf" or isinstance(c, numbers.Real)
 
 
+def _ordered(values) -> bool:   # a list, a tuple (one type test), a Sequence, an array; not a set, dict or generator
+    return type(values) in (list, tuple) or isinstance(values, (np.ndarray, Sequence))
+
+
 def _reals(values, count: int) -> Sequence[float]:
     """The guard of every coefficient tuple: `count` strictly positive finite floats from an ordered
-    sequence of reals (`_real`), else ValueError.  A list or tuple of such floats comes back as is."""
+    sequence (`_ordered`) of reals (`_real`), else ValueError.  A list or tuple of such floats comes back as is."""
     try:
         # a string iterates as its characters, an (n, 1) array as one-element rows, a set in hash
-        # order: an array needs shape (count,), anything else without a shape must be a Sequence
-        if type(values) not in (list, tuple) and (isinstance(values, (str, bytes, bytearray)) or getattr(
-                values, "shape", None if isinstance(values, Sequence) else ()) not in (None, (count,))):
+        # order: the sequence must be ordered and no string, and one with a shape needs shape (count,)
+        if type(values) not in (list, tuple) and (isinstance(values, (str, bytes, bytearray)) or not _ordered(values)
+                                                  or getattr(values, "shape", (count,)) != (count,)):
             raise TypeError
         for c in values:
             if type(c) is not float or not 0.0 < c < math.inf:
@@ -65,10 +69,6 @@ def _reals(values, count: int) -> Sequence[float]:
     except ValueError:
         raise ValueError(f"coefficients must be strictly positive and finite, got {values!r}") from None
     return values
-
-
-def _ordered(values) -> bool:   # a list, a tuple (one type test), a Sequence, an array; not a set, dict or generator
-    return type(values) in (list, tuple) or isinstance(values, (Sequence, np.ndarray))
 
 
 def _stack(values, width: int) -> np.ndarray:

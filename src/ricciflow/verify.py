@@ -219,7 +219,7 @@ def _exit_check(name, family, init, xi=1.0):
 
 def _check_cone_exits():
     results = [
-        _exit_check("cone_exit_aw2", "aw2", (0.99, 0.99, 1.0, 1.0)),
+        _exit_check("cone_exit_aw2", "aw2", (0.99, 1.0)),
         _exit_check("cone_exit_aw3", "aw3", (cone.t_a_closed(0.9, 1.0) - 1e-3, 0.9, 1.0)),
         _exit_check("cone_exit_berger", "berger", (1.99, 1.0)),
     ]

@@ -369,8 +369,7 @@ class TestRootsCommand:
 
 class TestConeExitCommand:
     def test_aw2(self, capsys):
-        code, out = run_cli(capsys, "cone-exit", "--family", "aw2",
-                            "--init", "0.99,0.99,1,1")
+        code, out = run_cli(capsys, "cone-exit", "--family", "aw2", "--init", "0.99,1")
         assert code == 0
         assert out["exit_time"] > 0.0
         assert out["verdict_after"]["classification"] == "HasNonpositivePlane"

@@ -438,11 +438,9 @@ class TestEvents:
 
 class TestConeExit:
     def test_aw2_from_four_tuple(self):
-        exit_time, state = cone_exit("aw2", (0.99, 0.99, 1.0, 1.0), TIGHT)
-        assert 0.0 < exit_time < 0.01
-        assert state[0] == pytest.approx(state[1], abs=1e-9)
-        after = post_exit_verdict("aw2", state)
-        assert after.classification is ConeClass.HAS_NONPOSITIVE_PLANE
+        # a start is the family's own state: aw2's is (t, s), not its embedding (t, s, s, s)
+        with pytest.raises(ValueError, match="expected a pair of reals"):
+            cone_exit("aw2", (0.99, 0.99, 1.0, 1.0), TIGHT)
 
     @pytest.mark.parametrize("t0", [0.400000001, 0.4])
     def test_aw2_exit_below_the_collapse_floor_is_classified(self, t0):
@@ -477,6 +475,11 @@ class TestConeExit:
     def test_berger(self):
         exit_time, _state = cone_exit("berger", (1.99, 1.0), TIGHT)
         assert exit_time == pytest.approx(0.0016487, abs=1e-6)
+
+    def test_aw4_start_beyond_the_slice_tolerance_is_unknown(self):
+        # classify_aw_slice certifies a spread |s1 - s2| / mean up to SLICE_RTOL, here 0.18
+        with pytest.raises(ValueError, match=r"not positively curved \(Unknown\)"):
+            cone_exit("aw4", (t_a((0.9, 1.0, 1.2), 0.7) - 1e-3, 0.9, 1.0, 1.2), TIGHT, xi=0.7)
 
     def test_rejects_outside_cone(self):
         with pytest.raises(ValueError):
@@ -572,7 +575,8 @@ class TestConeExit:
 
 
 # A start just inside the boundary for each registry entry, under the name
-# callers use: the aw4 entry is reached as aw3 off xi = 1.
+# callers use: the aw4 entry is reached as aw3 off xi = 1, from the slice
+# point (t, x, s, s) of aw3's (t, x, s).
 _INSIDE = {
     "aw2": ("aw2", 1.0, (0.99, 1.0)),
     "aw3": ("aw3", 1.0, (t_a_closed(0.9, 1.0) - 1e-3, 0.9, 1.0)),
@@ -585,7 +589,8 @@ _INSIDE = {
 def test_every_family_exits_into_nonpositive_planes(kind):
     family, xi, init = _INSIDE[kind]
     exit_time, state = cone_exit(family, init, TIGHT, xi=xi)
-    assert cone_exit(kind, init, TIGHT, xi=xi)[0] == exit_time
+    own = (*init, init[-1]) if kind != family else init
+    assert cone_exit(kind, own, TIGHT, xi=xi)[0] == exit_time
     verdict = post_exit_verdict(family, state, xi)
     assert verdict.classification is ConeClass.HAS_NONPOSITIVE_PLANE
 

@@ -39,7 +39,7 @@ ENTRY_POINTS = {
     "integrate": Entry(lambda v: integrate(make_system("aw2"), v, SHORT), (1, 2), "tuple", *TUPLE),
     "integrate_rows": Entry(lambda v: flow.integrate_rows(make_system("aw2"), [v], SHORT), (1, 2), "tuple", *TUPLE),
     "cone_exit": Entry(lambda v: flow.cone_exit("berger", v), (3, 2), "tuple", *TUPLE),
-    "cone_exit aw2": Entry(lambda v: flow.cone_exit("aw2", v), (1, 2), "tuple", *TUPLE),   # a start of 2 or 4
+    "cone_exit aw2": Entry(lambda v: flow.cone_exit("aw2", v), (1, 2), "tuple", *TUPLE),
     "post_exit_verdict": Entry(lambda v: flow.post_exit_verdict("berger", v), (2, 1), "tuple", *TUPLE),
     "_reals": Entry(lambda v: spaces._reals(v, 3), (9, 10, 11), "tuple", *TUPLE),
     "t_a": Entry(lambda v: cone.t_a(v, 0.7), (9, 10, 11), "tuple", *TUPLE),
@@ -93,6 +93,22 @@ class Column(list):
         return len(self), 1
 
 
+class Shaped:
+    """An array look-alike, with shape (n,), length, items and iteration, that is no Sequence."""
+
+    def __init__(self, *values):
+        self.values, self.shape = values, (len(values),)
+
+    def __iter__(self):
+        return iter(self.values)
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, i):
+        return self.values[i]
+
+
 # put in place of one coefficient: not a real, and a real that is not positive and finite
 NOT_REAL = {"str": "1", "bytes": b"1", "None": None, "complex": 1 + 0j, "numpy complex": np.complex128(0.5 + 2j),
             "10**400": 10**400, "-10**400": -10**400, "nested list": [1.0], "one-element array": np.ones(1),
@@ -117,6 +133,7 @@ MALFORMED = {
     "column": lambda v: np.array(v, dtype=float).reshape(-1, 1),
     "row": lambda v: np.array(v, dtype=float).reshape(1, -1),
     "column of one-element rows": lambda v: Column(OneElementRow(float(c)) for c in v),
+    "shaped non-sequence": lambda v: Shaped(*map(float, v)),
     "short": lambda v: [float(c) for c in v[:-1]],
     "long": lambda v: [*map(float, v), 1.0],
 }

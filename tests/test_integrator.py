@@ -152,6 +152,14 @@ def test_cone_exit_after_leaving_the_window_raises_as_solve_ivp():
         assert traj.status == "event" and [ev.name for ev in traj.events] == ["window_exit"]
 
 
+def test_off_slice_aw4_start_exits_as_solve_ivp():
+    # aw4 starts from its own state: a spread |s1 - s2| / mean of 0.01, within the SLICE_RTOL
+    # that classify_aw_slice certifies; the last bits depend on the host's BLAS kernels
+    init = (t_a((0.9, 1.0, 1.01), 0.7) - 1e-3, 0.9, 1.0, 1.01)
+    time = assert_cone_exit_as_solve_ivp("aw4", init, IntegratorConfig(), "aw4", 0.7, init)
+    assert time == pytest.approx(0.0018194, rel=1e-4)
+
+
 @pytest.mark.parametrize("max_step", [math.inf, 0.01])
 @pytest.mark.parametrize("direction", ["forward", "backward"])
 @pytest.mark.parametrize("kind", list(STARTS))

@@ -32,6 +32,7 @@ MUST_RUN = {
     "tests.test_integrate_rows": "holds the row stepper to the bits of one integrate per row",
     "tests.test_derivation_oracle": "holds the closed forms to their sympy derivation; proves each exit interval",
     "tests.test_input_guard": "holds every entry point to the one input guard, each form to its bits or its message",
+    "tests.test_exit_oracle": "holds aw4 cone exits to the oracle's times, and aw3 off xi = 1 to aw4's bits",
 }
 
 
@@ -62,6 +63,10 @@ CONSOLE = [
     ("portrait --seeds {out}/missing.txt", 2, lambda r: r["status"] == "error", "an unreadable path: the usual reply"),
     ("cone-exit --family aw3 --init 0.9,1", 2, lambda r: "expected a triple of reals" in r["error"],
      "every start goes through the one coefficient guard, spaces._reals, and this is its message"),
+    ("cone-exit --family aw4 --xi 0.95 --init 0.9287,0.9,1,1", 0, _exits_the_cone,
+     "aw4 starts from its own state, (t, s0, s1, s2)"),
+    ("cone-exit --family aw2 --init 0.99,0.99,1,1", 2, lambda r: "expected a pair of reals" in r["error"],
+     "a start is the family's own state: aw2's is (t, s), not its four coefficients"),
 ]
 
 # (workload, metric per op, floor, ceiling, why): floor < count <= ceiling.  A floor is a number, another
