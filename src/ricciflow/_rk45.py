@@ -9,7 +9,8 @@ OpenBLAS sums them with fused multiply-adds in its own order; the state is a lis
 floats, on which the elementwise work rounds as in numpy but costs less.  Event signs are
 tested at step ends; a sign change is refined by Brent's method on that step's interpolant,
 only built on such steps.  The collapse floor, min(y) - floor, is event 0: terminal in either
-direction, refined and recorded first, and tested apart only in a run without caller events.
+direction, and tested apart only in a run without caller events.  A run keeps one list of roots,
+in the order it meets them; at one time the lower event index comes first, so the floor does.
 One run is the coroutine `_run`, which yields each step attempt; `solve` evaluates the attempts
 of one state and `solve_rows` those of a stack, each row bit for bit its own `solve`.  Both
 return lists of floats.  `solve` reuses one stage workspace per dimension from a free list, so a
@@ -150,7 +151,7 @@ def _run(fun, y0: list, t_bound: float, rtol: float, atol: float, max_step: floa
     h_abs = _initial_step(fun, y, f, t_bound, direction, rtol, atol, max_step)
     ts, ys = [t], [y]
     g = [float(ev(t, y)) for ev, _, _ in events]
-    t_events, y_events = [[] for _ in events], [[] for _ in events]
+    roots = []   # (event index, time, state)
     status = None
     while status is None:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
@@ -195,25 +196,22 @@ def _run(fun, y0: list, t_bound: float, rtol: float, atol: float, max_step: floa
                 p[3] = x3 * x
                 return [dt * qi + yi for qi, yi in zip(Q.dot(p).tolist(), y_old)]
 
-            # sol(t_old) is y_old, so g_old[i] is the event's value at the left end
-            hits = [(i, brentq(lambda tt, ev=events[i][0]: ev(tt, sol(tt)), t_old, t, fa=g_old[i]))
-                    for i in active]
-            if any(events[i][1] for i in active):
-                hits.sort(key=lambda hit: direction * hit[1])
+            # sol(t_old) is y_old, so g_old[i] is the event's value at the left end; the sort is
+            # stable, so at one time the lower index comes first
+            hits = sorted([(i, brentq(lambda tt, ev=events[i][0]: ev(tt, sol(tt)), t_old, t, fa=g_old[i]))
+                           for i in active], key=lambda hit: direction * hit[1])
+            if any(events[i][1] for i in active):   # cut after the first terminal root
                 hits = hits[:1 + next(k for k, (i, _) in enumerate(hits) if events[i][1])]
                 status = 1
-                t = hits[-1][1]
-            for i, te in hits:
-                t_events[i].append(te)
-                y_events[i].append(sol(te))
+            roots += [(i, te, sol(te)) for i, te in hits]
             if status == 1:
-                y = y_events[hits[-1][0]][-1]
+                _, t, y = roots[-1]
         if not (len(ts) > 1 and ts[-1] == t):   # a terminal root at the last step end
             ts.append(t)
             ys.append(y)
     # six RHS calls per step attempt, plus f(y0) and the initial-step probe
     stats = {"n_steps": n_steps, "n_rejected": n_rejected, "nfev": 2 + 6 * (n_steps + n_rejected)}
-    return {"t": ts, "y": ys, "t_events": t_events, "y_events": y_events, "status": status, "stats": stats}
+    return {"t": ts, "y": ys, "roots": roots, "status": status, "stats": stats}
 
 
 # per dimension n, the stage workspaces of `solve` that no run holds: a (7, n) stage array K,
@@ -229,8 +227,9 @@ def solve(fun, y0: list, t_bound: float, rtol: float, atol: float,
     (g, terminal, direction) triples with g(t, y) a scalar; a root is recorded where g changes
     sign in `direction` (0: either), and the first terminal root in time ends the run.  `floor`
     acts as event 0, g = min(y) - floor, terminal, either direction.  Returns lists, each state
-    a list of floats: the step ends `t`, `y` and the roots `t_events`/`y_events` per event, the
-    floor's first; `status` (0 at t_bound, 1 terminal event, -1 step-size underflow); `stats`.
+    a list of floats: the step ends `t`, `y`; `roots`, one (event index, time, state) per root in
+    the order the run meets them, the lower index first at one time, so a terminal root is last;
+    `status` (0 at t_bound, 1 terminal event, -1 step-size underflow); `stats`.
     A value of `fun` without one value per component raises ValueError (`_values`).  The stage
     workspace is held only while the run lasts: nested runs are safe, and no result refers to it.
     """

@@ -206,11 +206,12 @@ def a_tilde_inverse_slice(x: float, s: float) -> np.ndarray:
 
 
 def _inverse_slice(x, s):
-    denom = _pow(s - x, 2) * (4 * s - x)
-    diag0 = _pow(s, 3) * x
+    s3, x3 = s * s * s, x * x * x
+    denom = (s - x) * (s - x) * (4 * s - x)
+    diag0 = s3 * x
     off0 = s * s * x * (3 * s - x) / 2
-    diag = s * (16 * _pow(s, 3) - 9 * s * s * x + 6 * s * x * x - _pow(x, 3)) / 12
-    off = s * (8 * _pow(s, 3) + 9 * s * s * x - 6 * s * x * x + _pow(x, 3)) / 12
+    diag = s * (16 * s3 - 9 * s * s * x + 6 * s * x * x - x3) / 12
+    off = s * (8 * s3 + 9 * s * s * x - 6 * s * x * x + x3) / 12
     inv = np.array([[diag0, off0, off0], [off0, diag, off], [off0, off, diag]]) / denom
     return np.moveaxis(inv, (0, 1), (-2, -1)).copy() if inv.ndim > 2 else inv
 
@@ -219,7 +220,9 @@ def _float_or_exact(form, x, s):
     """form(x, s) for a closed form of degree <= 4 with integer literals: exact on Fractions.  On floats,
     elementwise on arrays, the float formula where x and s lie in the band; elsewhere the exact value at the
     float inputs, rounded once, for 0 <= x < inf and 0 < s < inf, else DomainError, as for an input that is
-    not real (`_is_real`).  An array with any point outside the band is evaluated point by point."""
+    not real (`_is_real`).  An array with any point outside the band is evaluated point by point.  A form
+    writes its integer powers as products, not `**` (NumPy's array `**` need not give Python's bits), so
+    each point of an array has the bits of its scalar call."""
     if not (_is_real(x) and _is_real(s)):   # a numpy complex compares, and would give a complex value
         raise DomainError(f"need real x and s, got ({x!r}, {s!r})")
     if (isinstance(x, Fraction) or isinstance(s, Fraction)
@@ -236,10 +239,6 @@ def _float_or_exact(form, x, s):
 
 def _all(cond) -> bool:  # a comparison of floats or arrays holds everywhere; np.all is slow on a scalar
     return bool(cond.all()) if isinstance(cond, np.ndarray) else bool(cond)
-
-
-def _pow(c, k):  # c ** k, per element on an array: NumPy's array `**` need not give Python's bits
-    return np.reshape([v ** k for v in c.ravel().tolist()], c.shape) if isinstance(c, np.ndarray) else c ** k
 
 
 def _rowwise(kernel, s, scalar) -> np.ndarray:

@@ -171,14 +171,14 @@ def two_param_ratio_derivative(t, s):
     formula inside `cone`'s band and the exact value, rounded once, outside it; t < 0, s <= 0
     or a non-finite input is a DomainError (`cone._float_or_exact`).
     """
-    return cone._float_or_exact(lambda t, s: (-4 * s * s - 5 * t * t + 12 * t * s) / s**3, t, s)
+    return cone._float_or_exact(lambda t, s: (-4 * s * s - 5 * t * t + 12 * t * s) / (s * s * s), t, s)
 
 
 def berger_ratio_derivative(x1, x2):
     """d/dl of x1/(2 x2) along the Berger flow:
     (-9 x1^2 - 32 x2^2 + 40 x1 x2) / (4 x2^3); equals 3 at (2, 1).  Evaluated
     and guarded as `two_param_ratio_derivative` is, with (x1, x2) for (t, s)."""
-    return cone._float_or_exact(lambda x1, x2: (-9 * x1 * x1 - 32 * x2 * x2 + 40 * x1 * x2) / (4 * x2**3),
+    return cone._float_or_exact(lambda x1, x2: (-9 * x1 * x1 - 32 * x2 * x2 + 40 * x1 * x2) / (4 * x2 * x2 * x2),
                                 x1, x2)
 
 

@@ -256,12 +256,9 @@ def _solver_args(cfg: IntegratorConfig, events: Sequence[EventSpec]) -> tuple:
 
 def _trajectory(sol: dict, events: Sequence[EventSpec]) -> Trajectory:
     """The Trajectory of one solver run; raises as `integrate` documents."""
-    names = ["singular", *(spec.name for spec in events)]
-    recorded = [FlowEvent(te, names[i], np.array(ye)) for i in [*range(1, len(names)), 0]
-                for te, ye in zip(sol["t_events"][i], sol["y_events"][i])]
-    if len(recorded) > 1:
-        recorded.sort(key=lambda ev: abs(ev.time))
-    status = "singular" if sol["t_events"][0] else {0: "horizon", 1: "event", -1: "singular"}[sol["status"]]
+    names, roots = ["singular", *(spec.name for spec in events)], sol["roots"]
+    recorded = [FlowEvent(te, names[i], np.array(ye)) for i, te, ye in roots]
+    status = "singular" if roots and roots[-1][0] == 0 else {0: "horizon", 1: "event", -1: "singular"}[sol["status"]]
     traj = Trajectory(np.array(sol["t"]), np.array(sol["y"]), recorded, status, sol["stats"])
     if sol["status"] == -1:
         raise StepSizeUnderflow(_rk45.UNDERFLOW, trajectory=traj)
@@ -376,8 +373,9 @@ def post_exit_verdict(family: str, state, xi: float = 1.0,
 
     Used to confirm that a detected boundary crossing really lands outside the cone; `family` and
     `xi` resolve as in `cone_exit`, and `state` is the state that `cone_exit` returned (a bad one
-    raises ValueError, as in `integrate`).  The flow is scale covariant, so the default dt is
-    1e-3 lam, lam the power of two with max(state)/lam in [1, 2): the same step at any scale.
+    raises ValueError, as in `integrate`): for family "aw3" off xi = 1, where the flow leaves the
+    slice, aw4's (t, s0, s1, s2), not aw3's (t, x, s).  The flow is scale covariant, so the default
+    dt is 1e-3 lam, lam the power of two with max(state)/lam in [1, 2): the same step at any scale.
     """
     kind, fam, xi = _resolve(family, xi)
     y = _start(system := make_system(kind, xi), state)

@@ -8,8 +8,7 @@ CLI `verify` command and the acceptance tests.  The grids,
 the gradient's finite differences and the structure-constant eigenvalue
 oracle run on numpy arrays in the operations of the scalar functions they
 sample, so every point has the bits of a scalar call (t_A and A~ use
-`cone`'s row-wise kernels, which evaluate `**` per element: NumPy's array
-`**` need not give Python's bits).  The p2 entry is the flow time at which
+`cone`'s row-wise kernels).  The p2 entry is the flow time at which
 the p2 trajectory crosses into region P: the root of a terminal event on the
 region test's q - 3, where the run stops.
 

@@ -81,7 +81,8 @@ def console_replies(report):
             "--seeds": (2, {"status": "error"}),
             "0.9,1": (2, {"status": "error", "error": "expected a triple of reals, got [0.9, 1.0]"}),
             "0.9287,0.9,1,1": (0, leave),
-            "0.99,0.99,1,1": (2, {"status": "error", "error": "expected a pair of reals, got [0.99, 0.99, 1.0, 1.0]"})}
+            "0.99,0.99,1,1": (2, {"status": "error", "error": "expected a pair of reals, got [0.99, 0.99, 1.0, 1.0]"}),
+            "0.9287,0.9,1": (0, leave)}
 
 
 @pytest.fixture
@@ -125,10 +126,12 @@ def test_console_fails_on_a_wrong_exit_code(console):
     lambda replies, rows: replies.update({"--seeds": (2, "Traceback (most recent call last):")}),
     lambda replies, rows: replies.update({"0.99,1": (0, {"status": "ok"})}),
     lambda replies, rows: replies.update({"0.9287,0.9,1,1": (2, {"status": "error", "error": "aw4 needs (t, x, s)"})}),
+    lambda replies, rows: replies.update({"0.9287,0.9,1": (2, {"status": "error",
+                                                               "error": "expected a 4-tuple of reals"})}),
     lambda replies, rows: rows[2].update(headroom=1.5),
     lambda replies, rows: rows[0].update(headroom=0.5),
-], ids=["trajectory status", "error message", "no JSON reply", "no verdict", "own start refused", "headroom above 1",
-        "bracket headroom"])
+], ids=["trajectory status", "error message", "no JSON reply", "no verdict", "own start refused",
+        "exit state refused", "headroom above 1", "bracket headroom"])
 def test_console_fails_on_a_reply_that_fails_its_test(console, change):
     assert console(change) == 1
 

@@ -518,10 +518,11 @@ class TestInverseSlice:
         # the formula as written in floats, kept inside the band [2^-64, 2^64); outside
         # it (s = 1e-50, 1e60) the same formula in Fraction, each entry rounded once
         def float_inverse(x, s):
-            denom = (s - x) ** 2 * (4.0 * s - x)
-            diag0, off0 = s ** 3 * x, s * s * x * (3.0 * s - x) / 2.0
-            diag = s * (16.0 * s ** 3 - 9.0 * s * s * x + 6.0 * s * x * x - x ** 3) / 12.0
-            off = s * (8.0 * s ** 3 + 9.0 * s * s * x - 6.0 * s * x * x + x ** 3) / 12.0
+            s3, x3 = s * s * s, x * x * x
+            denom = (s - x) * (s - x) * (4.0 * s - x)
+            diag0, off0 = s3 * x, s * s * x * (3.0 * s - x) / 2.0
+            diag = s * (16.0 * s3 - 9.0 * s * s * x + 6.0 * s * x * x - x3) / 12.0
+            off = s * (8.0 * s3 + 9.0 * s * s * x - 6.0 * s * x * x + x3) / 12.0
             return np.array([[diag0, off0, off0], [off0, diag, off], [off0, off, diag]]) / denom
 
         def exact_inverse(x, s):

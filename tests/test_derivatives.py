@@ -315,8 +315,9 @@ class TestRatioDerivatives:
         rng = np.random.default_rng(7)
         for t, s in np.exp(rng.uniform(-50.0, 50.0, size=(2000, 2))).tolist() + [(1.0, 1.0), (2.0, 1.0)]:
             if 2.0 ** -64 <= min(t, s) and max(t, s) < 2.0 ** 64:
-                assert two_param_ratio_derivative(t, s) == (-4.0 * s * s - 5.0 * t * t + 12.0 * t * s) / s**3
-                assert berger_ratio_derivative(t, s) == (-9.0 * t * t - 32.0 * s * s + 40.0 * t * s) / (4.0 * s**3)
+                assert two_param_ratio_derivative(t, s) == (-4.0 * s * s - 5.0 * t * t + 12.0 * t * s) / (s * s * s)
+                assert berger_ratio_derivative(t, s) == (
+                    (-9.0 * t * t - 32.0 * s * s + 40.0 * t * s) / (4.0 * s * s * s))
             else:
                 ft, fs = Fraction(t), Fraction(s)
                 assert two_param_ratio_derivative(t, s) == float((-4 * fs * fs - 5 * ft * ft + 12 * ft * fs) / fs**3)

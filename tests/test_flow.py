@@ -472,6 +472,15 @@ class TestConeExit:
         # slice spread grows with l but stays small at exit
         assert 0.0 < abs(state[2] - state[3]) < 1e-3
 
+    def test_aw3_off_xi_one_verdict_takes_the_aw4_exit_state(self):
+        # off xi = 1 the flow leaves the slice: cone_exit returns aw4's (t, s0, s1, s2) there,
+        # and post_exit_verdict takes that state, not aw3's own start triple
+        start = (0.9287, 0.9, 1.0)
+        _, state = cone_exit("aw3", start, xi=0.9)
+        assert post_exit_verdict("aw3", state, 0.9).classification is ConeClass.HAS_NONPOSITIVE_PLANE
+        with pytest.raises(ValueError, match="expected a 4-tuple of reals"):
+            post_exit_verdict("aw3", start, 0.9)
+
     def test_berger(self):
         exit_time, _state = cone_exit("berger", (1.99, 1.0), TIGHT)
         assert exit_time == pytest.approx(0.0016487, abs=1e-6)
@@ -491,14 +500,11 @@ class TestConeExit:
         with pytest.raises(ValueError, match="not positively curved"):
             cone_exit("aw3", (0.16434543517149297, 0.15604810080674877, 0.18566433578077873))
 
-    def test_rejects_mismatched_four_tuple(self):
-        with pytest.raises(ValueError):
-            cone_exit("aw2", (0.9, 0.8, 1.0, 1.0), TIGHT)
-
     @pytest.mark.parametrize("family, init, config, match", [
         ("aw3", (0.9, 1.0), TIGHT, "expected a triple of reals"),
         ("aw5", (0.99, 1.0), TIGHT, "unknown cone-exit family"),
-        ("aw2", (0.99, 1.0), IntegratorConfig(direction="backward"), "integrates forward")])
+        ("aw2", (0.99, 1.0), IntegratorConfig(direction="backward"), "integrates forward"),
+        ("aw2", (0.9, 0.8, 1.0, 1.0), TIGHT, "expected a pair of reals")])
     def test_rejects_bad_arguments(self, family, init, config, match):
         with pytest.raises(ValueError, match=match):
             cone_exit(family, init, config)

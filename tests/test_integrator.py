@@ -84,6 +84,8 @@ def assert_same_run(kind, init, cfg, events, xi=None):
         for ev, y in zip(mine, y_ev):
             np.testing.assert_array_equal(ev.state, y)
     assert len(traj.events) == sum(len(t_ev) for t_ev in ref.t_events)
+    sign = 1.0 if cfg.direction == "forward" else -1.0   # the events in the order the run meets them
+    assert all(sign * a.time <= sign * b.time for a, b in zip(traj.events, traj.events[1:]))
     assert traj.stats["nfev"] == ref.nfev
     return traj
 

@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 from ricciflow import a_tilde_inverse_slice, normalized_region, t_a_closed
-from ricciflow.derivatives import berger_ratio_derivative, two_param_ratio_derivative
+from ricciflow.derivatives import (
+    berger_ratio_derivative,
+    d_polynomial,
+    f1_prime0,
+    f_xi_prime0,
+    k_polynomial,
+    two_param_ratio_derivative,
+)
 
 LO, HI = 2.0 ** -64, 2.0 ** 64
 
@@ -21,26 +28,27 @@ def in_band(x, s):
     return LO <= x < HI and LO <= s < HI
 
 
-# Each form is written once with integer literals: the float formula on floats, the
-# exact value on Fractions.
+# Each form is written once with integer literals and its powers as products: the float
+# formula on floats, the exact value on Fractions.
 def _t_a(x, s):
     return x * (4 * s - x) / (3 * s)
 
 
 def _inverse(x, s):
-    denom = (s - x) ** 2 * (4 * s - x)
-    diag0, off0 = s ** 3 * x, s * s * x * (3 * s - x) / 2
-    diag = s * (16 * s ** 3 - 9 * s * s * x + 6 * s * x * x - x ** 3) / 12
-    off = s * (8 * s ** 3 + 9 * s * s * x - 6 * s * x * x + x ** 3) / 12
+    s3, x3 = s * s * s, x * x * x
+    denom = (s - x) * (s - x) * (4 * s - x)
+    diag0, off0 = s3 * x, s * s * x * (3 * s - x) / 2
+    diag = s * (16 * s3 - 9 * s * s * x + 6 * s * x * x - x3) / 12
+    off = s * (8 * s3 + 9 * s * s * x - 6 * s * x * x + x3) / 12
     return [e / denom for e in (diag0, off0, off0, off0, diag, off, off0, off, diag)]
 
 
 def _two_param(t, s):
-    return (-4 * s * s - 5 * t * t + 12 * t * s) / s ** 3
+    return (-4 * s * s - 5 * t * t + 12 * t * s) / (s * s * s)
 
 
 def _berger(x1, x2):
-    return (-9 * x1 * x1 - 32 * x2 * x2 + 40 * x1 * x2) / (4 * x2 ** 3)
+    return (-9 * x1 * x1 - 32 * x2 * x2 + 40 * x1 * x2) / (4 * x2 * x2 * x2)
 
 
 FORMS = {
@@ -114,6 +122,40 @@ def test_band_edges(name):
             if hexes(form(x, s)) != exact:
                 told.add(inside)
     assert told == {True, False}
+
+
+def band_draws(n, seed):
+    """s uniform in [0.3, 3] with x = u s as in `draws`: every point inside the band."""
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(0.3, 3.0, n)
+    x = s * rng.uniform(0.01, 3.99, n)
+    return [(a, b) for a, b in zip(x.tolist(), s.tolist()) if a != b]
+
+
+def unit_draws(n, seed):
+    """(xi, x) uniform in [0.5, 1) x (0, 1), the domain of the boundary derivatives."""
+    rng = np.random.default_rng(seed)
+    return list(zip(rng.uniform(0.5, 1.0, n).tolist(), rng.uniform(1e-3, 1.0 - 1e-3, n).tolist()))
+
+
+# every public closed form that takes arrays, as a form of two arguments, with its batches of points
+ARRAY_FORMS = {
+    **{name: (function, [band_draws(2000, 14), draws(200, 15)]) for name, (function, _) in FORMS.items()},
+    "f1_prime0": (lambda _xi, x: f1_prime0(x), [unit_draws(2000, 16)]),
+    "f_xi_prime0": (lambda _xi, x: f_xi_prime0(0.7, x), [unit_draws(2000, 17)]),
+    "k_polynomial": (k_polynomial, [unit_draws(2000, 18)]),
+    "d_polynomial": (lambda _xi, x: d_polynomial(8.0 * x - 7.0), [unit_draws(2000, 19)]),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_FORMS)
+def test_arrays_have_the_bits_of_scalar_calls(name):
+    # each point of an array call has the bits of its scalar call, inside the band and,
+    # for the (x, s) forms, on draws across the float range, which an array takes point by point
+    function, batches = ARRAY_FORMS[name]
+    for points in batches:
+        a, b = (np.array(c) for c in zip(*points))
+        assert hexes(function(a, b)) == hexes([function(x, y) for x, y in points])
 
 
 def test_normalized_region_scan():

@@ -67,6 +67,8 @@ CONSOLE = [
      "aw4 starts from its own state, (t, s0, s1, s2)"),
     ("cone-exit --family aw2 --init 0.99,0.99,1,1", 2, lambda r: "expected a pair of reals" in r["error"],
      "a start is the family's own state: aw2's is (t, s), not its four coefficients"),
+    ("cone-exit --family aw3 --xi 0.9 --init 0.9287,0.9,1", 0, _exits_the_cone,
+     "aw3 off xi = 1 leaves the slice: its verdict reads aw4's exit state (t, s0, s1, s2)"),
 ]
 
 # (workload, metric per op, floor, ceiling, why): floor < count <= ceiling.  A floor is a number, another
