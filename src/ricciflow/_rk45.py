@@ -228,8 +228,9 @@ def solve(fun, y0: list, t_bound: float, rtol: float, atol: float,
     sign in `direction` (0: either), and the first terminal root in time ends the run.  `floor`
     acts as event 0, g = min(y) - floor, terminal, either direction.  Returns lists, each state
     a list of floats: the step ends `t`, `y`; `roots`, one (event index, time, state) per root in
-    the order the run meets them, the lower index first at one time, so a terminal root is last;
-    `status` (0 at t_bound, 1 terminal event, -1 step-size underflow); `stats`.
+    the order the run meets them, the lower index first at one time, so a terminal root is last, and
+    a non-terminal root exactly at a step end twice, at that step's end and the next one's start, as
+    `solve_ivp` records it; `status` (0 at t_bound, 1 terminal event, -1 step-size underflow); `stats`.
     A value of `fun` without one value per component raises ValueError (`_values`).  The stage
     workspace is held only while the run lasts: nested runs are safe, and no result refers to it.
     """

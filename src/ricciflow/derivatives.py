@@ -50,11 +50,13 @@ def _d_prime(x):
 def d_roots() -> np.ndarray:
     """All five real roots of D, ascending.
 
-    The exact roots 0 and -2 are deflated first; the remaining cubic
-    x^3 + 4x^2 - 24x + 16 goes through companion-matrix eigenvalues with a
-    Newton polish on D itself.
+    The exact roots 0 and -2 are deflated first.  The remaining cubic
+    x^3 + 4x^2 - 24x + 16 is t^3 - (88/3)t + 1424/27 in x = t - 4/3, whose three
+    real roots Viete's trigonometric form gives, with a Newton polish on D itself.
     """
-    cubic = np.roots([1.0, 4.0, -24.0, 16.0]).real
+    r = 2.0 * np.sqrt(88.0 / 9.0)
+    phi = np.arccos(-4.0 * (1424.0 / 27.0) / r**3) / 3.0
+    cubic = r * np.cos(phi - 2.0 * np.pi * np.arange(3) / 3.0) - 4.0 / 3.0
     for _ in range(3):
         cubic = cubic - d_polynomial(cubic) / _d_prime(cubic)
     return np.sort(np.concatenate([cubic, [-2.0, 0.0]]))

@@ -275,6 +275,7 @@ def integrate(system: FlowSystem, init, config: IntegratorConfig | None = None,
     between step ends (status "singular"; a start below the floor runs on).  Raises ValueError for an `init` that
     is not `system.dim` positive finite reals or `events` that are not an ordered sequence (`spaces._ordered`: a
     generator is not), StepSizeUnderflow when the solver stalls and NonPositiveState for a nonpositive sampled state.
+    A non-terminal root that falls exactly on a step end is in `events` twice, as `solve_ivp` records it.
     """
     cfg = config or _DEFAULT_CONFIG
     return _trajectory(_rk45.solve(system.rhs, _start(system, init), *_solver_args(cfg, events)), events)

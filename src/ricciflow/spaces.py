@@ -165,9 +165,9 @@ def ricci_from_structure(k1: int, k2: int, coeffs) -> np.ndarray:
                           + (1/4d_i) sum [ijk] x_i/(x_j x_k)
 
     with b_i = 12, d = (1, 2, 2, 2) and x = (t, s0, s1, s2).  Independent of the closed forms in
-    `aw_eigenvalue_tuple`: the two agree to 3.3e-13 relative on the battery's sample.  Each row has
-    the bits of a stack of that row alone: the formula runs on columns, each bracket sum left to right
-    in (j, k) order.
+    `aw_eigenvalue_tuple`: the two agree to 4.5e-14 relative on the battery's sample, and to 1.4e-15 of
+    max|r_i| on 20 000 metrics per pair (an r_i near 0 may deviate more relatively).  Each row has the bits
+    of a stack of that row alone: the formula runs on columns, each bracket sum left to right in (j, k) order.
     """
     c = _family_values(k1, k2)
     cols = _stack(coeffs, 4).T

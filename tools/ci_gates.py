@@ -45,13 +45,23 @@ def _verify_report(reply: dict) -> bool:
                     for row in rows.values() if row["status"] == "pass"))
 
 
+# The five real roots of the quintic D, each the double nearest its root
+ROOTS = [-7.489652155363847, -2.0, 0.0, 0.7918637203624126, 2.697788435001434]
+
+
+def _quintic_roots(reply: dict) -> bool:
+    """Each root within one ulp of ROOTS, and D's sign between them positive, negative, positive, negative."""
+    return (len(reply["roots"]) == len(ROOTS) and all(abs(r - w) <= math.ulp(w) for r, w in zip(reply["roots"], ROOTS))
+            and [row["sign"] for row in reply["sign_chart"]] == ["positive", "negative"] * 2)
+
+
 def _exits_the_cone(reply: dict) -> bool:
     return reply["verdict_after"]["classification"] == "HasNonpositivePlane"
 
 
 # The arguments of `ricciflow` ({out}: a fresh directory), its exit code, a test of its JSON reply (None: none), why
 CONSOLE = [
-    ("roots", 0, lambda r: len(r["roots"]) == 5, "the quintic D has five real roots"),
+    ("roots", 0, _quintic_roots, "the quintic D has five real roots, with D negative on (lambda4, lambda5)"),
     ("verify --out {out}/verify", 4, _verify_report, "the battery fails on the two bracket rows alone"),
     ("portrait --grid 1e100:1e101:2,1e100:1e101:2 --out {out}/huge", 0, None, "the exact region test decides"),
     ("portrait --grid 1e-200:1e-199:2,1e-200:1e-199:2 --out {out}/tiny", 0, None, "below the float band [2^-64, 2^64)"),
