@@ -6,11 +6,10 @@ of the 4x4x4 table of `ricci_from_structure` (derived from su(3) matrices
 in `homogeneous`, each bracket sum in plain floats left to right in (j, k)
 order, as the package sums its columns), four draws of a pure-Python
 SplitMix64 stream and one scalar call of each eigenvalue form per metric,
-one `t_a` call per
-finite-difference point of the gradient check, one `@` per grid point, one
-`t_a`, `a_tilde` and `a_tilde_inverse_slice` call per point of the t_A
-grid, and the double and single loops over the K-denominator and f'(0)
-grids. Values are compared through `float.hex`, so even a sign of zero
+one `t_a` call per finite-difference point of the gradient check, one `@`
+per grid point, one `t_a`, `a_tilde` and `a_tilde_inverse_slice` call per
+point of the t_A grid, and the double and single loops over the
+K-denominator and f'(0) grids. Values are compared through `float.hex`, so even a sign of zero
 counts. The stacked `@` goes through BLAS; run this file again under e.g.
 OPENBLAS_CORETYPE=Haswell to check a second kernel set.
 """
