@@ -21,6 +21,7 @@ between the two positive irrational roots of D.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -43,23 +44,40 @@ def d_polynomial(x):
     return x * _quartic(x) / 3
 
 
-def _d_prime(x):
-    return ((((5 * x + 24) * x - 48) * x - 64) * x + 32) / 3
+def _negative_at_midpoint(a: float, b: float) -> bool:
+    """Whether c(x) = x^3 + 4x^2 - 24x + 16 < 0 at the half-way point of the doubles a and b, in integers."""
+    (n, d), (m, e) = a.as_integer_ratio(), b.as_integer_ratio()
+    q = max(d, e)   # d and e are powers of two
+    p, q = n * (q // d) + m * (q // e), 2 * q
+    return ((p + 4 * q) * p - 24 * q * q) * p + 16 * q * q * q < 0
+
+
+def _settle(x: float) -> float:
+    """The double nearest the root of c(x) = x^3 + 4x^2 - 24x + 16 that lies a few ulps from x.
+
+    c has no rational root, so it is never 0 at a half-way point.  Where c takes one sign at both half-way
+    points to x's neighbours, x steps one ulp towards the sign change: up where c is negative and rising.
+    """
+    rising = (3 * x + 8) * x > 24   # c'(x) > 0, and c' keeps its sign within a few ulps of a root
+    while True:
+        below, above = (_negative_at_midpoint(x, math.nextafter(x, side)) for side in (-math.inf, math.inf))
+        if below != above:
+            return x
+        x = math.nextafter(x, math.inf if below == rising else -math.inf)
 
 
 def d_roots() -> np.ndarray:
-    """All five real roots of D, ascending.
+    """All five real roots of D, ascending, each the double nearest the exact root.
 
     The exact roots 0 and -2 are deflated first.  The remaining cubic
     x^3 + 4x^2 - 24x + 16 is t^3 - (88/3)t + 1424/27 in x = t - 4/3, whose three
-    real roots Viete's trigonometric form gives, with a Newton polish on D itself.
+    real roots Viete's trigonometric form gives to a few ulps; `_settle` moves each
+    onto the nearest double, so the result does not hang on the last bits of `cos`.
     """
-    r = 2.0 * np.sqrt(88.0 / 9.0)
-    phi = np.arccos(-4.0 * (1424.0 / 27.0) / r**3) / 3.0
-    cubic = r * np.cos(phi - 2.0 * np.pi * np.arange(3) / 3.0) - 4.0 / 3.0
-    for _ in range(3):
-        cubic = cubic - d_polynomial(cubic) / _d_prime(cubic)
-    return np.sort(np.concatenate([cubic, [-2.0, 0.0]]))
+    r = 2.0 * math.sqrt(88.0 / 9.0)
+    phi = math.acos(-4.0 * (1424.0 / 27.0) / r**3) / 3.0
+    cubic = [_settle(r * math.cos(phi - 2.0 * math.pi * k / 3.0) - 4.0 / 3.0) for k in range(3)]
+    return np.array(sorted([*cubic, -2.0, 0.0]))
 
 
 def _check_x(x, scalar: bool = False) -> None:  # a real, or an int or float array unless `scalar`, in (0, 1)

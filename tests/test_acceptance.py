@@ -146,6 +146,16 @@ def test_exit_check_fails_on_documented_errors_only(monkeypatch):
         verify._exit_check("cone_exit_aw2", "aw2", (0.99, 1.0))
 
 
+def test_exit_check_fails_an_exit_at_time_zero(monkeypatch):
+    def exit_at(time):
+        monkeypatch.setattr(flow, "cone_exit", lambda *_args, **_kwargs: (time, np.array([0.99, 1.0])))
+        return verify._exit_check("cone_exit_aw2", "aw2", (0.99, 1.0)).passed
+
+    nonpositive = cone.ConeVerdict(cone.ConeClass.HAS_NONPOSITIVE_PLANE, -1.0)
+    monkeypatch.setattr(flow, "post_exit_verdict", lambda *_args: nonpositive)
+    assert (exit_at(0.0), exit_at(5e-324)) == (False, True)
+
+
 def test_k_limit_row_measures_the_largest_deviation(results):
     deviations = []
     for k in range(1, 10):

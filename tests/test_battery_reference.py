@@ -21,7 +21,7 @@ import sys
 import numpy as np
 import pytest
 
-from ricciflow import cone, derivatives, verify
+from ricciflow import cone, derivatives, flow, verify
 from ricciflow.spaces import aw_eigenvalue_tuple, ricci_from_structure
 from homogeneous import aloff_wallach_constants
 
@@ -189,15 +189,16 @@ def test_battery_runs_on_numpy_core_alone():
     assert loaded == eager
 
 
-def test_d_roots_lie_within_one_ulp_of_the_exact_roots():
-    # one ulp, not half: the polished last bit follows the last bits of the start, so of the host's cos
+def test_d_roots_are_the_doubles_nearest_the_exact_roots():
     mpmath = pytest.importorskip("mpmath")
     roots = derivatives.d_roots()
     assert (roots[1], roots[2]) == (-2.0, 0.0)
     with mpmath.workdps(40):
         exact = sorted(mpmath.polyroots([1, 4, -24, 16], maxsteps=200, extraprec=200))
-    for root, x in zip(roots[[0, 3, 4]], exact):
-        assert abs(mpmath.mpf(float(root)) - x) <= np.spacing(abs(root)), (root, x)
+        for root, x in zip(roots[[0, 3, 4]], exact):
+            neighbours = (np.nextafter(root, -np.inf), root, np.nextafter(root, np.inf))
+            below, at, above = (abs(mpmath.mpf(y) - x) for y in neighbours)
+            assert at < min(below, above), (root, x)
 
 
 def per_point_gradient_oracle():
@@ -236,6 +237,20 @@ def test_gradient_oracle_matches_the_per_point_loop(monkeypatch):
     fd, asm = verify._check_gradient_oracle()
     assert scalar_calls == []
     assert (fd.measured.hex(), asm.measured.hex()) == tuple(v.hex() for v in per_point_gradient_oracle())
+
+
+def test_deviation_rows_are_relative_to_the_larger_value_and_to_the_closed_form():
+    # the rows' measured values, recomputed per point from the same runs: |a - b| / max(a, b) and |fd - f'| / |f'|
+    h, x, xi = 1e-5, 0.9, 1.0
+    system = flow.make_system("aw4", xi)
+    states = flow.integrate(system, (4.0, 4.0, 5.0, 5.0), flow.IntegratorConfig(max_time=0.5)).states.tolist()
+    two_param = max(abs(a - b) / max(a, b) for state in states for a, b in (state[:2], state[2:]))
+    assert verify._check_subfamily_invariance()[1].measured == two_param
+    ends = [flow.integrate(system, derivatives.gradient_anchor(x),
+                           flow.IntegratorConfig(max_time=h, direction=d)).final_state for d in ("forward", "backward")]
+    fd = (cone.t_a(ends[0][1:], xi) / ends[0][0] - cone.t_a(ends[1][1:], xi) / ends[1][0]) / (2.0 * h)
+    target = derivatives.f1_prime0(x)
+    assert verify._check_flow_oracle()[0].measured == abs(fd - target) / abs(target)
 
 
 def test_stacked_products_match_the_per_point_products():

@@ -102,6 +102,10 @@ class TestFlowCommand:
         assert code == 2
         assert "positive and finite" in out["error"]
 
+    def test_zero_init_is_config_error(self, tmp_path, capsys):
+        code, out = run_cli(capsys, "flow", "--system", "aw3", "--init", "0,0.9,1", "--out", str(tmp_path))
+        assert (code, out["error"]) == (2, "--init: metric coefficients must be positive and finite, got '0,0.9,1'")
+
     def test_non_float_init_is_config_error(self, tmp_path, capsys):
         code, out = run_cli(capsys, "flow", "--system", "aw3", "--init", "0.9,a,1",
                             "--out", str(tmp_path))
@@ -215,6 +219,11 @@ class TestPortraitCommand:
         code, out = run_cli(capsys, "portrait", "--grid", grid, "--out", str(tmp_path))
         assert code == 2
         assert match in out["error"]
+
+    @pytest.mark.parametrize("grid", ["0:1:3,0.5:1:3", "0.5:0.5:3,0.5:1:3", "0.5:1:3,0:1:3", "0.5:1:3,1:1:3"])
+    def test_grid_range_at_zero_or_empty_is_config_error(self, tmp_path, capsys, grid):
+        code, out = run_cli(capsys, "portrait", "--grid", grid, "--out", str(tmp_path))
+        assert (code, out["error"]) == (2, "--grid: ranges must be positive and ordered")
 
     @pytest.mark.parametrize("text, match", [("0.87,1.1,1\n", "line 1 needs two components, got 3"),
                                              ("# only a comment\n\n", "no seeds found")])

@@ -165,6 +165,12 @@ class TestSigma:
             exact = 2 * s1 * s2 + 2 * s0 * s2 + 2 * s0 * s1 - s0 * s0 - s1 * s1 - s2 * s2
         assert cone._sigma(*s) == float(exact)
 
+    def test_exact_path_starts_strictly_below_a_sixteenth_of_the_square(self):
+        # here 16 sigma equals (s0 + s1 + s2)^2 in floats, so the float value stands, 2 ulps above the exact one
+        s = (0.7015463661686019, 1.771150605405849, 0.35866300099926623)
+        assert 16 * cone._sigma(*s) == sum(s) ** 2
+        assert cone._sigma(*s) == 0.5010374558932902
+
 
 class TestATilde:
     def test_round_point(self):
@@ -283,6 +289,12 @@ class TestTA:
     def test_round_diagonal_is_zero(self, xi):
         assert t_a((1.0, 1.0, 1.0), xi) == 0.0
         assert t_a((2.5, 2.5, 2.5), xi) == 0.0
+
+    def test_spread_of_exactly_the_round_tolerance_is_round(self):
+        # max |s_i - mean| is exactly ROUND_DIAGONAL_RTOL * mean, both 2^-50 in floats; one ulp wider is not round
+        s = (0.008881784197000364, 0.008881784197001252, 0.00888178419700214)
+        assert t_a(s, 0.7) == t_a(list(s), 1.0) == 0.0
+        assert t_a((*s[:2], math.nextafter(s[2], 1.0)), 0.7) > 0.0
 
     def test_cofactor_oracle(self):
         s = (0.9, 1.1, 1.3)
@@ -428,7 +440,7 @@ class TestTAClosed:
 
     def test_domain_error(self):
         grid = np.array([0.5, 0.6])
-        for x, s in ((4.0, 1.0), (-0.1, 1.0), (0.5, math.inf), (math.inf, 1.0), (math.nan, 1.0),
+        for x, s in ((4.0, 1.0), (0.0, 1.0), (-0.1, 1.0), (0.5, math.inf), (math.inf, 1.0), (math.nan, 1.0),
                      (np.array([0.5, 4.0]), 1.0), (np.array([0.5, math.nan]), 1.0),
                      (np.array([-0.1, 0.5]), 1.0), (grid, np.array([1.0, math.inf])),
                      (grid, np.array([1.0, 0.1])), (0.5, np.array([1.0, math.nan]))):
@@ -456,6 +468,12 @@ class TestTAClosed:
             x = xs * s
             assert hexes(t_a_closed(x, s)) == hexes(
                 [float(Fraction(a) * (4 * Fraction(s) - Fraction(a)) / (3 * Fraction(s))) for a in x.tolist()])
+        # on the band's edges: s = 2^-64 lies inside it, x = 2^64 outside
+        s, x = 2.0 ** -64, xs[xs >= 1.0] * 2.0 ** -64
+        assert hexes(t_a_closed(x, s)) == hexes(x * (4.0 * s - x) / (3.0 * s))
+        s, x = np.linspace(0.3, 0.9, 50) * 2.0 ** 64, 2.0 ** 64
+        assert hexes(t_a_closed(x, s)) == hexes(
+            [float(Fraction(x) * (4 * Fraction(b) - Fraction(x)) / (3 * Fraction(b))) for b in s.tolist()])
 
     def test_arrays_give_the_scalar_bits(self):
         xs = np.array(_TA_GRID)
@@ -498,7 +516,8 @@ class TestInverseSlice:
         assert a_tilde_inverse_slice(0.5, 1.0)[0, 0] == pytest.approx(4.0 / 7.0, rel=1e-15)
 
     def test_domain_errors(self):
-        for x, s in ((1.0, 1.0), (4.0, 1.0), (0.5, math.inf), (math.nan, 1.0), (np.array([0.5, 1.0]), 1.0),
+        for x, s in ((1.0, 1.0), (4.0, 1.0), (0.25, 0.0625), (0.0, 1.0), (0.5, math.inf), (math.nan, 1.0),
+                     (np.array([0.5, 1.0]), 1.0),
                      (np.array([0.5, math.nan]), 1.0), (0.5, np.array([1.0, -1.0]))):
             with pytest.raises(DomainError):
                 a_tilde_inverse_slice(x, s)
@@ -688,6 +707,19 @@ class TestClassifiers:
         assume(base.classification is ConeClass.UNKNOWN or abs(base.margin) > 1e-12 * t / s)
         assert classify_3param(lam * t, lam * x, lam * s).classification is base.classification
 
+    def test_window_edge_and_slice_spread(self):
+        # on the window's edge (aw3: x = s; aw4: s0 = (s1 + s2)/2) the verdict is Unknown, margin 0
+        assert classify_3param(0.5, 1.0, 1.0) == ConeVerdict(ConeClass.UNKNOWN, 0.0)
+        assert classify_aw_slice((0.5, 1.0, 1.0, 1.0), 0.7) == ConeVerdict(ConeClass.UNKNOWN, 0.0)
+        # |s1 - s2| = SLICE_RTOL * mean exactly is still certified; the spread is relative at every scale
+        assert abs(0.625 - 0.657051282051282) == cone.SLICE_RTOL * (0.5 * 0.625 + 0.5 * 0.657051282051282)
+        assert classify_aw_slice((0.3, 0.5, 0.625, 0.657051282051282), 0.7).classification is not ConeClass.UNKNOWN
+        base = classify_aw_slice((0.9, 0.9, 1.0, 1.04), 0.7)
+        assert base.classification is not ConeClass.UNKNOWN
+        for k in (-20, 20):
+            scaled = classify_aw_slice([math.ldexp(c, k) for c in (0.9, 0.9, 1.0, 1.04)], 0.7)
+            assert scaled == ConeVerdict(base.classification, math.ldexp(base.margin, k))
+
     @pytest.mark.parametrize("u", [0.1, 0.4, 0.7, 0.95])
     def test_two_vs_three_param_consistency(self, u):
         # for t/s in (0, 1) both classifiers certify positive curvature
@@ -783,54 +815,3 @@ class TestNormalizedRegion:
         exact = 4 * Fraction(x) ** 3 * Fraction(s) ** 4 - Fraction(x) ** 4 * Fraction(s) ** 3
         assert region == ("P" if exact <= 3 else "G" if x < s else "W")
         assert normalized_region(x, s) == region
-
-
-# Every function that takes a coefficient tuple, called on `values`, with a
-# valid input of integers; the last field marks the functions that take the
-# tuple as one argument (the others take its items as separate arguments).
-GUARDED = {
-    "t_a": (lambda v: t_a(v, 0.7), (3, 4, 5), True),
-    "classify_2param": (lambda v: classify_2param(*v), (3, 4), False),
-    "classify_3param": (lambda v: classify_3param(*v), (2, 3, 4), False),
-    "classify_berger": (lambda v: classify_berger(*v), (3, 2), False),
-    "classify_aw_slice": (lambda v: classify_aw_slice(v, 0.7), (2, 3, 4, 4), True),
-    "normalized_region": (lambda v: normalized_region(*v), (1, 2), False),
-}
-
-
-class TestInputGuard:
-    """One guard, `cone._reals`, decides what a valid coefficient tuple is."""
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0, 0.0, -1.0, "1", b"1", None,
-                                     np.ones(1), np.float64(math.nan), 10**400],
-                             ids=["nan", "inf", "-inf", "int0", "zero", "negative", "str", "bytes", "none",
-                                  "array", "numpy-nan", "huge-int"])
-    @pytest.mark.parametrize("name", GUARDED)
-    def test_rejects_a_bad_coefficient(self, name, bad):
-        call, valid, _ = GUARDED[name]
-        for i in range(len(valid)):
-            values = list(valid)
-            values[i] = bad
-            with pytest.raises(ValueError):
-                call(tuple(values))
-
-    @pytest.mark.parametrize("form", ["str", "bytes", "column", "row", "short", "long"])
-    @pytest.mark.parametrize("name", [name for name, (_, _, whole) in GUARDED.items() if whole])
-    def test_rejects_a_malformed_tuple(self, name, form):
-        call, valid, _ = GUARDED[name]
-        n = len(valid)
-        bad = {"str": "1" * n, "bytes": b"1" * n, "column": np.ones((n, 1)), "row": np.ones((1, n)),
-               "short": valid[:-1], "long": (*valid, 1)}[form]
-        with pytest.raises(ValueError, match="of reals"):
-            call(bad)
-
-    @pytest.mark.parametrize("form", [int, Fraction, np.float64, np.int64, np.float32])
-    @pytest.mark.parametrize("name", GUARDED)
-    def test_any_real_gives_the_bits_of_the_float(self, name, form):
-        # a verdict's repr holds its margin's: a numpy scalar margin reads np.float64(...)
-        call, valid, whole = GUARDED[name]
-        expected = repr(call(tuple(float(c) for c in valid)))
-        assert repr(call(tuple(form(c) for c in valid))) == expected
-        if whole:
-            assert repr(call(np.array(valid, dtype=float))) == expected
-            assert repr(call([float(c) for c in valid])) == expected

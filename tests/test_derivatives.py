@@ -100,6 +100,14 @@ class TestDRoots:
     def test_residuals(self):
         assert np.max(np.abs(d_polynomial(d_roots()))) <= 1e-9
 
+    @pytest.mark.parametrize("side", [-math.inf, math.inf], ids=["below", "above"])
+    def test_settle_from_up_to_64_ulps_gives_the_root(self, side):
+        for root in d_roots()[[0, 3, 4]]:
+            x = float(root)
+            for _ in range(64):
+                x = math.nextafter(x, side)
+                assert derivatives._settle(x) == root, x
+
 
 class TestF1Prime:
     def test_two_quotient_forms_agree(self):
@@ -218,7 +226,7 @@ class TestKPolynomial:
                 assert k_polynomial(xi, x) == grouped(xi, x)
 
     def test_limit_at_x_one(self):
-        for xi in (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)):
+        for xi in (Fraction(0), Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)):
             assert k_polynomial(xi, Fraction(1)) == -432 * (xi**2 - 1) ** 2
         for xi in (0.1, 0.5, 0.9):
             target = -432.0 * (xi * xi - 1.0) ** 2

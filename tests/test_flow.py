@@ -162,6 +162,11 @@ class TestIntegrate:
         falling = FlowSystem("custom", 1, lambda y: (-1.0,))
         with pytest.raises(NonPositiveState, match="nonpositive state sample"):
             integrate(falling, (1e-13,), IntegratorConfig(max_time=1e-3))
+        # a last step end of exactly 0.0 is nonpositive: with abs_tol = 1e-6 the one step is h = max_time = 1e-13,
+        # and the start is -h (B . K), K = -1, so y0 + h (B . K) is 0.0 (the dot taken as the stepper takes it)
+        start = -(1e-13 * np.full((7, 1), -1.0)[:-1].T.dot(flow._rk45.B)[0])
+        with pytest.raises(NonPositiveState, match="nonpositive state sample"):
+            integrate(falling, (float(start),), IntegratorConfig(abs_tol=1e-6, max_time=1e-13))
         traj = integrate(falling, (1.0,), IntegratorConfig(max_time=2.0))
         assert traj.status == "singular" and traj.first_event("singular") is not None
         assert traj.final_state[0] == pytest.approx(flow.COLLAPSE_FLOOR, rel=1e-3)

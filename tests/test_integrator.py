@@ -10,6 +10,7 @@ set, run this file again under e.g. OPENBLAS_CORETYPE=Haswell.
 """
 
 import dataclasses
+import itertools
 import math
 import random
 import warnings
@@ -19,6 +20,7 @@ import pytest
 
 pytest.importorskip("scipy")
 from scipy.integrate import solve_ivp  # noqa: E402
+from scipy.integrate._ivp.common import select_initial_step  # noqa: E402
 from scipy.optimize import brentq as scipy_brentq  # noqa: E402
 
 from ricciflow import (  # noqa: E402
@@ -32,7 +34,8 @@ from ricciflow import (  # noqa: E402
     t_a,
     t_a_closed,
 )
-from ricciflow._rk45 import EPS, brentq  # noqa: E402
+from ricciflow import _rk45  # noqa: E402
+from ricciflow._rk45 import EPS, _initial_step, brentq  # noqa: E402
 from ricciflow.flow import COLLAPSE_FLOOR, FlowSystem, cone_events  # noqa: E402
 from riccati import exit_at  # noqa: E402
 
@@ -189,6 +192,35 @@ def test_rising_through_the_floor_matches_solve_ivp():
     assert traj.status == "singular" and [ev.name for ev in traj.events] == ["singular"]
 
 
+@pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["falling", "rising"])
+def test_floor_met_exactly_at_a_step_end_or_at_the_start_matches_solve_ivp(sign):
+    # with no caller events the stepper tests the floor itself; here g = min(y) - floor is exactly 0
+    # at the end of step 3 of a free run of y' = -y (or y' = y), or at the start, and either ends the run there;
+    # rising, the step's interpolant ends just below the floor, and Brent's method raises in both
+    def rhs(y):
+        return [sign * y[0]]
+
+    def outcome(run):
+        try:
+            return run()
+        except ValueError as exc:
+            return str(exc)
+
+    free = _rk45.solve(rhs, [1.0], 5.0, 1e-3, 1e-6, math.inf, -math.inf, [])
+    for y0, floor in (([1.0], free["y"][3][0]), ([0.5], 0.5)):
+        def g(_l, y, floor=floor):
+            return float(np.min(y) - floor)
+
+        g.terminal = True
+        run = outcome(lambda: _rk45.solve(rhs, y0, 5.0, 1e-3, 1e-6, math.inf, floor, []))
+        ref = outcome(lambda: solve_ivp(lambda _l, y: sign * y, (0.0, 5.0), y0, rtol=1e-3, atol=1e-6, events=[g]))
+        if isinstance(ref, str):
+            assert (sign, y0, run) == (1.0, [1.0], ref) and "different signs" in ref
+            continue
+        assert (run["status"], run["t"]) == (ref.status, ref.t.tolist())
+        assert [(te, state) for _, te, state in run["roots"]] == [(ref.t_events[0][0], ref.y_events[0][0].tolist())]
+
+
 @pytest.mark.parametrize("terminal", [False, True])
 def test_floor_and_an_event_crossing_in_one_step_match_solve_ivp(terminal):
     # min(y) falls through 2e-12 and then the floor 1e-12 inside the run's last step,
@@ -224,6 +256,15 @@ def test_event_zero_at_a_step_end_matches_solve_ivp(terminal):
     event = EventSpec("step_end", lambda l, _y: l - t_k, terminal, 1.0)
     traj = assert_same_run("aw3", STARTS["aw3"], cfg, [event])
     assert [ev.time for ev in traj.events if ev.name == "step_end"] == [t_k] * (1 if terminal else 2)
+
+
+def test_falling_event_zero_at_a_step_end_matches_solve_ivp():
+    # as above, with g = t_k - l falling through 0 and counted only in that direction
+    cfg = IntegratorConfig(max_time=0.05)
+    t_k = float(integrate(make_system("aw3"), STARTS["aw3"], cfg).times[3])
+    event = EventSpec("step_end", lambda l, _y: t_k - l, False, -1.0)
+    traj = assert_same_run("aw3", STARTS["aw3"], cfg, [event])
+    assert [ev.time for ev in traj.events if ev.name == "step_end"] == [t_k] * 2
 
 
 def test_states_are_float_lists_and_any_returned_sequence_works():
@@ -280,6 +321,45 @@ def test_tiny_rel_tol_is_clamped_like_solve_ivp():
     assert clamped.states.tobytes() == traj.states.tobytes()
 
 
+def test_rel_tol_at_the_clamp_gives_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_same_run("aw3", STARTS["aw3"], IntegratorConfig(rel_tol=100 * EPS, max_time=0.05), [])
+
+
+# (y0, f0, f1): with atol = 1 and rtol = 1e-13 the scale is exactly 1, so the norms d0 = |y0|, d1 = |f0| and
+# d2 = |f1 - f0| / h0 fall exactly on the thresholds 1e-5 and 1e-15 of HNW II.4's first step (h0 = 1e-6 in the last)
+FIRST_STEP_EDGES = {"d0=1e-5": ([1e-5], [1.0], [1.0]), "d1=1e-5": ([1e-3], [1e-5], [1e-5]),
+                    "d1=1e-15": ([1e-3], [1e-15], [1e-15]), "d2=1e-15": ([1e-3], [0.0], [1.0000000000000001e-21])}
+
+
+@pytest.mark.parametrize("y0,f0,f1", FIRST_STEP_EDGES.values(), ids=FIRST_STEP_EDGES.keys())
+def test_first_step_at_its_thresholds_matches_solve_ivp(y0, f0, f1):
+    expected = select_initial_step(lambda _t, _y: np.array(f1), 0.0, np.array(y0), 10.0, math.inf, np.array(f0),
+                                   1.0, 4, 1e-13, 1.0)
+    assert _initial_step(lambda _y: f1, y0, f0, 10.0, 1.0, 1e-13, 1.0, math.inf) == expected
+
+
+def test_subnormal_max_step_matches_solve_ivp():
+    # the first step is max_step = 5e-324, below ten ulps of t = 0, and is raised to them as in solve_ivp
+    assert_same_run("aw2", STARTS["aw2"], IntegratorConfig(max_step=5e-324, max_time=1e-321), [])
+
+
+def test_error_norm_of_exactly_one_is_rejected_as_in_solve_ivp():
+    # y stays 0 and only the first attempt's f(y_new) is nonzero, 40: its error estimate is 40 E[6] h = h
+    # exactly, so with atol = h its norm is exactly 1, and the attempt is rejected
+    h = 2.0 ** -30
+
+    def rhs():
+        calls = itertools.count(1)   # f(y0), the first-step probe, stages 1..5, then f(y_new)
+        return lambda y: [40.0 if next(calls) == 8 else 0.0]
+
+    run = _rk45.solve(rhs(), [0.0], h, 1e-3, h, h, -math.inf, [])
+    f = rhs()
+    ref = solve_ivp(lambda _l, y: np.array(f(y)), (0.0, h), [0.0], rtol=1e-3, atol=h, max_step=h)
+    assert (run["t"], run["stats"]["n_rejected"]) == (ref.t.tolist(), 1)
+
+
 def test_zero_rhs_first_step_matches_solve_ivp():
     # f = 0: both Euler error estimates are 0, and the first step is 1e-6
     still = FlowSystem("still", 2, lambda y: [0.0, 0.0])
@@ -320,6 +400,7 @@ def test_non_finite_initial_rhs_underflows_like_solve_ivp(kind, init):
     assert traj.stats["nfev"] == ref.nfev == 8
 
 
+U = 2.0 ** -52
 BRACKETED = [
     (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
     (lambda x: math.cos(x) - x, 0.0, 1.0),
@@ -327,6 +408,17 @@ BRACKETED = [
     (lambda x: (x - 0.3) * 1e-170, 0.0, 1.0),
     (lambda x: math.exp(x) - 1e6, 20.0, 0.0),
     (lambda x: math.atan(50.0 * (x - 0.123456789)), -3.0, 5.0),
+    (lambda x: x - 2.0 ** -52, 2.0 ** -50, 0.0),   # at x = 0 half the bracket is exactly the tolerance
+    # |f(a)| one ulp above |f(b)|: f(b) - f(a) rounds to 2 f(b), so the secant step is exactly half the bracket,
+    # 2 |stry| == |spre|, where Brent bisects
+    (lambda x: -(1 + U) if x == 0.0 else (8 * x - 1) / 7, 0.0, 1.0),
+    # |f(xcur)| == |f(xpre)|: a step of two levels, where Brent bisects
+    (lambda x: (1.6875 if x > 0.75 else -1.6875) * (1.4375 if x > 1.25 else 1.0), 3.0, -1.0),
+    # kinked lines a few ulps of 0 wide, where 2 |stry| falls between 3 |sbis| - delta and 3 |sbis| + delta,
+    # and where the previous step is exactly delta
+    (lambda x: 83 / 16 * (x / U + 3 / 16) if x < -3 / 16 * U else 75 / 16 * (x / U + 3 / 16) if x < 13 / 16 * U
+     else 75 / 16 + 11 / 8 * (x / U - 13 / 16), -3 * U, 4 * U),
+    (lambda x: 21 / 16 * (x / (4 * U) - 1 / 8) if x < U / 2 else 3.5 * (x / (4 * U) - 1 / 8), -4 * U, 14 * U),
 ]
 
 

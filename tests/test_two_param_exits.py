@@ -64,6 +64,12 @@ def test_aw2_at_most_two_fifths_never_exits(init):
         cone_exit("aw2", init)
 
 
+def test_aw2_exactly_at_two_fifths_stays():
+    # 2/5 is no float, but (2, 5) has t/s = 2/5 exactly: z0 is exactly 0 and t/s stays at 2/5
+    with pytest.raises(NoExitWithinHorizon, match=r"^t/s = 0\.4 <= 2/5 falls"):
+        cone_exit("aw2", (2.0, 5.0))
+
+
 def test_aw2_exit_past_the_horizon_raises_as_the_stepper_did():
     time, _state = cone_exit("aw2", (0.5, 1.0))
     assert cone_exit("aw2", (0.5, 1.0), IntegratorConfig(max_time=time))[0] == time
