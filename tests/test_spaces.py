@@ -207,8 +207,19 @@ class TestBergerEigenvalues:
             assert r1 == pytest.approx((8.0 + x1 * x1) / x1, rel=1e-13)
             assert r2 == pytest.approx(5.0 * (8.0 - x1) / 4.0, rel=1e-13)
 
-    @given(x1=positive, x2=positive, lam=scale)
+    @given(x1=positive, x2=positive, lam=power_of_two)
     def test_degree_minus_one(self, x1, x2, lam):
+        # scaling by a power of two commutes with every rounding: bit-exact
         base = np.array(berger_eigenvalue_tuple(x1, x2))
         scaled = np.array(berger_eigenvalue_tuple(lam * x1, lam * x2))
-        np.testing.assert_allclose(scaled, base / lam, rtol=1e-12)
+        np.testing.assert_array_equal(scaled, base / lam)
+
+    @given(x1=positive, x2=positive, lam=scale)
+    @example(x1=4.999999999999999, x2=0.625, lam=3.0)
+    def test_degree_minus_one_general_scale(self, x1, x2, lam):
+        # the rounding of lam * x moves each eigenvalue by O(eps) relative to its terms' magnitudes,
+        # not to r2 = 5(8 x2 - x1)/(4 x2^2), in which they cancel near x1 = 8 x2
+        base = np.array(berger_eigenvalue_tuple(x1, x2))
+        scaled = np.array(berger_eigenvalue_tuple(lam * x1, lam * x2))
+        terms = np.array([(8 * x2 * x2 + x1 * x1) / (x1 * x2 * x2), 5 * (8 * x2 + x1) / (4 * x2 * x2)])
+        assert np.all(np.abs(scaled - base / lam) <= 1e-12 * terms / lam)
