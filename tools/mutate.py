@@ -150,10 +150,10 @@ def audit(root: Path, out: Path, command: list[str] = PYTEST, floor: float = 20.
     began = time.perf_counter()
     paths = sorted(str(path.relative_to(root)) for path in (root / "src").rglob("*.py"))
     sites = [site for path in paths for site in find_sites(root, path)]
-    with tempfile.TemporaryDirectory(prefix="mutate-") as scratch:
+    with tempfile.TemporaryDirectory(prefix="mutate-") as workdir:
         copies = queue.Queue()
         for i in range(WORKERS):
-            copies.put(Path(shutil.copytree(root, Path(scratch) / str(i), ignore=IGNORE)))
+            copies.put(Path(shutil.copytree(root, Path(workdir) / str(i), ignore=IGNORE)))
         running = set()   # the runs in flight, each the leader of its own process group
         base = run(copies.queue[0], command, None, None, {}, running, trace=True)
         names = [test for test, _ in base["map"]["tests"]]
