@@ -815,3 +815,54 @@ class TestNormalizedRegion:
         exact = 4 * Fraction(x) ** 3 * Fraction(s) ** 4 - Fraction(x) ** 4 * Fraction(s) ** 3
         assert region == ("P" if exact <= 3 else "G" if x < s else "W")
         assert normalized_region(x, s) == region
+
+
+# Every function that takes a coefficient tuple, called on `values`, with a
+# valid input of integers; the last field marks the functions that take the
+# tuple as one argument (the others take its items as separate arguments).
+GUARDED = {
+    "t_a": (lambda v: t_a(v, 0.7), (3, 4, 5), True),
+    "classify_2param": (lambda v: classify_2param(*v), (3, 4), False),
+    "classify_3param": (lambda v: classify_3param(*v), (2, 3, 4), False),
+    "classify_berger": (lambda v: classify_berger(*v), (3, 2), False),
+    "classify_aw_slice": (lambda v: classify_aw_slice(v, 0.7), (2, 3, 4, 4), True),
+    "normalized_region": (lambda v: normalized_region(*v), (1, 2), False),
+}
+
+
+class TestInputGuard:
+    """One guard, `cone._reals`, decides what a valid coefficient tuple is."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0, 0.0, -1.0, "1", b"1", None,
+                                     np.ones(1), np.float64(math.nan), 10**400],
+                             ids=["nan", "inf", "-inf", "int0", "zero", "negative", "str", "bytes", "none",
+                                  "array", "numpy-nan", "huge-int"])
+    @pytest.mark.parametrize("name", GUARDED)
+    def test_rejects_a_bad_coefficient(self, name, bad):
+        call, valid, _ = GUARDED[name]
+        for i in range(len(valid)):
+            values = list(valid)
+            values[i] = bad
+            with pytest.raises(ValueError):
+                call(tuple(values))
+
+    @pytest.mark.parametrize("form", ["str", "bytes", "column", "row", "short", "long"])
+    @pytest.mark.parametrize("name", [name for name, (_, _, whole) in GUARDED.items() if whole])
+    def test_rejects_a_malformed_tuple(self, name, form):
+        call, valid, _ = GUARDED[name]
+        n = len(valid)
+        bad = {"str": "1" * n, "bytes": b"1" * n, "column": np.ones((n, 1)), "row": np.ones((1, n)),
+               "short": valid[:-1], "long": (*valid, 1)}[form]
+        with pytest.raises(ValueError, match="of reals"):
+            call(bad)
+
+    @pytest.mark.parametrize("form", [int, Fraction, np.float64, np.int64, np.float32])
+    @pytest.mark.parametrize("name", GUARDED)
+    def test_any_real_gives_the_bits_of_the_float(self, name, form):
+        # a verdict's repr holds its margin's: a numpy scalar margin reads np.float64(...)
+        call, valid, whole = GUARDED[name]
+        expected = repr(call(tuple(float(c) for c in valid)))
+        assert repr(call(tuple(form(c) for c in valid))) == expected
+        if whole:
+            assert repr(call(np.array(valid, dtype=float))) == expected
+            assert repr(call([float(c) for c in valid])) == expected

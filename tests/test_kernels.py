@@ -6,6 +6,7 @@ on numpy float64 scalars, for every input type the kernels accept, and check
 that states where float arithmetic raises or overflows still get numpy's inf or nan.
 """
 
+import math
 import statistics
 import warnings
 from fractions import Fraction
@@ -144,6 +145,27 @@ def test_t_a_matches_numpy_scalars(monkeypatch):
     for s, xi, want in zip(triples, xis, expected):
         for form, value in input_forms(s).items():
             assert bits(cone.t_a(value, xi)) == want, (form, s.tolist(), xi)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("fn", [lambda s: cone.t_a(s, 1.0),
+                                lambda s: cone._sigma(*cone._scaled(cone._reals(s, 3))[0]),
+                                lambda s: cone._is_round(*cone._scaled(cone._reals(s, 3))[0])],
+                         ids=["t_a", "sigma", "is_round_diagonal"])
+def test_scale_factors_must_be_positive_and_finite(fn, bad):
+    # t_a, and the kernels `sigma` and `is_round` as `a_tilde` and `t_a` hand them s: guarded, then scaled
+    for s in [(1.0, 1.0, bad), (bad, 0.9, 1.0), np.array([1.0, bad, 1.2])]:
+        with pytest.raises(ValueError, match="positive and finite"):
+            fn(s)
+
+
+@pytest.mark.parametrize("s", [(1.0, 1.2), (1.0, 1.2, 0.9, 1.1), [[1.0], [1.2], [0.9]], np.ones((3, 1)),
+                               np.ones((1, 3)), 1.0, (1.0, "x", 0.9), (1.0, None, 0.9), "123", b"123"],
+                         ids=["two", "four", "nested", "column", "row", "scalar", "text", "none", "string",
+                              "bytes"])
+def test_scale_factors_must_be_a_triple_of_reals(s):
+    with pytest.raises(ValueError, match="expected a triple of reals"):
+        cone.t_a(s, 1.0)
 
 
 def test_rhs_on_a_list_of_large_ints_gets_numpy_values():

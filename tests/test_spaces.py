@@ -1,6 +1,7 @@
 """xi, Ricci eigenvalue closed forms on coefficient tuples, and the
 structure-constant oracle."""
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -60,6 +61,43 @@ class TestXiParam:
         with pytest.raises(ValueError, match=r"\(0, 1\]"):
             xi_from_integers(1, 10**400)
         assert xi_from_integers(10**400, 10**401 + 1) == 10**400 / (10**401 + 1)
+
+
+STACK4 = r"expected an \(N, 4\) stack of positive finite reals"
+
+
+class TestMetricTypes:
+    """Metrics are rows of an (N, 4) stack, checked where they are used."""
+
+    def test_positive_required(self):
+        for bad in (-1.0, 0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                ricci_from_structure(1, 1, [(1.0, bad, 1.0, 1.0)])
+
+    def test_four_coefficients_required(self):
+        # a short row, a ragged stack, a non-number and one metric that is not a stack get the package's message
+        for bad in ([(1.0, 1.0, 1.0)], [(1, 1, 1, 1), (1, 1, 1)], [(1, "x", 1, 1)], (1.0, 1.0, 1.0, 1.0)):
+            with pytest.raises(ValueError, match=STACK4):
+                ricci_from_structure(1, 1, bad)
+
+    def test_an_int_past_the_float_range_gets_the_packages_message(self):
+        for bad in ([[10**400, 1, 1, 1]], [[1, 1, 1, 1], [1, 1, 1, -10**400]]):
+            with pytest.raises(ValueError, match=STACK4):
+                ricci_from_structure(1, 1, bad)
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.inf, math.nan])
+    @pytest.mark.parametrize("row", range(3))
+    @pytest.mark.parametrize("column", range(4))
+    def test_positive_required_in_every_row_of_a_stack(self, bad, row, column):
+        stack = np.ones((3, 4))
+        stack[row, column] = bad
+        with pytest.raises(ValueError, match=STACK4):
+            ricci_from_structure(1, 2, stack)
+
+    @pytest.mark.parametrize("shape", [(5, 3), (1, 5), (2, 5, 4), (1, 1, 4), ()])
+    def test_stacks_of_four_columns_required(self, shape):
+        with pytest.raises(ValueError, match=STACK4):
+            ricci_from_structure(1, 2, np.ones(shape))
 
 
 class TestAWEigenvalues:
