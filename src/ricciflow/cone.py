@@ -34,7 +34,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import sys
 import warnings
 from collections import namedtuple
 from collections.abc import Sequence
@@ -56,18 +55,18 @@ SLICE_RTOL = 0.05
 
 
 def _scaled(s: Sequence[float]) -> tuple[list, float]:
-    """The guarded floats s as a list divided by a power of two `scale`, and `scale`.
-    A kernel of degree d on the scaled s, times scale**d, has no intermediate over- or
-    underflow and the bits of the kernel on s itself.  Inside the band s itself
-    has neither, so scale is 1; else scale brings max(s) into [1, 2).  Where a scaled
-    component would be subnormal (max(s)/min(s) >= 2^1022), s comes back as exact
-    Fractions with scale 1: the kernels compute in the number type of s, so they are
-    exact there, and `_rounded` rounds their result once."""
+    """The guarded floats s as a list divided by a power of two `scale`, and `scale`: one band
+    decides.  On s inside [_BAND_LO, _BAND_HI) no intermediate of a kernel of degree <= 4 over- or
+    underflows, so scale is 1.  Else scale brings max(s) into [1, 2); where the scaled s lies in the
+    band (always for max(s)/min(s) <= 2^64), a kernel of degree d on it, times scale**d, has the bits
+    of the kernel on s.  Where the scaled min(s) is below the band, s comes back as exact Fractions,
+    scale 1: the kernels compute in the number type of s, and `_rounded` rounds their result once.
+    That path costs about 0.7 ms per `t_a` call, against 3.5 us in the band; no benchmark case takes it."""
     lo, hi = min(s), max(s)
     if _BAND_LO <= lo and hi < _BAND_HI:
         return [*s], 1.0
     scale = _power_of_two(hi)
-    if lo < scale * sys.float_info.min:
+    if lo < scale * _BAND_LO:
         return [*map(Fraction, s)], 1
     return [c / scale for c in s], scale
 

@@ -30,6 +30,52 @@ def results():
     return {result.name: result for result in verify.run_all()}
 
 
+# The battery's contract, one row per check in run order: name, tolerance, pass flag, whether the row
+# reports a headroom, and its detail string.  The details of the exit rows and of `flow_oracle_sign`
+# print exit times and differences, whose last digits follow the host's BLAS kernels (None: not pinned).
+CONTRACT = [
+    ("two_param_derivative_at_round", 1e-12, True, False, "target 3, exact in rational arithmetic"),
+    ("berger_derivative_at_boundary", 1e-12, True, False, "target 3, exact in rational arithmetic"),
+    ("berger_eigenvalues_at_boundary", 1e-12, True, True, "r1 = 6.0, r2 = 7.5, targets (6, 7.5)"),
+    ("d_roots_exact_pair", 1e-12, True, True, ""),
+    ("d_roots_residuals", 1e-9, True, True, ""),
+    ("d_roots_lambda1_bracket", 0.005, False, False, "reference bracket [-7.485, -7.475]"),
+    ("d_roots_lambda4_bracket", 0.005, True, False, "reference bracket [0.785, 0.795]"),
+    ("d_roots_lambda5_bracket", 0.005, False, False, "reference bracket [2.685, 2.695]"),
+    ("d_negative_between_roots", 0.0, True, False, "max of D on the inner 1e-3 grid of (lambda4, lambda5)"),
+    ("t_a_closed_form_grid", 1e-12, True, True, "relative deviation over the 1e-2 grid of (0,1) and (1,3.99)"),
+    ("a_tilde_inverse_identity_grid", 1e-10, True, True, ""),
+    ("gradient_finite_difference", 1e-6, True, True, "central differences of t_A/t at the anchor tuple, h = 1e-6"),
+    ("gradient_assembly", 1e-9, True, True, "<grad F, initial velocity> against f_xi_prime0"),
+    ("k_limit_x1", 1e-9, True, True, "|K(xi, 1) + 432(xi^2-1)^2| / (1 + 432(xi^2-1)^2)"),
+    ("f_xi_denominator_positive", 0.0, True, False, "min of x(x-4)(x-1)R^2 on the 1e-2 grid of (0,1) x (0,1]"),
+    ("sign_theorem_xi1", 0.0, True, False, "max of f1'(0) on the 1e-3 grid of [0.801, 0.999]"),
+    ("sign_theorem_nearby_xi", 0.0, True, False, "per xi in {0.1..0.9}: min over x in [0.9, 1) of f_xi'(0)"),
+    ("flow_oracle_sign", 1e-4, True, True, None),
+    ("cone_exit_aw2", 1.0, True, False, None),
+    ("cone_exit_aw3", 1.0, True, False, None),
+    ("cone_exit_berger", 1.0, True, False, None),
+    ("cone_exit_aw3_xi090", 1.0, True, False, None),
+    ("cone_exit_aw3_xi095", 1.0, True, False, None),
+    ("subfamily_invariance_slice", 1e-9, True, True, "s1 = s2 preserved over horizon 0.5 from (4, 4.4, 4, 4)"),
+    ("subfamily_invariance_two_param", 1e-9, True, True,
+     "t = s0 and s1 = s2 preserved over horizon 0.5 from (4, 4, 5, 5)"),
+    ("einstein_equilibria", 1e-9, True, True, ""),
+    ("seed_p1_stays_on_curve", 1e-6, True, True, "|x^3 s^4 - 1| along the p1 trajectory, horizon 10"),
+    ("seed_p1_terminal_near_e_minus", 1e-3, True, True, ""),
+    ("seed_p2_enters_pink", 10.0, True, False,
+     "flow time at which the p2 trajectory crosses into region P (an event root)"),
+    ("eigenvalue_oracle_randomized", 1e-12, True, True,
+     "100 SplitMix64 metrics in U(0.5, 2)^4 per (k1, k2) pair, seed 20240810"),
+]
+
+
+def test_the_battery_keeps_its_contract(results):
+    unpinned = {row[0] for row in CONTRACT if row[4] is None}
+    assert [(r.name, r.tolerance, bool(r.passed), r.headroom is not None, None if r.name in unpinned else r.detail)
+            for r in results.values()] == CONTRACT
+
+
 def test_registry_complete():
     names = [result.name for result in verify.run_all()]
     assert len(set(names)) == len(names) == 30

@@ -244,6 +244,14 @@ class TestPortraitCommand:
                    for row in read_csv(tmp_path / "regions.csv")}
         assert regions == {(1e100, 1e100): "W", (1e100, 1e101): "G", (1e101, 1e100): "P", (1e101, 1e101): "W"}
 
+    @pytest.mark.parametrize("grid", ["5e-324:1e-300:2,1:2:2", "1:2:2,5e-324:1e-300:2"])
+    def test_grid_down_to_the_smallest_subnormal(self, tmp_path, capsys, grid):
+        # every positive float bounds a range; the regions there come from the exact quartic
+        code, out = run_cli(capsys, "portrait", "--grid", grid, "--horizon", "0.2", "--out", str(tmp_path))
+        assert code == 0 and out["grid_points"] == 4
+        for row in read_csv(tmp_path / "regions.csv"):
+            assert row["region"] == normalized_region(float(row["x"]), float(row["s"]))
+
     def test_determinism(self, tmp_path, capsys):
         for sub in ("p1", "p2"):
             run_cli(capsys, "portrait", "--grid", "0.5:1.5:4,0.5:1.5:4",

@@ -1,6 +1,7 @@
 """Positivity cone: the sigma kernel, the A~ system, t_A paths, and the classifiers."""
 
 import collections
+import contextlib
 import math
 import random
 import sys
@@ -147,15 +148,16 @@ class TestSigma:
             assert a_tilde((5e-324, 1.0, 2.0))[0, 1] == -math.inf
 
     @pytest.mark.parametrize("s", [EXTREME, (1e308, 1.2e308, 1.7e308), (1e-200, 1.2e-200, 1.2e-200),
-                                   *SPREAD])
+                                   *SPREAD, (1e-100, 1e100, 1e100)])
     def test_membership_at_extreme_scales(self, s):
         with mpmath.workdps(50 + spread_digits(s)):
             s0, s1, s2 = (mpmath.mpf(c) for c in s)
             exact = 2 * s1 * s2 + 2 * s0 * s2 + 2 * s0 * s1 - s0 * s0 - s1 * s1 - s2 * s2
         scaled, scale = cone._scaled(list(s))
         assert (cone._sigma(*scaled) > 0) == a_tilde_accepts(s) == (exact > 0)
-        # exact Fractions where a scaled component would be subnormal
-        assert isinstance(scale, int) == (max(s) / min(s) >= 2.0 ** 1022) == isinstance(scaled[0], Fraction)
+        # exact Fractions where min(s), over the power of two of max(s)'s binade, is below the band
+        below = math.ldexp(min(s), 1 - math.frexp(max(s))[1]) < cone._BAND_LO
+        assert isinstance(scale, int) == below == isinstance(scaled[0], Fraction)
         assert not a_tilde_accepts((s[0], s[0], s[0]))
 
     @pytest.mark.parametrize("s", NEAR_SIGMA_ZERO)
@@ -242,7 +244,7 @@ def test_exact_sigma_branch_matches_fraction():
     for s0, s1, s2 in triples:
         assert 16 * (2 * s1 * s2 + 2 * s0 * s2 + 2 * s0 * s1 - s0 * s0 - s1 * s1 - s2 * s2) < (s0 + s1 + s2) ** 2
         assert cone._sigma(s0, s1, s2).hex() == float(fraction_sigma(s0, s1, s2)).hex(), (s0, s1, s2)
-    # exact Fraction triples (max/min >= 2^1022) keep an exact Fraction
+    # exact Fraction triples (the exact path of `_scaled`) keep an exact Fraction
     exact = cone._sigma(*(Fraction(c) for c in (1e-300, 1e300, 1.1e300)))
     assert isinstance(exact, Fraction) and exact == fraction_sigma(1e-300, 1e300, 1.1e300)
 
@@ -263,6 +265,83 @@ def test_the_scale_rule_moves_no_bit_across_the_unscaled_band(k):
             assert margin == math.ldexp(classify(*((t, x, s1, s2)[i] for i in args)).margin, k), (s, k)
         margin = classify_aw_slice((*scaled[:2], scaled[3], scaled[3]), 0.7).margin
         assert margin == math.ldexp(classify_aw_slice((t, x, s2, s2), 0.7).margin, k), (s, k)
+
+
+# Spreads 2^k of s = (1, 0.9, 2^-k) and (2^-k, 1, 1), seeded, with the edges of the band (64), of
+# the float kernels' digits on s scaled into [1, 2) (518) and of the normal floats (1022)
+BAND_SPREADS = sorted({*random.Random(46).sample(range(1075), 24), 63, 64, 65, 517, 518, 1022, 1074})
+
+
+def spread_triples(k):
+    return ((1.0, 0.9, 2.0 ** -k), (2.0 ** -k, 1.0, 1.0)) if k else ((1.0, 0.9, 1.0),)   # (1, 1, 1) is round
+
+
+def exact_t_a(s, xi):
+    return cone._t_a(*map(Fraction, s), Fraction(xi))
+
+
+def ulps_off(value, exact):
+    return abs(Fraction(value) - exact) / Fraction(math.ulp(float(exact)))
+
+
+class TestBandRule:
+    """`_scaled` goes exact exactly where the scaled min(s) falls below the band; max(s) = 1 in
+    the spreads, so there the scale is 1 and s takes the exact path from k = 65 on."""
+
+    def test_the_scaled_minimum_at_the_lower_edge_stays_float(self):
+        big = 2.0 ** 64
+        at, below = (big, 0.9 * big, 1.0), (big, 0.9 * big, math.nextafter(1.0, 0.0))
+        assert cone._scaled(list(at)) == ([1.0, 0.9, cone._BAND_LO], big)
+        # the float value at the edge is not the exact one, and one ulp lower t_a gives the exact one
+        assert t_a(at, 0.9) == big * t_a((1.0, 0.9, cone._BAND_LO), 0.9) == 7.2266666666666675
+        assert float(exact_t_a(at, 0.9)) == 7.226666666666667
+        assert big * cone._t_a(1.0, 0.9, below[2] / big, 0.9) == 7.226666666666665
+        assert t_a(below, 0.9) == float(exact_t_a(below, 0.9)) == 7.226666666666666
+
+    def test_a_normal_minimum_far_below_the_band_gets_its_value(self):
+        for z, value in ((1e-200, 8e-200), (1e-300, 8e-300), (sys.float_info.min, 1.7800590868057611e-307)):
+            assert t_a([1.0, 0.9, z], 1.0) == float(exact_t_a((1.0, 0.9, z), 1.0)) == value
+        tiny = 2.0 ** -600
+        assert cone._t_a_rows([[1.0, 0.9, tiny]], 1.0).tolist() == [t_a((1.0, 0.9, tiny), 1.0)] == [1.9279358920823073e-180]
+        verdict = classify_aw_slice((1e-3 * tiny, tiny, 1.0, 1.01), 0.7)
+        assert verdict.classification is ConeClass.POSITIVELY_CURVED   # as the exact gap says
+
+    @pytest.mark.parametrize("xi", [1.0, 0.7])
+    def test_t_a_at_every_spread(self, xi):
+        for k in BAND_SPREADS:
+            for s in spread_triples(k):
+                exact, value = exact_t_a(s, xi), t_a(s, xi)
+                assert value != 0.0 and ulps_off(value, exact) <= 120, (s, xi)
+                assert k <= 64 or value == float(exact), (s, xi)   # the exact path rounds once
+            assert_rows_match(spread_triples(k), xi)
+
+    def test_a_tilde_at_every_spread(self):
+        for k in BAND_SPREADS:
+            for s in spread_triples(k):
+                outside = fraction_sigma(*s) <= 0
+                with pytest.warns(RuntimeWarning, match="outside D_sigma") if outside else contextlib.nullcontext():
+                    m = a_tilde(s)
+                exact = mp_a_tilde(*map(Fraction, s))
+                s0, s1, s2 = s   # on floats: each entry within 8 eps of its terms' magnitudes
+                size, prod = (s0 + s1 + s2) ** 2, s0 * s1 * s2
+                b = [size / prod + (s0 + s1 + s2) / (s[j - 1] * s[(j + 1) % 3]) for j in range(3)]
+                terms = [[4 / s0, b[2], b[1]], [b[2], 4 / s1, b[0]], [b[1], b[0], 4 / s2]]
+                for i, j in np.ndindex(3, 3):
+                    if k > 64:   # exact, rounded once: +-inf where the value overflows
+                        assert m[i, j] == cone._rounded(exact[i][j]), (s, i, j)
+                    else:
+                        assert abs(Fraction(m[i, j]) - exact[i][j]) <= 8 * sys.float_info.epsilon * terms[i][j]
+
+    @pytest.mark.parametrize("xi", [1.0, 0.7])
+    def test_slice_margin_at_every_spread(self, xi):
+        for k in BAND_SPREADS:
+            s, t = (2.0 ** -k, 1.0, 1.01), 2.0 ** -k
+            boundary = exact_t_a(s, xi)
+            exact, verdict = boundary - Fraction(t), classify_aw_slice((t, *s), xi)
+            assert verdict.classification is (ConeClass.POSITIVELY_CURVED if exact > 0
+                                              else ConeClass.HAS_NONPOSITIVE_PLANE), (k, xi)
+            # t_a's bound, in ulps of t_A, holds the margin t_A - t, which is rounded once more
+            assert abs(Fraction(verdict.margin) - exact) <= 120 * Fraction(math.ulp(float(boundary))), (k, xi)
 
 
 class TestVVector:
@@ -640,6 +719,13 @@ class TestRowwise:
         cone._t_a_rows(stack, 0.7)
         assert len(calls) == (0 if inside else len(stack))
 
+    def test_a_float_array_takes_the_smallest_subnormal(self):
+        # the array path of the stack guard accepts every positive float; the band rule makes such a row exact
+        stack = np.array([[5e-324, 1.0, 1.0], [1.0, 0.9, 5e-324], [1.0, 0.9, 1.1]])
+        for xi in (1.0, 0.7):
+            assert_rows_match(stack, xi)
+        assert cone._t_a_rows(stack, 1.0)[1] == float(exact_t_a((1.0, 0.9, 5e-324), 1.0))
+
     @pytest.mark.parametrize("stack", [
         [1.0, 1.0, 1.0], [[1.0, 1.0]], [[[1.0], [1.0], [1.0]]], [[1.0, 1.0, 1.0], [1.0, 1.0]],
         [["a", "b", "c"]], [[1.0, 0.0, 1.0]], [[1.0, -1.0, 1.0]], [[1.0, math.nan, 1.0]],
@@ -719,6 +805,11 @@ class TestClassifiers:
         for k in (-20, 20):
             scaled = classify_aw_slice([math.ldexp(c, k) for c in (0.9, 0.9, 1.0, 1.04)], 0.7)
             assert scaled == ConeVerdict(base.classification, math.ldexp(base.margin, k))
+
+    def test_slice_spread_edge_with_s1_above_s2(self):
+        # the spread is taken against the mean of s1 and s2: 0.0513 > SLICE_RTOL * 1.02565 > 0.0512
+        assert classify_aw_slice((0.5, 0.5, 1.0513, 1.0), 0.7) == ConeVerdict(ConeClass.UNKNOWN, 0.0)
+        assert classify_aw_slice((0.5, 0.5, 1.0512, 1.0), 0.7).classification is not ConeClass.UNKNOWN
 
     @pytest.mark.parametrize("u", [0.1, 0.4, 0.7, 0.95])
     def test_two_vs_three_param_consistency(self, u):
